@@ -14,19 +14,23 @@ equation; the tetrahedron, unit laws, and the coboundary transform of h are
 all computed by generic TwoCell pasting of the corresponding diagrams, so
 their meaning is tied to the one set of composition conventions in
 twocells.py rather than to hand-expanded formulas. Closed-form versions of
-these pastings exist only in the test suite, as independent oracles.
+these pastings exist only in the test suite, as independent oracles. The
+census runs the same diagram functions over a module's compiled tables,
+where they paste CellBatch batches of states instead of single TwoCells.
 
 Overlap values may be constants (finite indices or matrices) or point
 functions; a nerve can carry sample points per overlap for the latter.
 """
 
 import itertools
-from collections import deque
 
+import numpy as np
+
+from .crossed import CompiledModule, validate_crossed_module
 from .errors import BudgetExceeded, CompositionError, ConfigError, TwoGaugeError
 from .groups import TAU_GRP
 from .report import ValidationReport
-from .twocells import TwoCell
+from .twocells import CellBatch, TwoCell, _blocks
 
 
 def _faces(overlap):
@@ -170,9 +174,14 @@ class GluingCocycle:
         return self.cm.H.identity
 
 
+def _cells(cm):
+    # over compiled tables the diagrams below paste whole batches of states
+    return CellBatch if isinstance(cm, CompiledModule) else TwoCell
+
+
 def _cell(cm, source, value):
     # the 2-cell from `source` to `source t(value)` carrying stored data
-    return TwoCell(cm, source, cm.alpha(source, value))
+    return _cells(cm)(cm, source, cm.alpha(source, value))
 
 
 def _residual(group, x, y):
@@ -340,9 +349,10 @@ def _transformed_triple(cm, gv, hv, lam, bv, tri):
         return _cell(cm, src, cm.alpha(lam(b), bv(pair)))
 
     X = beta((i, j)).horizontal(beta((j, k)))
-    mid = (TwoCell.identity(cm, lam(i))
+    identity = _cells(cm).identity
+    mid = (identity(cm, lam(i))
            .horizontal(_cell(cm, G.mul(gv((i, j)), gv((j, k))), hv(tri)))
-           .horizontal(TwoCell.identity(cm, G.inv(lam(k)))))
+           .horizontal(identity(cm, G.inv(lam(k)))))
     comp = X.vertical_inverse().vertical(mid).vertical(beta((i, k)))
     return _unbridge(cm, comp)
 
@@ -402,13 +412,115 @@ def coboundary_act(data, lam=None, b=None, check=True):
 
 # ---------------------------------------------------------- finite census
 
+def _code(columns, radices, n):
+    """Mixed-radix codes of n states: the first column is the most significant,
+    so code order is the lexicographic order of the states."""
+    code = np.zeros(n, dtype=np.int64)
+    for column, radix in zip(columns, radices):
+        code = code * radix + column
+    return code
+
+
+def _digits(codes, radices):
+    """The columns of the states with the given codes (inverse of _code)."""
+    columns = []
+    for radix in reversed(radices):
+        columns.append(codes % radix)
+        codes = codes // radix
+    return columns[::-1]
+
+
+def _cocycle_codes(tab, doubles, triples, quads):
+    """Codes of all normalized cocycles, in increasing (lexicographic) order.
+
+    g runs over every assignment; h over the product of each triangle's
+    t-preimage coset, listed in increasing element order; the survivors of
+    the tetrahedron pastings are kept. Both loops run in blocks of states.
+    """
+    G = tab.G
+    radices = [G.order] * len(doubles) + [tab.H.order] * len(triples)
+    d_index = {d: n for n, d in enumerate(doubles)}
+    t_index = {t: n for n, t in enumerate(triples)}
+    # the t-preimage of c is by_t[first[c]:first[c] + count[c]], ascending
+    by_t = np.argsort(tab.t_table, kind="stable")
+    count = np.bincount(tab.t_table, minlength=G.order)
+    first = np.cumsum(count) - count
+    found = []
+    for g_codes in _blocks(G.order ** len(doubles)):
+        gs = _digits(g_codes, radices[:len(doubles)])
+        cosets = [G.mul(G.inv(G.mul(gs[d_index[(i, j)]], gs[d_index[(j, k)]])),
+                        gs[d_index[(i, k)]])
+                  for (i, j, k) in triples]
+        sizes = [count[c] for c in cosets]
+        per_row = (np.prod(sizes, axis=0) if triples
+                   else np.ones(len(g_codes), dtype=np.int64))
+        end = np.cumsum(per_row)
+        for pos in _blocks(int(end[-1])):
+            row = np.searchsorted(end, pos, side="right")
+            rank = pos - (end[row] - per_row[row])
+            hs = [None] * len(triples)
+            for n in reversed(range(len(triples))):
+                size = sizes[n][row]
+                hs[n] = by_t[first[cosets[n][row]] + rank % size]
+                rank = rank // size
+            g_rows = [g[row] for g in gs]
+            keep = np.ones(len(pos), dtype=bool)
+            for quad in quads:
+                s1, s2 = _tetra_sides(tab, lambda d: g_rows[d_index[d]],
+                                      lambda t: hs[t_index[t]], quad)
+                keep &= s1.eq(s2)
+            found.append(_code(g_rows + hs, radices, len(pos))[keep])
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+
+
+def _moved_codes(tab, doubles, triples, codes, lam, bmap):
+    """Codes of the states reached from `codes` by one change of trivializations."""
+    radices = [tab.G.order] * len(doubles) + [tab.H.order] * len(triples)
+    columns = _digits(codes, radices)
+    d_index = {d: n for n, d in enumerate(doubles)}
+    t_index = {t: n for n, t in enumerate(triples)}
+    gv = lambda d: columns[d_index[d]]
+    hv = lambda t: columns[len(doubles) + t_index[t]]
+    lam_at = lambda i: lam.get(i, tab.G.identity)
+    b_at = lambda d: bmap.get(d, tab.H.identity)
+    moved = ([_transformed_double(tab, gv, lam_at, b_at, d) for d in doubles]
+             + [_transformed_triple(tab, gv, hv, lam_at, b_at, t) for t in triples])
+    return _code(moved, radices, len(codes))
+
+
+def _merge(parent, other):
+    """Union-find over index arrays: join each state n with state other[n].
+
+    `parent` is kept fully compressed and every class points at its least
+    member, so parent[n] is always the least state of n's class.
+    """
+    while True:
+        a, b = parent, parent[other]
+        split = a != b
+        if not split.any():
+            return
+        np.minimum.at(parent, np.maximum(a[split], b[split]),
+                      np.minimum(a[split], b[split]))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
+
+
 def classify_finite(cm, nerve, budget=10 ** 7):
     """Enumerate normalized cocycles and their coboundary orbits.
 
     Normalized means k_i = 1 with data only on strictly increasing overlaps.
     Enumeration is lexicographic in (overlap order, element index); orbit
     representatives are the lexicographically least states, so the census is
-    deterministic. Refuses when |G|^#doubles * |H|^#triples exceeds budget.
+    deterministic. Refuses when |G|^#doubles * |H|^#triples exceeds budget,
+    and refuses a pair (G, H, t, alpha) that fails the crossed-module axioms.
+
+    The states are pasted in batches over the module's compiled tables and
+    stored as mixed-radix codes. Each single-site change of trivializations
+    is applied to every cocycle at once and mapped back to a cocycle index;
+    classes are the components of those maps (union-find).
     """
     if not cm.is_finite:
         raise ConfigError("classification needs a finite crossed module")
@@ -423,54 +535,13 @@ def classify_finite(cm, nerve, budget=10 ** 7):
         raise BudgetExceeded(
             f"{size} candidate assignments exceed the budget {budget}",
             size=size, budget=budget)
+    axioms = validate_crossed_module(cm)
+    if not axioms.passed:
+        raise ConfigError(f"classification needs a crossed module: {cm.name} fails "
+                          + ", ".join(c.name for c in axioms.failures))
 
-    preimage = {}
-    for hval in H.elements():
-        preimage.setdefault(cm.t(hval), []).append(hval)
-    d_index = {d: n for n, d in enumerate(doubles)}
-    t_index = {t: n for n, t in enumerate(triples)}
-
-    def survives(gs, hs):
-        gv = lambda d: gs[d_index[d]]
-        hv = lambda t: hs[t_index[t]]
-        for quad in quads:
-            s1, s2 = _tetra_sides(cm, gv, hv, quad)
-            if not s1.eq(s2):
-                return False
-        return True
-
-    cocycles = []
-    for gs in itertools.product(G.elements(), repeat=len(doubles)):
-        options = []
-        feasible = True
-        for (i, j, k) in triples:
-            gij = gs[d_index[(i, j)]]
-            gjk = gs[d_index[(j, k)]]
-            gik = gs[d_index[(i, k)]]
-            coset = preimage.get(G.mul(G.inv(G.mul(gij, gjk)), gik))
-            if not coset:
-                feasible = False
-                break
-            options.append(coset)
-        if not feasible:
-            continue
-        for hs in itertools.product(*options):
-            if survives(gs, hs):
-                cocycles.append((gs, hs))
-
-    index = {state: n for n, state in enumerate(cocycles)}
-
-    def apply_change(state, lam, bmap):
-        gs, hs = state
-        gv = lambda d: gs[d_index[d]]
-        hv = lambda t: hs[t_index[t]]
-        lam_at = lambda i: lam.get(i, G.identity)
-        b_at = lambda d: bmap.get(d, H.identity)
-        new_gs = tuple(_transformed_double(cm, gv, lam_at, b_at, d)
-                       for d in doubles)
-        new_hs = tuple(_transformed_triple(cm, gv, hv, lam_at, b_at, t)
-                       for t in triples)
-        return new_gs, new_hs
+    tab = cm.compiled()
+    codes = _cocycle_codes(tab, doubles, triples, quads)
 
     moves = []
     for i in nerve.charts:
@@ -482,30 +553,27 @@ def classify_finite(cm, nerve, budget=10 ** 7):
             if b_val != H.identity:
                 moves.append(({}, {d: b_val}))
 
-    seen = [False] * len(cocycles)
-    orbits = []
-    for start in range(len(cocycles)):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        members = [start]
-        while queue:
-            cur = queue.popleft()
-            for lam, bmap in moves:
-                nxt = index[apply_change(cocycles[cur], lam, bmap)]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    members.append(nxt)
-                    queue.append(nxt)
-        orbits.append(min(cocycles[m] for m in members))
+    parent = np.arange(len(codes))
+    for lam, bmap in moves:
+        moved = np.concatenate([
+            _moved_codes(tab, doubles, triples, codes[block], lam, bmap)
+            for block in _blocks(len(codes))])
+        target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
+        if not np.array_equal(codes[target], moved):
+            raise ConfigError(f"a change of trivializations takes a cocycle of "
+                              f"{cm.name} outside the cocycles; the pair breaks "
+                              "a crossed-module law")
+        _merge(parent, target)
 
-    orbits.sort()
+    radices = [G.order] * len(doubles) + [H.order] * len(triples)
+    least = np.flatnonzero(parent == np.arange(len(codes)))
+    columns = _digits(codes[least], radices)
 
-    def encode(state):
-        gs, hs = state
-        return {"g": {",".join(map(str, d)): int(gs[d_index[d]]) for d in doubles},
-                "h": {",".join(map(str, t)): int(hs[t_index[t]]) for t in triples}}
+    def encode(n):
+        return {"g": {",".join(map(str, d)): int(columns[m][n])
+                      for m, d in enumerate(doubles)},
+                "h": {",".join(map(str, t)): int(columns[len(doubles) + m][n])
+                      for m, t in enumerate(triples)}}
 
-    return {"cocycles": len(cocycles), "orbits": len(orbits),
-            "representatives": [encode(s) for s in orbits]}
+    return {"cocycles": len(codes), "orbits": len(least),
+            "representatives": [encode(n) for n in range(len(least))]}

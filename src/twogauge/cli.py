@@ -19,7 +19,7 @@ from .errors import (BudgetExceeded, ConfigError, GeometryError,
                      GroupDomainError, TwoGaugeError)
 from .geometry import Reparam
 from .report import ValidationReport, jsonify
-from .scenario import load_scenario, shipped_scenarios
+from .scenario import load_scenario, setting_errors, shipped_scenarios
 from .transport import (LocalConnection, check_transition_laws,
                         convergence_study, kernel_check, path_holonomy,
                         surface_holonomy, transform_connection)
@@ -232,6 +232,10 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         scn = load_scenario(args.scenario)
+        overrides = {"seed": args.seed, "grid": args.grid}
+        errors = setting_errors(**{k: v for k, v in overrides.items() if v is not None})
+        if errors:
+            raise ConfigError(errors)
         seed = args.seed if args.seed is not None else scn.seed
         grid = args.grid if args.grid is not None else scn.grid
         samples = args.samples if args.samples is not None else scn.samples
@@ -248,12 +252,16 @@ def run(argv=None):
     doc = {"schema": 1, "command": args.command, "scenario": scn.name,
            "description": scn.description, "seed": seed,
            "report": jsonify(report.to_dict()), "payload": jsonify(payload)}
-    _emit(doc, args)
-    if args.command == "converge" and args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("grid,error\n")
-            for n, err in zip(payload["grids"], payload["errors"]):
-                fh.write(f"{n},{err!r}\n")
+    try:
+        _emit(doc, args)
+        if args.command == "converge" and args.csv:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("grid,error\n")
+                for n, err in zip(payload["grids"], payload["errors"]):
+                    fh.write(f"{n},{err!r}\n")
+    except OSError as exc:
+        print(f"twogauge: cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"[wall] {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -111,15 +111,6 @@ class FormField:
             self._compiled = {k: compile_expr(e) for k, e in self.components.items()}
         return self._compiled
 
-    def coefficients_at(self, point):
-        """Dense coefficient array, shape (algebra.dim,) + index map by mu."""
-        point = tuple(point)
-        out = {}
-        for (a, mu), fn in self._fns().items():
-            row = out.setdefault(mu, np.zeros(self.algebra.dim))
-            row[a] += fn(point)
-        return out
-
     def at(self, point, *vectors):
         if len(vectors) != self.degree:
             raise EvalError(f"degree-{self.degree} field needs {self.degree} vectors, "
@@ -372,10 +363,6 @@ class PointwiseForm:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def map_values(self, fn, algebra=None):
-        return PointwiseForm(algebra or self.algebra, self.degree, self.dim,
-                             lambda p, *vs: fn(self.at(p, *vs)))
 
     def __repr__(self):
         return f"<PointwiseForm deg={self.degree} dim={self.dim}>"

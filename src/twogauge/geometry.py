@@ -227,9 +227,6 @@ class Path:
                     lambda s: phi.derivative(s) * np.asarray(self._velocity(phi(s))),
                     self.dim)
 
-    def is_loop(self, tol=TAU_GEO):
-        return np.linalg.norm(self.start - self.end) <= tol
-
     def certify_sitting(self, delta=DEFAULT_SITTING, samples=25, tol=TAU_GEO):
         """Max deviation from the endpoints inside the sitting margins."""
         worst = 0.0

@@ -129,9 +129,6 @@ class FiniteGroup:
     def label(self, a):
         return self.names[self._check(a)]
 
-    def index_of(self, name):
-        return self.names.index(name)
-
     def __repr__(self):
         return f"<FiniteGroup {self.name} order={self.order}>"
 
@@ -526,13 +523,3 @@ def GL(n):
 def TRIVIAL():
     return MatrixGroup("TRIVIAL", 1, trivial_algebra(), dtype=float, trivial=True)
 
-
-def group_arithmetic(group, op, a, b=None):
-    """Dispatch helper: op in {'mul','inv','eq'} with membership checks."""
-    if op == "mul":
-        return group.mul(a, b)
-    if op == "inv":
-        return group.inv(a)
-    if op == "eq":
-        return group.eq(a, b)
-    raise GroupDomainError(f"unknown operation {op!r}")

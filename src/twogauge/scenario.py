@@ -99,6 +99,21 @@ class Scenario:
         return self.forms[key]
 
 
+def setting_errors(**settings):
+    """Problems with run settings (grid, samples, steps, seed), one per bad value.
+
+    Scenario keys and command-line overrides are checked by this one rule.
+    """
+    errors = []
+    for field, value in settings.items():
+        if field == "seed":
+            if not (isinstance(value, int) and 0 <= value < 2 ** 64):
+                errors.append(f"seed must fit in 64 bits, got {value!r}")
+        elif not (isinstance(value, int) and value >= 1):
+            errors.append(f"{field} must be a positive integer, got {value!r}")
+    return errors
+
+
 def _resolve(doc, name):
     scn = Scenario(doc, name)
     errors = []
@@ -118,12 +133,8 @@ def _resolve(doc, name):
 
     if not (isinstance(scn.dim, int) and scn.dim >= 1):
         errors.append(f"dim must be a positive integer, got {scn.dim!r}")
-    for field, kind in (("grid", scn.grid), ("samples", scn.samples),
-                        ("steps", scn.steps)):
-        if not (isinstance(kind, int) and kind >= 1):
-            errors.append(f"{field} must be a positive integer, got {kind!r}")
-    if not (isinstance(scn.seed, int) and 0 <= scn.seed < 2 ** 64):
-        errors.append(f"seed must fit in 64 bits, got {scn.seed!r}")
+    errors += setting_errors(grid=scn.grid, samples=scn.samples,
+                             steps=scn.steps, seed=scn.seed)
     if not (isinstance(scn.grids, list) and scn.grids
             and all(isinstance(n, int) and n >= 2 for n in scn.grids)):
         errors.append(f"grids must be a list of integers >= 2, got {scn.grids!r}")

@@ -175,6 +175,8 @@ def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
         raise GeometryError("surface transport integrates matrix pairs only")
     if bigon.dim != conn.dim:
         raise GeometryError("bigon and connection live on different dimensions")
+    if grid < 1:
+        raise GeometryError(f"grid must be a positive integer, got {grid!r}")
     n2 = 2 * grid
     hs = 1.0 / n2
     simpson_w = np.ones(n2 + 1)
@@ -228,7 +230,8 @@ def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
         K4 = -(k_el + ht * K3) @ b_end
         k_el = H.renormalize(k_el + (ht / 6) * (K1 + 2 * K2 + 2 * K3 + K4))
 
-    _, W_target = row(1.0)
+    # the last row swept t = 1.0 itself unless the steps ht rounded off
+    W_target = W_last if t + ht == 1.0 else row(1.0)[1]
     fake = fake_residual_on_bigon(conn, bigon, fake_samples)
     # k satisfies hol(target) = hol(source) t(k); conjugating by the source
     # holonomy converts to the cell convention hol(target) = t(h) hol(source),

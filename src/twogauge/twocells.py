@@ -4,6 +4,12 @@ A cell is a pair (g, h) with source g and target t(h) g. Vertical pasting
 stacks cells along a shared 1-arrow; horizontal pasting runs them side by
 side. The interchange identity relating the two is equivalent to the Peiffer
 axiom, so `check_interchange` doubles as an independent axiom probe.
+
+CellBatch pastes many cells of a finite module at once over its compiled
+index tables, case by case with TwoCell's conventions. The exhaustive checks
+run on it in blocks of BLOCK cases, in lexicographic case order, so their
+memory stays bounded and their witnesses are the ones a case-by-case loop
+would find first.
 """
 
 from .errors import CompositionError, GroupDomainError
@@ -11,6 +17,9 @@ from .report import ValidationReport
 from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET
 
 import numpy as np
+
+# cases per block of a batched check: bounds its working memory
+BLOCK = 8192
 
 
 class TwoCell:
@@ -89,22 +98,135 @@ class TwoCell:
         return f"<TwoCell {self.label()}>"
 
 
-def _interchange_case(cm, g1, g2, h1, h2, h3, h4, tol):
-    """Both pasting orders of the 2x2 diagram built from the six parameters."""
-    f1 = TwoCell(cm, g1, h1)
-    f2 = TwoCell(cm, f1.target, h2)
-    f3 = TwoCell(cm, g2, h3)
-    f4 = TwoCell(cm, f3.target, h4)
+class CellBatch:
+    """Many 2-cells (g, h) over one compiled finite module, as index arrays.
+
+    `cm` is a module's `compiled()` form; g and h are ints or integer arrays
+    that broadcast together, one case per position. Every operation follows
+    TwoCell's conventions case by case, and `vertical` raises TwoCell's
+    CompositionError for the first case whose 1-arrows do not match.
+    """
+
+    __slots__ = ("cm", "g", "h")
+
+    def __init__(self, cm, g, h):
+        self.cm = cm
+        self.g = np.asarray(g)
+        self.h = np.asarray(h)
+
+    @classmethod
+    def identity(cls, cm, g):
+        return cls(cm, g, cm.H.identity)
+
+    @property
+    def source(self):
+        return self.g
+
+    @property
+    def target(self):
+        return self.cm.G.mul(self.cm.t(self.h), self.g)
+
+    def vertical(self, other, tol=None):
+        """Paste `other` on top: defined where other.source == self.target.
+
+        `tol` is accepted for TwoCell's signature; finite cells match exactly.
+        """
+        if other.cm is not self.cm:
+            raise CompositionError("cells live over different crossed modules")
+        source, target = np.broadcast_arrays(other.source, self.target)
+        bad = np.flatnonzero(source != target)
+        if bad.size:
+            first = bad[0]
+            raise CompositionError("vertical pasting needs matching 1-arrows",
+                                   source=self.cm.G.label(source.flat[first]),
+                                   target=self.cm.G.label(target.flat[first]))
+        return CellBatch(self.cm, self.g, self.cm.H.mul(other.h, self.h))
+
+    def horizontal(self, other):
+        """Side-by-side pasting: (g1, h1) then (g2, h2) gives
+        (g1 g2, h1 * alpha(g1)(h2))."""
+        if other.cm is not self.cm:
+            raise CompositionError("cells live over different crossed modules")
+        cm = self.cm
+        return CellBatch(cm, cm.G.mul(self.g, other.g),
+                         cm.H.mul(self.h, cm.alpha(self.g, other.h)))
+
+    def vertical_inverse(self):
+        return CellBatch(self.cm, self.target, self.cm.H.inv(self.h))
+
+    def whisker_left(self, g0):
+        """Pre-compose with the identity cells on g0."""
+        return CellBatch.identity(self.cm, g0).horizontal(self)
+
+    def whisker_right(self, g0):
+        """Post-compose with the identity cells on g0."""
+        return self.horizontal(CellBatch.identity(self.cm, g0))
+
+    def eq(self, other, tol=None):
+        """Boolean array: where the two batches hold the same cell."""
+        return (self.g == other.g) & (self.h == other.h)
+
+    def label(self, case):
+        """TwoCell's label of the cell at flat position `case`."""
+        g, h = np.broadcast_arrays(self.g, self.h)
+        return f"({self.cm.G.label(g.flat[case])}, {self.cm.H.label(h.flat[case])})"
+
+    def __repr__(self):
+        return f"<CellBatch {self.cm.name} shape={np.broadcast(self.g, self.h).shape}>"
+
+
+def _blocks(total):
+    """Consecutive index ranges of at most BLOCK cases covering range(total)."""
+    for start in range(0, total, BLOCK):
+        yield np.arange(start, min(start + BLOCK, total))
+
+
+def _interchange_sides(cell, cm, g1, g2, h1, h2, h3, h4):
+    """Both pasting orders of the 2x2 diagram built from the six parameters.
+
+    `cell` is TwoCell (one case) or CellBatch (cm compiled, index arrays).
+    """
+    f1 = cell(cm, g1, h1)
+    f2 = cell(cm, f1.target, h2)
+    f3 = cell(cm, g2, h3)
+    f4 = cell(cm, f3.target, h4)
     lhs = f1.vertical(f2).horizontal(f3.vertical(f4))
     rhs = f1.horizontal(f3).vertical(f2.horizontal(f4))
+    return lhs, rhs
+
+
+def _interchange_case(cm, g1, g2, h1, h2, h3, h4, tol):
+    lhs, rhs = _interchange_sides(TwoCell, cm, g1, g2, h1, h2, h3, h4)
     return lhs.eq(rhs) if tol is None else lhs.eq(rhs, tol)
+
+
+def _interchange_holds(tab, g1, g2, h1, h2, h3, h4):
+    """Boolean array: the interchange law on each case, over compiled tables."""
+    lhs, rhs = _interchange_sides(CellBatch, tab, g1, g2, h1, h2, h3, h4)
+    return lhs.eq(rhs)
+
+
+def _interchange_exhaustive(cm):
+    """(violations, first violating case) over all cases, lexicographically."""
+    tab = cm.compiled()
+    shape = (cm.G.order,) * 2 + (cm.H.order,) * 4
+    bad = 0
+    first = None
+    for cases in _blocks(int(np.prod(shape))):
+        params = np.unravel_index(cases, shape)
+        fails = np.flatnonzero(~_interchange_holds(tab, *params))
+        if fails.size and first is None:
+            first = [int(p[fails[0]]) for p in params]
+        bad += fails.size
+    return bad, first
 
 
 def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
     """Interchange law over a 2x2 pasting grid.
 
-    Exhaustive when |G|^2 |H|^4 <= 10^8 (finite pairs); otherwise sampled.
-    Failure witnesses name the six generating elements.
+    Exhaustive when |G|^2 |H|^4 <= 10^8 (finite pairs, batched over the
+    compiled tables); otherwise sampled. Failure witnesses name the six
+    generating elements of the first failing case.
     """
     G, H = cm.G, cm.H
     rep = ValidationReport(f"interchange: {cm.name}")
@@ -116,12 +238,8 @@ def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
         exhaustive = False
 
     if exhaustive:
-        cases = ((g1, g2, h1, h2, h3, h4)
-                 for g1 in G.elements() for g2 in G.elements()
-                 for h1 in H.elements() for h2 in H.elements()
-                 for h3 in H.elements() for h4 in H.elements())
         total = G.order ** 2 * H.order ** 4
-        case_tol = None
+        bad, first = _interchange_exhaustive(cm)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         cases = ((G.random(rng), G.random(rng), H.random(rng),
@@ -129,20 +247,43 @@ def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
                  for _ in range(samples))
         total = samples
         case_tol = tol if tol is not None else 1e-9
+        bad = 0
+        first = None
+        for case in cases:
+            if not _interchange_case(cm, *case, case_tol):
+                bad += 1
+                if first is None:
+                    first = case
 
     worst = None
-    bad = 0
-    for g1, g2, h1, h2, h3, h4 in cases:
-        if not _interchange_case(cm, g1, g2, h1, h2, h3, h4, case_tol):
-            bad += 1
-            if worst is None:
-                worst = {"g1": G.label(g1), "g2": G.label(g2),
-                         "h1": H.label(h1), "h2": H.label(h2),
-                         "h3": H.label(h3), "h4": H.label(h4)}
+    if first is not None:
+        g1, g2, h1, h2, h3, h4 = first
+        worst = {"g1": G.label(g1), "g2": G.label(g2),
+                 "h1": H.label(h1), "h2": H.label(h2),
+                 "h3": H.label(h3), "h4": H.label(h4)}
     rep.add("interchange", bad == 0, witness=worst,
             detail=f"{total - bad}/{total} cases"
                    + (" (exhaustive)" if exhaustive else " (sampled)"))
     return rep
+
+
+def _eckmann_hilton_exhaustive(cm):
+    """Witness for the first pair (h1, h2) whose two pastings differ, or None."""
+    tab = cm.compiled()
+    n = cm.H.order
+    e = tab.G.identity
+    for cases in _blocks(n * n):
+        h1, h2 = np.unravel_index(cases, (n, n))
+        a = CellBatch(tab, e, h1)
+        b = CellBatch(tab, e, h2)
+        vert = a.vertical(b)
+        horiz = a.horizontal(b)
+        fails = np.flatnonzero(~vert.eq(horiz))
+        if fails.size:
+            k = fails[0]
+            return {"h1": tab.H.label(h1[k]), "h2": tab.H.label(h2[k]),
+                    "vertical": vert.label(k), "horizontal": horiz.label(k)}
+    return None
 
 
 def eckmann_hilton_probe(cm, samples=100, seed=42):
@@ -159,25 +300,26 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
         raise GroupDomainError("probe needs a trivial 1-arrow group")
     H = cm.H
     rep = ValidationReport(f"eckmann-hilton: {cm.name}")
-    if H.kind == "finite":
-        pairs = [(h1, h2) for h1 in H.elements() for h2 in H.elements()]
+    if cm.is_finite:
+        witness = _eckmann_hilton_exhaustive(cm)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]
-    witness = None
-    commutes = True
-    e = cm.G.identity
-    for h1, h2 in pairs:
-        a = TwoCell(cm, e, h1)
-        b = TwoCell(cm, e, h2)
-        vert = a.vertical(b)
-        horiz = a.horizontal(b)
-        if not vert.eq(horiz):
-            commutes = False
-            if witness is None:
+        if H.kind == "finite":
+            pairs = [(h1, h2) for h1 in H.elements() for h2 in H.elements()]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]
+        witness = None
+        e = cm.G.identity
+        for h1, h2 in pairs:
+            a = TwoCell(cm, e, h1)
+            b = TwoCell(cm, e, h2)
+            vert = a.vertical(b)
+            horiz = a.horizontal(b)
+            if not vert.eq(horiz):
                 witness = {"h1": H.label(h1), "h2": H.label(h2),
                            "vertical": vert.label(), "horizontal": horiz.label()}
-            break
+                break
+    commutes = witness is None
     rep.add("pastings-agree", commutes, witness=witness,
             detail="vertical (1, h2 h1) vs horizontal (1, h1 h2)")
     return rep

@@ -69,8 +69,11 @@ def hand_move(cm, doubles, triples, g, h, lam, b):
     return g2, h2
 
 
-def census_by_hand(cm, nv):
-    """Full census with direct formulas only, no 2-cell calls anywhere."""
+def census_by_hand(cm, nv, act=None):
+    """Full census with direct formulas only, no 2-cell calls anywhere.
+
+    `act(state, lam, b)` replaces the hand-written coboundary move when given.
+    """
     G, H = cm.G, cm.H
     doubles = sorted(nv.doubles)
     triples = sorted(nv.triples)
@@ -99,6 +102,8 @@ def census_by_hand(cm, nv):
         h = dict(zip(triples, state[1]))
         g2, h2 = hand_move(cm, doubles, triples, g, h, lam, b)
         return (tuple(g2[d] for d in doubles), tuple(h2[t] for t in triples))
+
+    move = act or move
 
     moves = [({i: lv}, {}) for i in nv.charts
              for lv in G.elements() if lv != G.identity]
@@ -545,3 +550,45 @@ def test_relabeling_preserves_census_counts():
     c2 = classify_finite(FLIP, nv2)
     assert (c1["cocycles"], c1["orbits"]) == (c2["cocycles"], c2["orbits"]) \
         == (24, 1)
+
+
+# the (module, nerve) pairs of the benchmark's census workload
+CENSUS_PAIRS = [(m, nv) for nv in ("sphere", "tetrahedron")
+                for m in ("GERBE(Z2)", "GERBE(Z3)", "GERBE(Z5)", "FLIP(Z3)")] + [
+    (m, "triangle") for m in ("CONJ(S3)", "AUT(S3)", "AUT(Z5)")]
+
+
+@pytest.mark.parametrize("module,nerve_name", CENSUS_PAIRS)
+def test_census_equals_bfs_over_coboundary_act(module, nerve_name):
+    # the batched census against orbits walked one public move at a time
+    cm, nv = crossed_module(module), nerve(nerve_name)
+    doubles, triples = sorted(nv.doubles), sorted(nv.triples)
+
+    def act(state, lam, b):
+        data = GluingCocycle(cm, nv, dict(zip(doubles, state[0])),
+                             dict(zip(triples, state[1])))
+        out = coboundary_act(data, lam, b, check=False)
+        return tuple(out.g[d] for d in doubles), tuple(out.h[t] for t in triples)
+
+    assert classify_finite(cm, nv) == census_by_hand(cm, nv, act)
+
+
+def test_largest_admitted_census_finishes():
+    # AUT(Z5) on the sphere: 4^6 5^4 candidates, inside the budget. Flat g
+    # has 4^3 choices and t is trivial, so every h in Z5^4 is a cocycle;
+    # H^2(S^2; Z5) = Z5 modulo the units of Aut(Z5) leaves {0} and {1..4}
+    cm = crossed_module("AUT(Z5)")
+    census = classify_finite(cm, nerve("sphere"))
+    assert (census["cocycles"], census["orbits"]) == (4 ** 3 * 5 ** 4, 2)
+    g = {d: 0 for d in ("0,1", "0,2", "0,3", "1,2", "1,3", "2,3")}
+    assert census["representatives"] == [
+        {"g": g, "h": {"0,1,2": 0, "0,1,3": 0, "0,2,3": 0, "1,2,3": 0}},
+        {"g": g, "h": {"0,1,2": 0, "0,1,3": 0, "0,2,3": 0, "1,2,3": 1}}]
+
+
+def test_census_refuses_an_invalid_module():
+    # trivial t and action on nonabelian S3: coboundary moves would leave
+    # the cocycle set, so the census names the broken axiom instead
+    with pytest.raises(ConfigError) as exc:
+        classify_finite(crossed_module("PEIFFER_BROKEN(S3)"), nerve("tetrahedron"))
+    assert "peiffer" in str(exc.value)

@@ -260,3 +260,36 @@ def test_cocycle_failure_names_the_tetrahedron(capsys):
     assert any("triangle" in c["name"] or "tetrahedron" in c["name"]
                for c in bad)
     assert any(c.get("witness") for c in bad)
+
+
+# ---------------------------------------------------------------- bad input
+
+
+def _refused(argv, capsys):
+    """Exit 2 with one stderr line and nothing on stdout."""
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code == 2 and captured.out == "" and \
+        len(captured.err.strip().splitlines()) == 1
+
+
+def test_grid_override_is_validated_like_the_scenario_key(capsys):
+    assert _refused(["holonomy-surface", "--scenario", "abelian_square.scn",
+                     "--grid", "0"], capsys)
+
+
+def test_seed_override_is_validated_like_the_scenario_key(capsys):
+    assert _refused(["validate", "--scenario", "abelian.scn", "--seed", "-1"], capsys)
+
+
+def test_unwritable_out_is_refused_without_a_file(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert _refused(["validate", "--scenario", "abelian.scn", "--out", str(target)],
+                    capsys)
+    assert not target.exists()
+
+
+def test_classify_refuses_an_invalid_module(tmp_path, capsys):
+    path = _write(tmp_path, "broken.scn", {"crossed_module": "PEIFFER_BROKEN(S3)",
+                                           "nerve": "tetrahedron"})
+    assert _refused(["classify", "--scenario", path], capsys)

@@ -1,13 +1,15 @@
 """Expression DSL: parser structure, error offsets, derivative oracle, round trips."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twogauge.errors import EvalError, ParseError
 from twogauge.expr import (
-    Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
+    FUNCTIONS, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
     compile_expr, differentiate, evaluate, max_var_index, parse, to_text,
 )
 
@@ -224,3 +226,10 @@ def test_derivative_trees_round_trip(e, var):
     # canonical (constructor-built) trees also survive print -> parse
     d = differentiate(e, var)
     assert parse(to_text(d)) == d
+
+
+def test_readme_lists_the_parser_functions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"the operators `[^`]*`, and `([^`]*)`", readme)
+    assert listed is not None
+    assert sorted(listed.group(1).split()) == sorted(FUNCTIONS)

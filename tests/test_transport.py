@@ -129,6 +129,12 @@ def test_flat_surface_satisfies_target_law():
     assert d64 < 0.25 * d32
 
 
+def test_surface_grid_must_be_positive():
+    for grid in (0, -3):
+        with pytest.raises(GeometryError):
+            surface_holonomy(CONN, shipped_bigon("unit-square"), grid=grid)
+
+
 def test_nonflat_connection_is_flagged_and_breaks_the_law():
     zero_B = FormField.zero(SU2.H.algebra, 2, 2)
     res = surface_holonomy(LocalConnection(SU2, FIELD_A, zero_B),

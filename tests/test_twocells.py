@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from twogauge.crossed import crossed_module, peiffer_violating_fixture
+from twogauge.crossed import crossed_module, from_tables, peiffer_violating_fixture
 from twogauge.errors import CompositionError, GroupDomainError
-from twogauge.twocells import TwoCell, check_interchange, eckmann_hilton_probe
+from twogauge.report import ValidationReport
+from twogauge.twocells import (CellBatch, TwoCell, _interchange_holds, check_interchange,
+                               eckmann_hilton_probe)
 
 
 def test_endpoints_and_identity():
@@ -130,3 +134,152 @@ def test_eckmann_hilton_witness_on_nonabelian():
 def test_eckmann_hilton_needs_trivial_base():
     with pytest.raises(GroupDomainError):
         eckmann_hilton_probe(crossed_module("CONJ(S3)"))
+
+
+# ------------------------------------------------ batched against scalar
+
+def scalar_interchange_report(cm):
+    """check_interchange's exhaustive report, one TwoCell diagram per case."""
+    G, H = cm.G, cm.H
+    bad, worst, total = 0, None, 0
+    for g1, g2, h1, h2, h3, h4 in itertools.product(
+            G.elements(), G.elements(), H.elements(), H.elements(),
+            H.elements(), H.elements()):
+        total += 1
+        if not scalar_interchange_holds(cm, g1, g2, h1, h2, h3, h4):
+            bad += 1
+            if worst is None:
+                worst = {"g1": G.label(g1), "g2": G.label(g2),
+                         "h1": H.label(h1), "h2": H.label(h2),
+                         "h3": H.label(h3), "h4": H.label(h4)}
+    rep = ValidationReport(f"interchange: {cm.name}")
+    rep.add("interchange", bad == 0, witness=worst,
+            detail=f"{total - bad}/{total} cases (exhaustive)")
+    return rep
+
+
+def scalar_interchange_holds(cm, g1, g2, h1, h2, h3, h4):
+    f1 = TwoCell(cm, g1, h1)
+    f2 = TwoCell(cm, f1.target, h2)
+    f3 = TwoCell(cm, g2, h3)
+    f4 = TwoCell(cm, f3.target, h4)
+    lhs = f1.vertical(f2).horizontal(f3.vertical(f4))
+    rhs = f1.horizontal(f3).vertical(f2.horizontal(f4))
+    return lhs.eq(rhs)
+
+
+def scalar_eckmann_hilton_report(cm):
+    H = cm.H
+    e = cm.G.identity
+    witness = None
+    for h1, h2 in itertools.product(H.elements(), H.elements()):
+        vert = TwoCell(cm, e, h1).vertical(TwoCell(cm, e, h2))
+        horiz = TwoCell(cm, e, h1).horizontal(TwoCell(cm, e, h2))
+        if not vert.eq(horiz):
+            witness = {"h1": H.label(h1), "h2": H.label(h2),
+                       "vertical": vert.label(), "horizontal": horiz.label()}
+            break
+    rep = ValidationReport(f"eckmann-hilton: {cm.name}")
+    rep.add("pastings-agree", witness is None, witness=witness,
+            detail="vertical (1, h2 h1) vs horizontal (1, h1 h2)")
+    return rep
+
+
+def _module(name):
+    return peiffer_violating_fixture() if name == "PEIFFER_BROKEN(S3)" \
+        else crossed_module(name)
+
+
+# every finite module with at most 10^4 interchange cases; the S3 pairs
+# (46,656 cases) are compared on seeded cases below
+SMALL_FINITE = ["AUT(Z5)", "FLIP(Z3)", "GERBE(Z2)", "GERBE(Z3)", "GERBE(Z5)",
+                "PEIFFER_BROKEN(S3)"]
+
+
+@pytest.mark.parametrize("name", SMALL_FINITE)
+def test_batched_interchange_report_equals_scalar(name):
+    cm = _module(name)
+    assert cm.G.order ** 2 * cm.H.order ** 4 <= 10 ** 4
+    assert check_interchange(cm).to_dict() == scalar_interchange_report(cm).to_dict()
+
+
+@pytest.mark.parametrize("name", ["CONJ(S3)", "AUT(S3)", "PEIFFER_BROKEN(S3)"])
+def test_batched_interchange_cases_equal_scalar_on_seeded_cases(name):
+    cm = _module(name)
+    rng = np.random.default_rng(2000)
+    G, H = cm.G.order, cm.H.order
+    cases = [rng.integers(n, size=2000) for n in (G, G, H, H, H, H)]
+    batched = _interchange_holds(cm.compiled(), *cases)
+    scalar = [scalar_interchange_holds(cm, *(int(c[k]) for c in cases))
+              for k in range(2000)]
+    assert batched.tolist() == scalar
+
+
+def test_peiffer_broken_interchange_witness_is_pinned():
+    check = check_interchange(peiffer_violating_fixture()).check("interchange")
+    assert check.detail == "648/1296 cases (exhaustive)"
+    assert check.witness == {"g1": "e", "g2": "e", "h1": "(23)", "h2": "e",
+                             "h3": "e", "h4": "(12)"}
+
+
+def equivariance_broken():
+    # Z/2 swapping the factors of the Klein group, t the first projection:
+    # t(alpha(1)(a, b)) = b differs from t(a, b) = a
+    klein = [[a ^ b for b in range(4)] for a in range(4)]
+    return from_tables({"name": "swap-klein",
+                        "G": {"table": [[0, 1], [1, 0]]},
+                        "H": {"table": klein},
+                        "t": [0, 0, 1, 1],
+                        "alpha": [[0, 1, 2, 3], [0, 2, 1, 3]]})
+
+
+def test_batched_interchange_raises_the_scalar_composition_error():
+    cm = equivariance_broken()
+    with pytest.raises(CompositionError) as scalar:
+        for case in itertools.product(range(2), range(2), *[range(4)] * 4):
+            scalar_interchange_holds(cm, *case)
+    with pytest.raises(CompositionError) as batched:
+        check_interchange(cm)
+    assert str(batched.value) == str(scalar.value)
+    assert (batched.value.source, batched.value.target) \
+        == (scalar.value.source, scalar.value.target)
+
+
+@pytest.mark.parametrize("name", ["GERBE(Z2)", "GERBE(Z5)", "PEIFFER_BROKEN(S3)"])
+def test_batched_eckmann_hilton_equals_scalar(name):
+    cm = _module(name)
+    assert eckmann_hilton_probe(cm).to_dict() == scalar_eckmann_hilton_report(cm).to_dict()
+
+
+def test_cell_batch_follows_two_cell_conventions():
+    # every operation, on every pair of cells of a module with a nontrivial
+    # action, agrees case by case with TwoCell
+    cm = crossed_module("AUT(S3)")
+    tab = cm.compiled()
+    G, H = cm.G.order, cm.H.order
+    g1, h1, g2, h2 = np.unravel_index(np.arange(G * H * G * H), (G, H, G, H))
+    a, b = CellBatch(tab, g1, h1), CellBatch(tab, g2, h2)
+    on_top = CellBatch(tab, a.target, h2)
+    results = [a.horizontal(b), a.vertical(on_top), a.vertical_inverse(),
+               a.whisker_left(g2), a.whisker_right(g2)]
+    for k in range(len(g1)):
+        s = TwoCell(cm, int(g1[k]), int(h1[k]))
+        t = TwoCell(cm, int(g2[k]), int(h2[k]))
+        expected = [s.horizontal(t), s.vertical(TwoCell(cm, s.target, t.h)),
+                    s.vertical_inverse(), s.whisker_left(t.g), s.whisker_right(t.g)]
+        for got, want in zip(results, expected):
+            assert (got.g[k], got.h[k]) == (want.g, want.h)
+        assert a.label(k) == s.label()
+
+
+def test_cell_batch_vertical_names_the_first_mismatch():
+    cm = crossed_module("CONJ(S3)")
+    tab = cm.compiled()
+    a = CellBatch(tab, np.array([0, 0, 0]), np.array([0, 1, 2]))
+    top = CellBatch(tab, np.array([0, 0, 0]), 0)
+    with pytest.raises(CompositionError) as exc:
+        a.vertical(top)
+    with pytest.raises(CompositionError) as scalar:
+        TwoCell(cm, 0, 1).vertical(TwoCell(cm, 0, 0))
+    assert (exc.value.source, exc.value.target) \
+        == (scalar.value.source, scalar.value.target)
