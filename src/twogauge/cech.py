@@ -412,25 +412,43 @@ def coboundary_act(data, lam=None, b=None, check=True):
 
 # ---------------------------------------------------------- finite census
 
-def _code(columns, radices, n):
-    """Mixed-radix codes of n states: the first column is the most significant,
-    so code order is the lexicographic order of the states."""
-    code = np.zeros(n, dtype=np.int64)
-    for column, radix in zip(columns, radices):
-        code = code * radix + column
-    return code
+class _StateLayout:
+    """The census state encoding, defined in this one place.
+
+    A state is one G column per double overlap followed by one H column per
+    triple overlap, read as a mixed-radix code whose first column is the most
+    significant, so code order is the lexicographic order of the states.
+    """
+
+    def __init__(self, tab, doubles, triples):
+        self.doubles = doubles
+        self.triples = triples
+        self.radices = [tab.G.order] * len(doubles) + [tab.H.order] * len(triples)
+        self.d_index = {d: n for n, d in enumerate(doubles)}
+        self.t_index = {t: len(doubles) + n for n, t in enumerate(triples)}
+
+    def code(self, columns, n):
+        """Codes of the n states whose leading columns are `columns`."""
+        code = np.zeros(n, dtype=np.int64)
+        for column, radix in zip(columns, self.radices):
+            code = code * radix + column
+        return code
+
+    def digits(self, codes, width=None):
+        """The leading `width` columns (all by default) of the coded states."""
+        columns = []
+        for radix in reversed(self.radices[:width]):
+            columns.append(codes % radix)
+            codes = codes // radix
+        return columns[::-1]
+
+    def accessors(self, columns):
+        """(gv, hv): a double's and a triple's column of the states."""
+        return (lambda d: columns[self.d_index[d]],
+                lambda t: columns[self.t_index[t]])
 
 
-def _digits(codes, radices):
-    """The columns of the states with the given codes (inverse of _code)."""
-    columns = []
-    for radix in reversed(radices):
-        columns.append(codes % radix)
-        codes = codes // radix
-    return columns[::-1]
-
-
-def _cocycle_codes(tab, doubles, triples, quads):
+def _cocycle_codes(tab, layout, quads):
     """Codes of all normalized cocycles, in increasing (lexicographic) order.
 
     g runs over every assignment; h over the product of each triangle's
@@ -438,18 +456,16 @@ def _cocycle_codes(tab, doubles, triples, quads):
     the tetrahedron pastings are kept. Both loops run in blocks of states.
     """
     G = tab.G
-    radices = [G.order] * len(doubles) + [tab.H.order] * len(triples)
-    d_index = {d: n for n, d in enumerate(doubles)}
-    t_index = {t: n for n, t in enumerate(triples)}
+    n_d = len(layout.doubles)
+    triples = layout.triples
     # the t-preimage of c is by_t[first[c]:first[c] + count[c]], ascending
     by_t = np.argsort(tab.t_table, kind="stable")
     count = np.bincount(tab.t_table, minlength=G.order)
     first = np.cumsum(count) - count
     found = []
-    for g_codes in _blocks(G.order ** len(doubles)):
-        gs = _digits(g_codes, radices[:len(doubles)])
-        cosets = [G.mul(G.inv(G.mul(gs[d_index[(i, j)]], gs[d_index[(j, k)]])),
-                        gs[d_index[(i, k)]])
+    for g_codes in _blocks(G.order ** n_d):
+        gv, _ = layout.accessors(layout.digits(g_codes, n_d))
+        cosets = [G.mul(G.inv(G.mul(gv((i, j)), gv((j, k)))), gv((i, k)))
                   for (i, j, k) in triples]
         sizes = [count[c] for c in cosets]
         per_row = (np.prod(sizes, axis=0) if triples
@@ -463,29 +479,25 @@ def _cocycle_codes(tab, doubles, triples, quads):
                 size = sizes[n][row]
                 hs[n] = by_t[first[cosets[n][row]] + rank % size]
                 rank = rank // size
-            g_rows = [g[row] for g in gs]
+            columns = [gv(d)[row] for d in layout.doubles] + hs
+            gv_rows, hv_rows = layout.accessors(columns)
             keep = np.ones(len(pos), dtype=bool)
             for quad in quads:
-                s1, s2 = _tetra_sides(tab, lambda d: g_rows[d_index[d]],
-                                      lambda t: hs[t_index[t]], quad)
+                s1, s2 = _tetra_sides(tab, gv_rows, hv_rows, quad)
                 keep &= s1.eq(s2)
-            found.append(_code(g_rows + hs, radices, len(pos))[keep])
+            found.append(layout.code(columns, len(pos))[keep])
     return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
 
 
-def _moved_codes(tab, doubles, triples, codes, lam, bmap):
+def _moved_codes(tab, layout, codes, lam, bmap):
     """Codes of the states reached from `codes` by one change of trivializations."""
-    radices = [tab.G.order] * len(doubles) + [tab.H.order] * len(triples)
-    columns = _digits(codes, radices)
-    d_index = {d: n for n, d in enumerate(doubles)}
-    t_index = {t: n for n, t in enumerate(triples)}
-    gv = lambda d: columns[d_index[d]]
-    hv = lambda t: columns[len(doubles) + t_index[t]]
+    gv, hv = layout.accessors(layout.digits(codes))
     lam_at = lambda i: lam.get(i, tab.G.identity)
     b_at = lambda d: bmap.get(d, tab.H.identity)
-    moved = ([_transformed_double(tab, gv, lam_at, b_at, d) for d in doubles]
-             + [_transformed_triple(tab, gv, hv, lam_at, b_at, t) for t in triples])
-    return _code(moved, radices, len(codes))
+    moved = ([_transformed_double(tab, gv, lam_at, b_at, d) for d in layout.doubles]
+             + [_transformed_triple(tab, gv, hv, lam_at, b_at, t)
+                for t in layout.triples])
+    return layout.code(moved, len(codes))
 
 
 def _merge(parent, other):
@@ -541,7 +553,8 @@ def classify_finite(cm, nerve, budget=10 ** 7):
                           + ", ".join(c.name for c in axioms.failures))
 
     tab = cm.compiled()
-    codes = _cocycle_codes(tab, doubles, triples, quads)
+    layout = _StateLayout(tab, doubles, triples)
+    codes = _cocycle_codes(tab, layout, quads)
 
     moves = []
     for i in nerve.charts:
@@ -556,7 +569,7 @@ def classify_finite(cm, nerve, budget=10 ** 7):
     parent = np.arange(len(codes))
     for lam, bmap in moves:
         moved = np.concatenate([
-            _moved_codes(tab, doubles, triples, codes[block], lam, bmap)
+            _moved_codes(tab, layout, codes[block], lam, bmap)
             for block in _blocks(len(codes))])
         target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
         if not np.array_equal(codes[target], moved):
@@ -565,15 +578,12 @@ def classify_finite(cm, nerve, budget=10 ** 7):
                               "a crossed-module law")
         _merge(parent, target)
 
-    radices = [G.order] * len(doubles) + [H.order] * len(triples)
     least = np.flatnonzero(parent == np.arange(len(codes)))
-    columns = _digits(codes[least], radices)
+    gv, hv = layout.accessors(layout.digits(codes[least]))
 
     def encode(n):
-        return {"g": {",".join(map(str, d)): int(columns[m][n])
-                      for m, d in enumerate(doubles)},
-                "h": {",".join(map(str, t)): int(columns[len(doubles) + m][n])
-                      for m, t in enumerate(triples)}}
+        return {"g": {",".join(map(str, d)): int(gv(d)[n]) for d in doubles},
+                "h": {",".join(map(str, t)): int(hv(t)[n]) for t in triples}}
 
     return {"cocycles": len(codes), "orbits": len(least),
             "representatives": [encode(n) for n in range(len(least))]}

@@ -303,11 +303,8 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
     if cm.is_finite:
         witness = _eckmann_hilton_exhaustive(cm)
     else:
-        if H.kind == "finite":
-            pairs = [(h1, h2) for h1 in H.elements() for h2 in H.elements()]
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]
         witness = None
         e = cm.G.identity
         for h1, h2 in pairs:
