@@ -187,7 +187,6 @@ def _cell(cm, source, value):
 def _residual(group, x, y):
     if group.kind == "finite":
         return 0.0 if x == y else 1.0
-    import numpy as np
     return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
 
 

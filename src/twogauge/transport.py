@@ -1,22 +1,27 @@
 """Holonomy integrators and gauge-law checkers.
 
-Path transport solves W'(s) = -A(c(s))(c'(s)) W(s), W(0) = 1, with classical
-fourth-order Runge-Kutta and per-step reprojection to the group. With that
-sign, a constant field A0 dx1 along the unit x-segment transports to
-exp(-A0), and concatenation satisfies
+One routine, `_rk4`, does every integration: classical fourth-order
+Runge-Kutta for Y' = M Y (or Y' = Y M) from Y = 1, reprojected to the group
+after each step. It takes M at the n + 1 nodes and the n step midpoints and
+returns Y at every node. Path transport solves W'(s) = -A(c(s))(c'(s)) W(s)
+on nodes 0 and k*h + h, midpoints k*h + h/2, h = 1/steps. With that sign, a
+constant field A0 dx1 along the unit x-segment transports to exp(-A0), and
+concatenation satisfies
 
     transport(p1 then p2) = transport(p2) @ transport(p1).
 
-Surface transport over a bigon runs one transport sweep per row t, forms
+Surface transport over a bigon runs one path transport per row t, on nodes
+k*hs with hs = 1/(2N), and forms on the same nodes
 
     b(t) = integral_s  act(W(s,t)^-1)( B(dS/ds, dS/dt) )  (composite Simpson)
 
-and integrates k'(t) = -k(t) b(t) outward, again with RK4; the surface
-element is h = k(1). Rows are cached at step ends so a grid-N call costs
-about 2N sweeps. For a fake-flat connection the pair (source holonomy, h)
-is a valid 2-cell: t(h) g_source = g_target. The act(W^-1) direction is the
-one that makes that law hold; flipping it breaks the law at O(1) (covered
-by a regression test).
+then integrates k'(t) = -k(t) b(t) outward with `_rk4` in right-multiplying
+form; the surface element is h = k(1). A row's sweep in s needs no other row,
+so rows are independent. Each is swept once: a grid-N call costs 2N + 1
+sweeps, 2N + 2 when the t-steps do not land exactly on 1. For a fake-flat
+connection the pair (source holonomy, h) is a valid 2-cell:
+t(h) g_source = g_target. The act(W^-1) direction is the one that makes that
+law hold; flipping it breaks the law at O(1) (covered by a regression test).
 """
 
 import numpy as np
@@ -62,13 +67,11 @@ class LocalConnection:
         return fake_curvature_form(self.cm, self.A, self.B)
 
     def fake_curvature_at(self, point, u, v):
-        """Pointwise F_A(u,v) + dt(B(u,v)); works for numeric components too."""
+        """Pointwise F_A(u,v) + dt(B(u,v)), dA by central differences."""
         h = 1e-5
         p = np.asarray(point, dtype=float)
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.is_symbolic:
-            return self.fake_curvature().at(point, u, v)
         dAu = (np.asarray(self.A.at(tuple(p + h * u), v))
                - np.asarray(self.A.at(tuple(p - h * u), v))) / (2 * h)
         dAv = (np.asarray(self.A.at(tuple(p + h * v), u))
@@ -88,23 +91,23 @@ def fake_flat_connection(cm, A):
     return LocalConnection(cm, A, B)
 
 
-def _rk4_transport(group, rhs, steps, s0=0.0, s1=1.0):
-    """Integrate W' = rhs(s) @ W from s0 to s1, W(s0) = identity."""
-    W = group.identity
-    h = (s1 - s0) / steps
-    M_end = rhs(s0)
-    for k in range(steps):
-        s = s0 + k * h
-        M1 = M_end
-        M2 = rhs(s + h / 2)
-        M_end = rhs(s + h)
-        K1 = M1 @ W
-        K2 = M2 @ (W + (h / 2) * K1)
-        K3 = M2 @ (W + (h / 2) * K2)
-        K4 = M_end @ (W + h * K3)
-        W = W + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4)
-        W = group.renormalize(W)
-    return W
+def _rk4(group, M_nodes, M_mids, h, right=False):
+    """Classical RK4 for Y' = M Y (Y' = Y M if right), Y = identity at node 0.
+
+    M_nodes[k] is M at node k and M_mids[k] is M at the midpoint of step k;
+    every step is reprojected to the group. Returns Y at every node.
+    """
+    mul = (lambda M, X: X @ M) if right else (lambda M, X: M @ X)
+    Y = group.identity
+    Ys = [Y]
+    for M1, M2, M4 in zip(M_nodes, M_mids, M_nodes[1:]):
+        K1 = mul(M1, Y)
+        K2 = mul(M2, Y + (h / 2) * K1)
+        K3 = mul(M2, Y + (h / 2) * K2)
+        K4 = mul(M4, Y + h * K3)
+        Y = group.renormalize(Y + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4))
+        Ys.append(Y)
+    return Ys
 
 
 def path_holonomy(cm_or_group, A, path, steps=DEFAULT_STEPS):
@@ -118,7 +121,10 @@ def path_holonomy(cm_or_group, A, path, steps=DEFAULT_STEPS):
     def rhs(s):
         return -np.asarray(A.at(tuple(path.value(s)), path.velocity(s)))
 
-    return _rk4_transport(group, rhs, steps)
+    h = 1.0 / steps
+    nodes = [rhs(0.0)] + [rhs(k * h + h) for k in range(steps)]
+    mids = [rhs(k * h + h / 2) for k in range(steps)]
+    return _rk4(group, nodes, mids, h)[-1]
 
 
 def holonomy_product(group, elements):
@@ -143,7 +149,6 @@ class SurfaceResult:
 
     @property
     def target_defect(self):
-        G = self.cell.cm.G
         return float(np.linalg.norm(
             np.asarray(self.cell.target) - np.asarray(self.target_holonomy)))
 
@@ -184,51 +189,33 @@ def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
     simpson_w[2:-1:2] = 2.0
     simpson_w *= hs / 3.0
 
-    g_trivial = G.trivial
-
     def row(t):
         """One sweep: returns (b(t), W(1,t)) for the row at height t."""
-        points = [bigon.value(k * hs, t) for k in range(n2 + 1)]
-        vel_s = [bigon.d_s(k * hs, t) for k in range(n2 + 1)]
+        ss = [k * hs for k in range(n2 + 1)]
+        pts = [(tuple(bigon.value(s, t)), bigon.d_s(s, t)) for s in ss]
+        Bvs = [conn.B.at(p, u, bigon.d_t(s, t)) for (p, u), s in zip(pts, ss)]
+        Ws = [G.identity]
+        if not G.trivial:
+            mids = [(tuple(bigon.value(s + hs / 2, t)), bigon.d_s(s + hs / 2, t))
+                    for s in ss[:-1]]
+            Ws = _rk4(G, [-np.asarray(conn.A.at(*pu)) for pu in pts],
+                      [-np.asarray(conn.A.at(*pu)) for pu in mids], hs)
+            Bvs = [cm.act_algebra(G.inv(W), Bv) for W, Bv in zip(Ws, Bvs)]
         b = H.algebra.zero()
-        if g_trivial:
-            for k in range(n2 + 1):
-                Bv = conn.B.at(tuple(points[k]), vel_s[k], bigon.d_t(k * hs, t))
-                b = b + simpson_w[k] * np.asarray(Bv)
-            return b, G.identity
-        W = G.identity
-        Bv = conn.B.at(tuple(points[0]), vel_s[0], bigon.d_t(0.0, t))
-        b = b + simpson_w[0] * np.asarray(cm.act_algebra(G.inv(W), Bv))
-        M_end = -np.asarray(conn.A.at(tuple(points[0]), vel_s[0]))
-        for k in range(n2):
-            s = k * hs
-            M1 = M_end
-            pm = bigon.value(s + hs / 2, t)
-            M2 = -np.asarray(conn.A.at(tuple(pm), bigon.d_s(s + hs / 2, t)))
-            M_end = -np.asarray(conn.A.at(tuple(points[k + 1]), vel_s[k + 1]))
-            K1 = M1 @ W
-            K2 = M2 @ (W + (hs / 2) * K1)
-            K3 = M2 @ (W + (hs / 2) * K2)
-            K4 = M_end @ (W + hs * K3)
-            W = G.renormalize(W + (hs / 6) * (K1 + 2 * K2 + 2 * K3 + K4))
-            Bv = conn.B.at(tuple(points[k + 1]), vel_s[k + 1],
-                           bigon.d_t((k + 1) * hs, t))
-            b = b + simpson_w[k + 1] * np.asarray(cm.act_algebra(G.inv(W), Bv))
-        return b, W
+        for w, Bv in zip(simpson_w, Bvs):
+            b = b + w * np.asarray(Bv)
+        return b, Ws[-1]
 
+    # k' = -k b(t) from k(0) = 1; rows are kept at the RK4 nodes and midpoints
     ht = 1.0 / grid
-    k_el = H.identity
-    b_end, W_source = row(0.0)
+    b0, W_source = row(0.0)
+    b_nodes, b_mids = [-b0], []
     for j in range(grid):
         t = j * ht
-        b1 = b_end
-        b2, _ = row(t + ht / 2)
+        b_mids.append(-row(t + ht / 2)[0])
         b_end, W_last = row(t + ht)
-        K1 = -k_el @ b1
-        K2 = -(k_el + (ht / 2) * K1) @ b2
-        K3 = -(k_el + (ht / 2) * K2) @ b2
-        K4 = -(k_el + ht * K3) @ b_end
-        k_el = H.renormalize(k_el + (ht / 6) * (K1 + 2 * K2 + 2 * K3 + K4))
+        b_nodes.append(-b_end)
+    k_el = _rk4(H, b_nodes, b_mids, ht, right=True)[-1]
 
     # the last row swept t = 1.0 itself unless the steps ht rounded off
     W_target = W_last if t + ht == 1.0 else row(1.0)[1]

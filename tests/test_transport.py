@@ -11,7 +11,7 @@ from twogauge.transport import (
     LocalConnection, check_transition_laws, check_transition_laws_plain,
     check_triple_overlap, convergence_study, fake_flat_connection,
     fake_residual_on_bigon, holonomy_product, kernel_check, path_holonomy,
-    surface_holonomy, transform_connection,
+    _rk4, surface_holonomy, transform_connection,
 )
 
 SU2 = crossed_module("CONJ(SU2)")
@@ -77,6 +77,40 @@ def test_integrator_is_fourth_order():
     assert study["grids"] == [8, 16, 32, 64]
     assert all(b < a for a, b in zip(study["errors"], study["errors"][1:]))
     assert abs(study["order"] - 4.0) < 0.5
+
+
+M_CONST = np.array([[0.7j, 0.9 + 0.4j], [-0.9 + 0.4j, -0.7j]])
+
+
+@pytest.mark.parametrize("right", [False, True])
+def test_rk4_on_a_constant_field_is_the_exponential(right):
+    # the stepper alone, as the t-integration uses it: Y' = M Y or Y' = Y M
+    # with M constant both give expm(M), at fourth order in the step
+    grids = [8, 16, 32]
+    errors = []
+    for n in grids:
+        Ys = _rk4(SU2.G, [M_CONST] * (n + 1), [M_CONST] * n, 1.0 / n, right=right)
+        assert len(Ys) == n + 1 and np.array_equal(Ys[0], np.eye(2))
+        errors.append(float(np.linalg.norm(Ys[-1] - expm(M_CONST))))
+    assert errors[-1] < 1e-6
+    order = -np.polyfit(np.log(grids), np.log(errors), 1)[0]
+    assert abs(order - 4.0) < 0.5
+
+
+def test_rk4_right_mode_multiplies_on_the_right():
+    # for non-commuting M(s), Y' = M Y and Z' = -Z M give Z = Y^-1, while
+    # Y' = Y M gives a different element
+    M0 = M_CONST
+    M1 = np.array([[-0.5j, 0.2], [-0.2, 0.5j]])
+    n = 64
+    nodes = [M0 + (k / n) * M1 for k in range(n + 1)]
+    mids = [M0 + ((k + 0.5) / n) * M1 for k in range(n)]
+    left = _rk4(SU2.G, nodes, mids, 1.0 / n)[-1]
+    inverse = _rk4(SU2.G, [-M for M in nodes], [-M for M in mids], 1.0 / n,
+                   right=True)[-1]
+    swapped = _rk4(SU2.G, nodes, mids, 1.0 / n, right=True)[-1]
+    assert np.linalg.norm(inverse @ left - np.eye(2)) < 1e-8
+    assert np.linalg.norm(swapped - left) > 1e-2
 
 
 def test_transport_needs_a_matrix_group():
