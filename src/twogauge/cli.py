@@ -18,7 +18,7 @@ from .crossed import differential_consistency, validate_crossed_module
 from .errors import (BudgetExceeded, ConfigError, GeometryError,
                      GroupDomainError, TwoGaugeError)
 from .geometry import Reparam
-from .report import ValidationReport, jsonify
+from .report import NO_SAMPLES, ValidationReport, jsonify
 from .scenario import load_scenario, setting_errors, shipped_scenarios
 from .transport import (LocalConnection, check_transition_laws,
                         convergence_study, kernel_check, path_holonomy,
@@ -34,10 +34,9 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _chart_points(scn, seed, n=None, lo=-1.0, hi=1.0):
+def _chart_points(scn, seed, n, lo=-1.0, hi=1.0):
     rng = _rng(seed)
-    count = n if n is not None else scn.samples
-    return [rng.uniform(lo, hi, size=scn.dim) for _ in range(count)]
+    return [rng.uniform(lo, hi, size=scn.dim) for _ in range(n)]
 
 
 def _connection(scn):
@@ -102,9 +101,13 @@ def cmd_fake_curvature(scn, seed, grid, samples):
     conn = _connection(scn)
     fake = conn.fake_curvature()
     points = _chart_points(scn, seed, n=samples)
+    rep = ValidationReport(f"fake curvature: {scn.name}")
+    if not points:
+        rep.skip("fake-curvature-vanishes", NO_SAMPLES)
+        rep.skip("three-curvature-in-kernel", NO_SAMPLES)
+        return rep, {"max_fake": None, "points": 0}
     worst = fake.max_abs_on_grid(points)
     tol = scn.tolerances["fake"]
-    rep = ValidationReport(f"fake curvature: {scn.name}")
     rep.add("fake-curvature-vanishes", worst <= tol, residual=worst,
             tolerance=tol)
     if worst <= tol and scn.dim >= 3:
@@ -232,7 +235,8 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         scn = load_scenario(args.scenario)
-        overrides = {"seed": args.seed, "grid": args.grid}
+        overrides = {"seed": args.seed, "grid": args.grid,
+                     "samples": args.samples}
         errors = setting_errors(**{k: v for k, v in overrides.items() if v is not None})
         if errors:
             raise ConfigError(errors)

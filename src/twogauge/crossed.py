@@ -31,7 +31,7 @@ from .groups import (
     SO3, SU2, TRIVIAL, U1, FiniteGroup, MatrixGroup, TAU_GRP,
     automorphism_group, _SIGMA,
 )
-from .report import ValidationReport
+from .report import NO_SAMPLES, ValidationReport
 
 EXHAUSTIVE_VALIDATE_BUDGET = 10 ** 6
 EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
@@ -230,15 +230,12 @@ def validate_crossed_module(cm, mode="auto", samples=60, seed=42):
         return H.eq(a, b) if tol is None else H.eq(a, b, tol)
 
     def run(name, cases, predicate, describe):
-        worst = None
-        count = 0
-        for case in cases:
-            if not predicate(*case):
-                count += 1
-                if worst is None:
-                    worst = describe(*case)
-        rep.add(name, count == 0, witness=worst,
-                detail=None if count == 0 else f"{count} violations")
+        if not cases:
+            rep.skip(name, NO_SAMPLES)
+            return
+        bad = [case for case in cases if not predicate(*case)]
+        rep.add(name, not bad, witness=describe(*bad[0]) if bad else None,
+                detail=f"{len(bad)} violations" if bad else None)
 
     run("t-homomorphism", pairs_hh,
         lambda h1, h2: eq_g(cm.t(H.mul(h1, h2)), G.mul(cm.t(h1), cm.t(h2))),
@@ -276,6 +273,10 @@ def differential_consistency(cm, samples=20, eps=1e-3, seed=42, bound=10.0):
         raise GroupDomainError(f"{cm.name} has no differential data")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rep = ValidationReport(f"differential consistency: {cm.name}")
+    if samples < 1:
+        rep.skip("dt-first-order", NO_SAMPLES)
+        rep.skip("dalpha-first-order", NO_SAMPLES)
+        return rep
     G, H = cm.G, cm.H
     worst_t = 0.0
     worst_a = 0.0

@@ -258,10 +258,11 @@ class LieAlgebra:
         if self.dim:
             flat = np.stack([np.concatenate([b.real.ravel(), b.imag.ravel()])
                              for b in self.basis])
-            self._pinv = np.linalg.pinv(flat.T)
+            # Gram-matrix solve: a pseudo-inverse gives 0.9999999999999998
+            self._dual = np.linalg.solve(flat @ flat.T, flat)
             self._stack = np.stack(self.basis)
         else:
-            self._pinv = None
+            self._dual = None
             self._stack = np.zeros((0, n, n), dtype=dtype)
         self._structure = None
 
@@ -282,7 +283,7 @@ class LieAlgebra:
             return np.zeros(0)
         X = np.asarray(X, dtype=self.dtype)
         flat = np.concatenate([X.real.ravel(), X.imag.ravel()])
-        return self._pinv @ flat
+        return self._dual @ flat
 
     def from_coords(self, c):
         if self.dim == 0:

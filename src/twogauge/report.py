@@ -11,6 +11,7 @@ import numpy as np
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+NO_SAMPLES = "no samples"  # detail of a check that evaluated zero cases
 
 
 def jsonify(value):

@@ -103,14 +103,15 @@ def setting_errors(**settings):
     """Problems with run settings (grid, samples, steps, seed), one per bad value.
 
     Scenario keys and command-line overrides are checked by this one rule.
+    Zero samples is allowed: the sampled checks then report SKIPPED.
     """
+    rules = {"seed": (lambda v: 0 <= v < 2 ** 64, "fit in 64 bits"),
+             "samples": (lambda v: v >= 0, "be a non-negative integer")}
     errors = []
     for field, value in settings.items():
-        if field == "seed":
-            if not (isinstance(value, int) and 0 <= value < 2 ** 64):
-                errors.append(f"seed must fit in 64 bits, got {value!r}")
-        elif not (isinstance(value, int) and value >= 1):
-            errors.append(f"{field} must be a positive integer, got {value!r}")
+        ok, need = rules.get(field, (lambda v: v >= 1, "be a positive integer"))
+        if not (isinstance(value, int) and ok(value)):
+            errors.append(f"{field} must {need}, got {value!r}")
     return errors
 
 

@@ -13,7 +13,7 @@ would find first.
 """
 
 from .errors import CompositionError, GroupDomainError
-from .report import ValidationReport
+from .report import NO_SAMPLES, ValidationReport
 from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET
 
 import numpy as np
@@ -236,6 +236,9 @@ def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
         raise GroupDomainError("exhaustive interchange not available for this pair")
     if mode == "sampled":
         exhaustive = False
+    if not exhaustive and samples < 1:
+        rep.skip("interchange", NO_SAMPLES)
+        return rep
 
     if exhaustive:
         total = G.order ** 2 * H.order ** 4
@@ -247,13 +250,8 @@ def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
                  for _ in range(samples))
         total = samples
         case_tol = tol if tol is not None else 1e-9
-        bad = 0
-        first = None
-        for case in cases:
-            if not _interchange_case(cm, *case, case_tol):
-                bad += 1
-                if first is None:
-                    first = case
+        fails = [case for case in cases if not _interchange_case(cm, *case, case_tol)]
+        bad, first = len(fails), (fails[0] if fails else None)
 
     worst = None
     if first is not None:
@@ -302,6 +300,9 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
     rep = ValidationReport(f"eckmann-hilton: {cm.name}")
     if cm.is_finite:
         witness = _eckmann_hilton_exhaustive(cm)
+    elif samples < 1:
+        rep.skip("pastings-agree", NO_SAMPLES)
+        return rep
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]

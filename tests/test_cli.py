@@ -293,3 +293,42 @@ def test_classify_refuses_an_invalid_module(tmp_path, capsys):
     path = _write(tmp_path, "broken.scn", {"crossed_module": "PEIFFER_BROKEN(S3)",
                                            "nerve": "tetrahedron"})
     assert _refused(["classify", "--scenario", path], capsys)
+
+
+# sampled checks over zero samples are SKIPPED; a negative count never runs
+SAMPLED_RUNS = [("fake-curvature", "su2_charts.scn"),
+                ("fake-curvature", "kernel3d.scn"),
+                ("transitions", "transitions_perturbed.scn"),
+                ("validate", "su2_charts.scn"),
+                ("interchange", "su2_charts.scn"),
+                ("interchange", "abelian.scn")]
+
+
+@pytest.mark.parametrize("command,scenario", SAMPLED_RUNS)
+def test_zero_samples_skip_the_sampled_checks(command, scenario, capsys):
+    code = cli.run([command, "--scenario", scenario, "--samples", "0"])
+    doc = json.loads(capsys.readouterr().out)
+    checks = doc["report"]["checks"]
+    assert code == 0
+    assert checks and all(c["verdict"] == "SKIPPED" for c in checks)
+    assert any(c["detail"] == "no samples" for c in checks)
+
+
+@pytest.mark.parametrize("command,scenario", SAMPLED_RUNS)
+def test_negative_samples_are_refused(command, scenario, capsys):
+    assert _refused([command, "--scenario", scenario, "--samples", "-1"], capsys)
+
+
+def test_samples_key_follows_the_flag_rule(tmp_path):
+    base = {"crossed_module": "CONJ(SU2)"}
+    assert load_scenario(_write(tmp_path, "zero.scn", {**base, "samples": 0})).samples == 0
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(_write(tmp_path, "neg.scn", {**base, "samples": -1}))
+    assert "samples must be a non-negative integer" in str(exc.value)
+
+
+def test_exhaustive_checks_ignore_zero_samples(capsys):
+    assert cli.run(["interchange", "--scenario", "s3_cocycle.scn",
+                    "--samples", "0"]) == 0
+    check = json.loads(capsys.readouterr().out)["report"]["checks"][0]
+    assert check["verdict"] == "PASS" and "(exhaustive)" in check["detail"]

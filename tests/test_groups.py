@@ -168,6 +168,18 @@ def test_algebra_bases_and_structure_constants():
     assert np.allclose(so3.coords(so3.from_coords(c)), c)
 
 
+@pytest.mark.parametrize("group", [U1, SU2, SO3, lambda: GL(2)],
+                         ids=["u1", "su2", "so3", "gl2"])
+def test_basis_elements_have_exact_unit_coords(group):
+    # a pseudo-inverse gives 0.9999999999999998 here, which leaks into the
+    # structure constants and dt matrices and leaves ulp-sized fake curvature
+    algebra = group().algebra
+    for k, e in enumerate(algebra.basis):
+        assert np.array_equal(algebra.coords(e), np.eye(algebra.dim)[k])
+    f = algebra.structure_constants()
+    assert np.array_equal(f, np.round(f))
+
+
 def test_trivial_and_gl():
     t = TRIVIAL()
     assert t.contains(np.eye(1))
