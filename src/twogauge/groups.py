@@ -258,7 +258,7 @@ class LieAlgebra:
         if self.dim:
             flat = np.stack([np.concatenate([b.real.ravel(), b.imag.ravel()])
                              for b in self.basis])
-            # Gram-matrix solve: a pseudo-inverse gives 0.9999999999999998
+            # a diagonal Gram matrix (every shipped basis) gives exact unit coords
             self._dual = np.linalg.solve(flat @ flat.T, flat)
             self._stack = np.stack(self.basis)
         else:

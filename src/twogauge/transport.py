@@ -298,7 +298,7 @@ def check_transition_laws(cm, left, right, gmap, a_form, points, tol=1e-9):
     """
     transformed = transform_connection(cm, right, gmap, a_form)
     rep = ValidationReport("transition laws")
-    if not points:
+    if len(points) == 0:
         rep.skip("connection-law", NO_SAMPLES)
         rep.skip("surface-law", NO_SAMPLES)
         return rep
