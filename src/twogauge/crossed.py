@@ -17,6 +17,7 @@ Shipped catalog (spec identifiers accepted by `crossed_module`):
     AUT(SU2)                        (SO(3), SU(2), covering map, lifted conjugation)
     AUT(S3), AUT(Z<n>)              automorphism 2-groups of finite groups
     GERBE(U1), GERBE(Z<n>)          abelian pairs with trivial G and t
+                                    (1 <= n <= MAX_CYCLIC_ORDER for Z<n>)
     FLIP(Z3)                        Z/2 acting on Z/3 by negation, t trivial
     PEIFFER_BROKEN(S3)              invalid fixture: trivial t and action on S3
 """
@@ -35,6 +36,9 @@ from .report import NO_SAMPLES, ValidationReport
 
 EXHAUSTIVE_VALIDATE_BUDGET = 10 ** 6
 EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
+# GERBE(Z<n>) and AUT(Z<n>) build an n x n Cayley table and check it in
+# O(n^3); n = 100 takes about a second, and a larger n is refused
+MAX_CYCLIC_ORDER = 100
 
 
 class CrossedModule:
@@ -105,7 +109,11 @@ class CrossedModule:
         return D
 
     def act_algebra(self, g, x):
-        """Linearization of alpha(g) on the H algebra."""
+        """Linearization of alpha(g) on the H algebra.
+
+        g and x may also be (N, n, n) stacks, acted on pairwise; every
+        shipped matrix module gives each pair the bits of the single call.
+        """
         if self._act_algebra is None:
             raise GroupDomainError(f"{self.name} has no differential data")
         return self._act_algebra(g, x)
@@ -311,7 +319,10 @@ def _conj_matrix_module(name, group_factory):
 
 
 def _su2_from_quaternion(q):
-    x, y, z, w = q
+    if np.ndim(q) == 2:  # a stack of quaternions
+        x, y, z, w = (q[:, i, None, None] for i in range(4))
+    else:
+        x, y, z, w = q
     return w * np.eye(2, dtype=complex) - 1j * (x * _SIGMA[0] + y * _SIGMA[1] + z * _SIGMA[2])
 
 
@@ -342,7 +353,7 @@ def _aut_su2_module():
 
     def act(g, x):
         u = lift(g)
-        return u @ x @ u.conj().T
+        return u @ x @ u.conj().swapaxes(-1, -2)
 
     return CrossedModule(
         "AUT(SU2)", G, H,
@@ -432,13 +443,23 @@ def crossed_module(name):
         return _CATALOG[key]()
     m = re.fullmatch(r"GERBE\(Z(\d+)\)", key)
     if m:
-        return _gerbe_finite_module(int(m.group(1)))
+        return _gerbe_finite_module(_cyclic_order(key, m.group(1)))
     m = re.fullmatch(r"AUT\(Z(\d+)\)", key)
     if m:
-        n = int(m.group(1))
+        n = _cyclic_order(key, m.group(1))
         return _aut_finite_module(f"AUT(Z{n})", FiniteGroup.cyclic(n))
     raise GroupDomainError(f"unknown crossed module {name!r}; shipped: "
                            + ", ".join(sorted(_CATALOG) + ["GERBE(Z<n>)", "AUT(Z<n>)"]))
+
+
+def _cyclic_order(key, digits):
+    """The n of Z<n>, checked against MAX_CYCLIC_ORDER before any table exists."""
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(MAX_CYCLIC_ORDER)) \
+            or not 1 <= int(significant or "0") <= MAX_CYCLIC_ORDER:
+        raise GroupDomainError(f"{key}: the cyclic order must lie between 1 and "
+                               f"{MAX_CYCLIC_ORDER}")
+    return int(significant)
 
 
 def shipped_finite_names():

@@ -25,6 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvalError, ParseError
 
 __all__ = [
@@ -317,7 +319,8 @@ def compile_expr(e):
     """Compile to a fast callable point -> float (used in integrator hot loops).
 
     On arithmetic failure the careful evaluator is re-run to produce the
-    detailed EvalError.
+    detailed EvalError. The callable's `arrays` attribute is the same
+    expression as an `ArrayExpr`, for many points at once.
     """
     src = _gen(e)
     fn = eval(compile(f"lambda x: {src}", "<expr>", "eval"), {"math": math})
@@ -328,7 +331,105 @@ def compile_expr(e):
         except Exception:
             return evaluate(_e, point)  # raises EvalError with the subexpression
 
+    call.arrays = ArrayExpr(e, call)
     return call
+
+
+class ArrayExpr:
+    """An expression evaluated on many points at once, with the scalar bits.
+
+    Called with a point given as a sequence of float arrays that broadcast
+    together, it returns the values at every point, shaped like the
+    broadcast. + - * /, sin and cos run as numpy ufuncs, which round like
+    the scalar operators and `math` functions. exp, tanh and integer powers
+    run `math` and Python ** element by element, because their numpy
+    versions round differently. On any exception or floating-point error the
+    whole array is evaluated again point by point through the scalar
+    callable, so values and EvalError messages are the scalar ones. The
+    array code is compiled on first call.
+    """
+
+    __slots__ = ("expr", "_scalar", "_fn")
+
+    def __init__(self, expr, scalar):
+        self.expr = expr
+        self._scalar = scalar
+        self._fn = None
+
+    def __call__(self, point):
+        arrays = [np.asarray(c, dtype=float) for c in point]
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        if self._fn is None:
+            self._fn = _compile_array(self.expr)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                out = self._fn(arrays)
+        except (ArithmeticError, ValueError, IndexError, _Pointwise):
+            coords = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
+            values = [self._scalar(p) for p in zip(*coords)] if coords \
+                else [self._scalar(())]
+            out = np.array(values, dtype=float).reshape(shape)
+        return np.broadcast_to(out, shape)
+
+
+class _Pointwise(Exception):
+    """The array code cannot express this tree; evaluate point by point."""
+
+
+def _elementwise(scalar_fn, nargs=1):
+    each = np.frompyfunc(scalar_fn, nargs, 1)
+
+    def apply(a, *rest):
+        if isinstance(a, np.ndarray):
+            return each(a, *rest).astype(float)
+        return scalar_fn(a, *rest)
+    return apply
+
+
+def _ufunc_or_math(ufunc, scalar_fn):
+    def apply(a):
+        return ufunc(a) if isinstance(a, np.ndarray) else scalar_fn(a)
+    return apply
+
+
+_ARRAY_NAMESPACE = {
+    "_sin": _ufunc_or_math(np.sin, math.sin),
+    "_cos": _ufunc_or_math(np.cos, math.cos),
+    "_exp": _elementwise(math.exp),
+    "_tanh": _elementwise(math.tanh),
+    "_pow": _elementwise(pow, 2),
+}
+
+
+def _pointwise_only(x):
+    raise _Pointwise()
+
+
+def _compile_array(e):
+    try:
+        src = _gen_array(e)
+    except _Pointwise:
+        return _pointwise_only
+    return eval(compile(f"lambda x: {src}", "<expr>", "eval"), dict(_ARRAY_NAMESPACE))
+
+
+def _gen_array(e):
+    if isinstance(e, (Num, Var)):
+        return _gen(e)
+    if isinstance(e, Neg):
+        return f"(-{_gen_array(e.arg)})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+        return f"({_gen_array(e.left)}{op}{_gen_array(e.right)})"
+    if isinstance(e, Pow):
+        try:
+            n = int(round(evaluate(e.exponent, ())))
+        except EvalError:
+            raise _Pointwise() from None
+        return f"_pow({_gen_array(e.base)}, {n})"
+    if isinstance(e, Call):
+        return f"_{e.fn}({_gen_array(e.arg)})"
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _gen(e):

@@ -12,6 +12,13 @@ constructions against a connection use structure constants or an action
 tensor, so curvature identities can be probed both symbolically and
 numerically. PointwiseForm covers the same evaluation contract for values
 only obtainable numerically (gauge-transformed connections, pushforwards).
+
+`at` evaluates at one point. `at_points` evaluates at N points given as
+(N, dim) arrays of points and vectors and returns the (N, n, n) stack of
+values: a FormField runs each coefficient once over all points (see
+`expr.ArrayExpr`) and accumulates in the same order as `at`, components in
+dict order and zero coefficients skipped, so every value has the bits of
+the single-point call. A PointwiseForm calls `at` point by point.
 """
 
 from itertools import combinations
@@ -132,6 +139,24 @@ class FormField:
                 total = total + c * self.algebra.basis[a]
         return total
 
+    def at_points(self, points, *vectors):
+        """`at` at every row of points (N, dim) with the matching vector rows."""
+        points, vecs = _point_arrays(self, points, vectors)
+        x = tuple(points[:, i] for i in range(self.dim))
+        total = np.zeros((len(points),) + self.algebra.zero().shape, dtype=self.algebra.dtype)
+        for (a, mu), fn in self._fns().items():
+            c = fn.arrays(x)
+            if self.degree == 1:
+                c = c * vecs[0][:, mu[0]]
+            elif self.degree == 2:
+                c = c * (vecs[0][:, mu[0]] * vecs[1][:, mu[1]]
+                         - vecs[0][:, mu[1]] * vecs[1][:, mu[0]])
+            elif self.degree == 3:
+                c = c * np.linalg.det(np.stack([v[:, list(mu)] for v in vecs], axis=1))
+            c = np.broadcast_to(c, (len(points),))[:, None, None]
+            total = np.where(c != 0.0, total + c * self.algebra.basis[a], total)
+        return total
+
     def d(self):
         """Exact exterior derivative; new index enters with sign (-1)^position."""
         if self.degree + 1 > MAX_DEGREE:
@@ -216,6 +241,21 @@ class FormField:
     def __repr__(self):
         return (f"<FormField deg={self.degree} dim={self.dim} "
                 f"algebra={self.algebra.name} terms={len(self.components)}>")
+
+
+def _point_arrays(form, points, vectors):
+    if len(vectors) != form.degree:
+        raise EvalError(f"degree-{form.degree} field needs {form.degree} vectors, "
+                        f"got {len(vectors)}")
+    points = np.asarray(points, dtype=float)
+    vecs = [np.asarray(v, dtype=float) for v in vectors]
+    if points.ndim != 2:
+        raise EvalError(f"points have shape {points.shape}, expected (N, {form.dim})")
+    if points.shape[1] != form.dim:
+        raise EvalError(f"point has {points.shape[1]} coordinates, expected {form.dim}")
+    if any(v.shape != points.shape for v in vecs):
+        raise EvalError(f"vectors must match the points' shape {points.shape}")
+    return points, vecs
 
 
 def _coefficient_table(form):
@@ -350,6 +390,12 @@ class PointwiseForm:
             raise EvalError(f"degree-{self.degree} field needs {self.degree} vectors, "
                             f"got {len(vectors)}")
         return self._fn(point, *vectors)
+
+    def at_points(self, points, *vectors):
+        """`at` at every row of points (N, dim) with the matching vector rows."""
+        points, vecs = _point_arrays(self, points, vectors)
+        return np.array([self.at(tuple(p), *(v[i] for v in vecs))
+                         for i, p in enumerate(points)])
 
     def __add__(self, other):
         if other.degree != self.degree or other.dim != self.dim:

@@ -10,6 +10,19 @@ Velocities are exact: expression-backed curves differentiate symbolically,
 combinators chain closed-form derivatives, and the ramp's derivative is
 computed analytically.
 
+Array contract. The closures behind a Path or Bigon take either floats or
+float arrays that broadcast together (a surface sweep passes s with shape
+(S, 1) and t with shape (1, T)), and return values with the coordinates on
+the last axis: shape broadcast(s, t) + (dim,), or anything that broadcasts
+to it, such as a constant (dim,) vector. Every array value has the same
+bits as the scalar call at that point. Elementwise numpy arithmetic rounds
+like Python's; the ramps and integer powers, whose numpy versions round
+differently, run `math` element by element on the 1-D parameter vectors
+(O(S + T) calls, not O(S * T)). Combinators that branch on a parameter
+evaluate each side only on its own points. The public `value`, `d_s`,
+`d_t` and `velocity` accept either form; a scalar call is the one-point
+case and returns shape (dim,).
+
 Parametrization conventions, fixed here and relied on elsewhere:
 
     concatenation   (p1 then p2)(s) = p1(2s) for s <= 1/2, else p2(2s - 1)
@@ -27,6 +40,98 @@ from .expr import compile_expr, differentiate, max_var_index, parse
 
 DEFAULT_SITTING = 0.1
 TAU_GEO = 1e-9
+
+
+def _each(fn, x):
+    """fn on every element of a float array, with the scalar rounding."""
+    return np.frompyfunc(fn, 1, 1)(x).astype(float)
+
+
+def _power(x, k):
+    """x ** k for an integer k, with Python's rounding on arrays too."""
+    return _each(lambda v: v ** k, x) if isinstance(x, np.ndarray) else x ** k
+
+
+def _col(x):
+    """A scalar field as a factor of vector values (coordinates last)."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _stack(values):
+    """Coordinate values (floats or arrays) as one vector value."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            return np.stack(np.broadcast_arrays(*values), axis=-1)
+    return np.array(values)
+
+
+def _call(fn, point):
+    """A compiled expression at a point of floats or of arrays."""
+    for c in point:
+        if isinstance(c, np.ndarray):
+            return fn.arrays(point)
+    return fn(point)
+
+
+def _piecewise(k, below, above):
+    """The closure taking below(*args) where args[k] <= 1/2, else above(*args).
+
+    A single point branches directly. On arrays each side runs only on its
+    own points, since an expression may fail outside its half. When args[k]
+    varies along one axis, the points are taken whole along that axis, so
+    the other parameters keep their shapes; otherwise they are flattened.
+    """
+    def piecewise(*args):
+        x = args[k]
+        if not isinstance(x, np.ndarray) or x.size == 1:
+            if isinstance(x, np.ndarray):
+                x = x.ravel()[0]
+            return below(*args) if x <= 0.5 else above(*args)
+        return _piecewise_arrays(k, args, below, above)
+    return piecewise
+
+
+def _piecewise_arrays(k, args, below, above):
+    args = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    args = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in args]
+    varying = [ax for ax, n in enumerate(args[k].shape) if n > 1]
+    if not varying:  # no points at all
+        return below(*args)
+    if len(varying) > 1:
+        flat = [np.broadcast_to(a, shape).ravel() for a in args]
+        return _piecewise_arrays(k, flat, below, above).reshape(shape + (-1,))
+    ax = varying[0]
+    low = (args[k] <= 0.5).ravel()
+    out = None
+    for fn, idx in ((below, np.flatnonzero(low)), (above, np.flatnonzero(~low))):
+        if not len(idx):
+            continue
+        sub = [np.take(a, idx, axis=ax) if a.shape[ax] > 1 else a for a in args]
+        part = np.asarray(fn(*sub), dtype=float)
+        if out is None:
+            out = np.empty(shape + part.shape[-1:])
+        out[(slice(None),) * ax + (idx,)] = np.broadcast_to(
+            part, shape[:ax] + (len(idx),) + shape[ax + 1:] + part.shape[-1:])
+    return out
+
+
+def _sample(fn, dim, *params):
+    """Evaluate a closure on array parameters: shape broadcast(params) + (dim,).
+
+    Zero-dimensional parameters are the scalar call.
+    """
+    if all(np.ndim(p) == 0 for p in params):
+        return np.asarray(fn(*(float(p) for p in params)), dtype=float)
+    params = [np.asarray(p, dtype=float) for p in params]
+    shape = np.broadcast_shapes(*(p.shape for p in params))
+    out = np.asarray(fn(*params), dtype=float)
+    try:
+        return np.broadcast_to(out, shape + (dim,))
+    except ValueError:
+        raise GeometryError(
+            f"closure returned shape {out.shape} for parameters of shape {shape}; "
+            "closures must broadcast over array parameters") from None
 
 
 def _bump(u):
@@ -67,11 +172,15 @@ class Ramp:
         self.delta = float(delta)
 
     def __call__(self, s):
+        if isinstance(s, np.ndarray):
+            return _each(self, s)
         if self.delta == 0.0:
             return min(max(s, 0.0), 1.0)
         return smooth_step((s - self.delta) / (1.0 - 2.0 * self.delta))
 
     def derivative(self, s):
+        if isinstance(s, np.ndarray):
+            return _each(self.derivative, s)
         if self.delta == 0.0:
             return 1.0 if 0.0 < s < 1.0 else 0.0
         w = 1.0 - 2.0 * self.delta
@@ -113,8 +222,8 @@ class Reparam:
     def power_of_sitting(cls, exponent, delta=DEFAULT_SITTING):
         r = Ramp(delta)
         k = int(exponent)
-        return cls(lambda s: r(s) ** k,
-                   lambda s: k * r(s) ** (k - 1) * r.derivative(s) if k > 1
+        return cls(lambda s: _power(r(s), k),
+                   lambda s: k * _power(r(s), k - 1) * r.derivative(s) if k > 1
                    else r.derivative(s),
                    f"sitting({delta})^{k}")
 
@@ -125,7 +234,7 @@ class Reparam:
             raise GeometryError("a reparametrization uses the single variable x1")
         fn = compile_expr(e)
         dfn = compile_expr(differentiate(e, 1))
-        return cls(lambda s: fn((s,)), lambda s: dfn((s,)), text)
+        return cls(lambda s: _call(fn, (s,)), lambda s: _call(dfn, (s,)), text)
 
 
 class Path:
@@ -139,9 +248,13 @@ class Path:
         self.end = np.asarray(value(1.0), dtype=float)
 
     def value(self, s):
+        if isinstance(s, np.ndarray):
+            return _sample(self._value, self.dim, s)
         return np.asarray(self._value(float(s)), dtype=float)
 
     def velocity(self, s):
+        if isinstance(s, np.ndarray):
+            return _sample(self._velocity, self.dim, s)
         return np.asarray(self._velocity(float(s)), dtype=float)
 
     @classmethod
@@ -157,12 +270,12 @@ class Path:
 
         def value(s):
             u = r(s)
-            return np.array([f((u,)) for f in fns])
+            return _stack([_call(f, (u,)) for f in fns])
 
         def velocity(s):
             u = r(s)
             du = r.derivative(s)
-            return np.array([f((u,)) * du for f in dfns])
+            return _stack([_call(f, (u,)) * du for f in dfns])
 
         return cls(value, velocity, len(exprs))
 
@@ -172,8 +285,8 @@ class Path:
         p1 = np.asarray(p1, dtype=float)
         r = Ramp(delta)
         d = p1 - p0
-        return cls(lambda s: p0 + r(s) * d,
-                   lambda s: r.derivative(s) * d, len(p0))
+        return cls(lambda s: p0 + _col(r(s)) * d,
+                   lambda s: _col(r.derivative(s)) * d, len(p0))
 
     @classmethod
     def arc(cls, center, radius, angle0, angle1, delta=DEFAULT_SITTING):
@@ -181,12 +294,18 @@ class Path:
         r = Ramp(delta)
         span = angle1 - angle0
 
+        # numpy's sin and cos round like math's
         def value(s):
             th = angle0 + r(s) * span
+            if isinstance(th, np.ndarray):
+                return center + radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
             return center + radius * np.array([math.cos(th), math.sin(th)])
 
         def velocity(s):
             th = angle0 + r(s) * span
+            if isinstance(th, np.ndarray):
+                return (_col(radius * span * r.derivative(s))
+                        * np.stack([-np.sin(th), np.cos(th)], axis=-1))
             return (radius * span * r.derivative(s)
                     * np.array([-math.sin(th), math.cos(th)]))
 
@@ -208,14 +327,10 @@ class Path:
                                    target=self.end.tolist())
         p1, p2 = self, other
 
-        def value(s):
-            return p1._value(2 * s) if s <= 0.5 else p2._value(2 * s - 1)
-
-        def velocity(s):
-            if s <= 0.5:
-                return 2 * np.asarray(p1._velocity(2 * s))
-            return 2 * np.asarray(p2._velocity(2 * s - 1))
-
+        value = _piecewise(0, lambda s: p1._value(2 * s),
+                           lambda s: p2._value(2 * s - 1))
+        velocity = _piecewise(0, lambda s: 2 * np.asarray(p1._velocity(2 * s)),
+                              lambda s: 2 * np.asarray(p2._velocity(2 * s - 1)))
         return Path(value, velocity, self.dim)
 
     def reverse(self):
@@ -224,7 +339,7 @@ class Path:
 
     def reparametrize(self, phi):
         return Path(lambda s: self._value(phi(s)),
-                    lambda s: phi.derivative(s) * np.asarray(self._velocity(phi(s))),
+                    lambda s: _col(phi.derivative(s)) * np.asarray(self._velocity(phi(s))),
                     self.dim)
 
     def certify_sitting(self, delta=DEFAULT_SITTING, samples=25, tol=TAU_GEO):
@@ -254,12 +369,18 @@ class Bigon:
         self.dim = int(dim)
 
     def value(self, s, t):
+        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
+            return _sample(self._value, self.dim, s, t)
         return np.asarray(self._value(float(s), float(t)), dtype=float)
 
     def d_s(self, s, t):
+        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
+            return _sample(self._ds, self.dim, s, t)
         return np.asarray(self._ds(float(s), float(t)), dtype=float)
 
     def d_t(self, s, t):
+        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
+            return _sample(self._dt, self.dim, s, t)
         return np.asarray(self._dt(float(s), float(t)), dtype=float)
 
     @property
@@ -297,17 +418,17 @@ class Bigon:
 
         def value(s, t):
             q = (r(s), r(t))
-            return np.array([f(q) for f in fns])
+            return _stack([_call(f, q) for f in fns])
 
         def d_s(s, t):
             q = (r(s), r(t))
             du = r.derivative(s)
-            return np.array([f(q) * du for f in dsf])
+            return _stack([_call(f, q) * du for f in dsf])
 
         def d_t(s, t):
             q = (r(s), r(t))
             dv = r.derivative(t)
-            return np.array([f(q) * dv for f in dtf])
+            return _stack([_call(f, q) * dv for f in dtf])
 
         return cls(value, d_s, d_t, len(exprs))
 
@@ -324,15 +445,15 @@ class Bigon:
         r = Ramp(delta)
 
         def value(s, t):
-            w = r(t)
+            w = _col(r(t))
             return (1 - w) * p0.value(s) + w * p1.value(s)
 
         def d_s(s, t):
-            w = r(t)
+            w = _col(r(t))
             return (1 - w) * p0.velocity(s) + w * p1.velocity(s)
 
         def d_t(s, t):
-            return r.derivative(t) * (p1.value(s) - p0.value(s))
+            return _col(r.derivative(t)) * (p1.value(s) - p0.value(s))
 
         return cls(value, d_s, d_t, p0.dim)
 
@@ -362,10 +483,11 @@ class Bigon:
         def d_s(s, t):
             w = r(t)
             du = (1 - w) * phi0.derivative(s) + w * phi1.derivative(s)
-            return du * path.velocity(mix(s, t))
+            return _col(du) * path.velocity(mix(s, t))
 
         def d_t(s, t):
-            return r.derivative(t) * (phi1(s) - phi0(s)) * path.velocity(mix(s, t))
+            return (_col(r.derivative(t) * (phi1(s) - phi0(s)))
+                    * path.velocity(mix(s, t)))
 
         return cls(value, d_s, d_t, path.dim)
 
@@ -380,17 +502,12 @@ class Bigon:
                 f"target and source paths differ by {worst:.2e}")
         b1, b2 = self, other
 
-        def value(s, t):
-            return b1._value(s, 2 * t) if t <= 0.5 else b2._value(s, 2 * t - 1)
-
-        def d_s(s, t):
-            return b1._ds(s, 2 * t) if t <= 0.5 else b2._ds(s, 2 * t - 1)
-
-        def d_t(s, t):
-            if t <= 0.5:
-                return 2 * np.asarray(b1._dt(s, 2 * t))
-            return 2 * np.asarray(b2._dt(s, 2 * t - 1))
-
+        value = _piecewise(1, lambda s, t: b1._value(s, 2 * t),
+                           lambda s, t: b2._value(s, 2 * t - 1))
+        d_s = _piecewise(1, lambda s, t: b1._ds(s, 2 * t),
+                         lambda s, t: b2._ds(s, 2 * t - 1))
+        d_t = _piecewise(1, lambda s, t: 2 * np.asarray(b1._dt(s, 2 * t)),
+                         lambda s, t: 2 * np.asarray(b2._dt(s, 2 * t - 1)))
         return Bigon(value, d_s, d_t, self.dim)
 
     def horizontal(self, other, tol=1e-7):
@@ -404,17 +521,12 @@ class Bigon:
                                    target=self.value(1.0, 0.0).tolist())
         b1, b2 = self, other
 
-        def value(s, t):
-            return b1._value(2 * s, t) if s <= 0.5 else b2._value(2 * s - 1, t)
-
-        def d_s(s, t):
-            if s <= 0.5:
-                return 2 * np.asarray(b1._ds(2 * s, t))
-            return 2 * np.asarray(b2._ds(2 * s - 1, t))
-
-        def d_t(s, t):
-            return b1._dt(2 * s, t) if s <= 0.5 else b2._dt(2 * s - 1, t)
-
+        value = _piecewise(0, lambda s, t: b1._value(2 * s, t),
+                           lambda s, t: b2._value(2 * s - 1, t))
+        d_s = _piecewise(0, lambda s, t: 2 * np.asarray(b1._ds(2 * s, t)),
+                         lambda s, t: 2 * np.asarray(b2._ds(2 * s - 1, t)))
+        d_t = _piecewise(0, lambda s, t: b1._dt(2 * s, t),
+                         lambda s, t: b2._dt(2 * s - 1, t))
         return Bigon(value, d_s, d_t, self.dim)
 
     def reverse_t(self):
@@ -425,13 +537,13 @@ class Bigon:
 
     def reparametrize_s(self, phi):
         return Bigon(lambda s, t: self._value(phi(s), t),
-                     lambda s, t: phi.derivative(s) * np.asarray(self._ds(phi(s), t)),
+                     lambda s, t: _col(phi.derivative(s)) * np.asarray(self._ds(phi(s), t)),
                      lambda s, t: self._dt(phi(s), t), self.dim)
 
     def reparametrize_t(self, phi):
         return Bigon(lambda s, t: self._value(s, phi(t)),
                      lambda s, t: self._ds(s, phi(t)),
-                     lambda s, t: phi.derivative(t) * np.asarray(self._dt(s, phi(t))),
+                     lambda s, t: _col(phi.derivative(t)) * np.asarray(self._dt(s, phi(t))),
                      self.dim)
 
     def certify(self, delta=DEFAULT_SITTING, samples=9, tol=TAU_GEO):

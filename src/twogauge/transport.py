@@ -3,10 +3,13 @@
 One routine, `_rk4`, does every integration: classical fourth-order
 Runge-Kutta for Y' = M Y (or Y' = Y M) from Y = 1, reprojected to the group
 after each step. It takes M at the n + 1 nodes and the n step midpoints and
-returns Y at every node. Path transport solves W'(s) = -A(c(s))(c'(s)) W(s)
-on nodes 0 and k*h + h, midpoints k*h + h/2, h = 1/steps. With that sign, a
-constant field A0 dx1 along the unit x-segment transports to exp(-A0), and
-concatenation satisfies
+returns Y at every node; M may carry a stack axis after the step axis, and
+then every matrix of the stack is advanced at once with the bits it would
+get alone. Path transport solves W'(s) = -A(c(s))(c'(s)) W(s) on nodes 0
+and k*h + h, midpoints k*h + h/2, h = 1/steps, sampling the path and A at
+all of them in one array call. With that sign, a constant field A0 dx1
+along the unit x-segment transports to exp(-A0), and concatenation
+satisfies
 
     transport(p1 then p2) = transport(p2) @ transport(p1).
 
@@ -16,12 +19,16 @@ k*hs with hs = 1/(2N), and forms on the same nodes
     b(t) = integral_s  act(W(s,t)^-1)( B(dS/ds, dS/dt) )  (composite Simpson)
 
 then integrates k'(t) = -k(t) b(t) outward with `_rk4` in right-multiplying
-form; the surface element is h = k(1). A row's sweep in s needs no other row,
-so rows are independent. Each is swept once: a grid-N call costs 2N + 1
-sweeps, 2N + 2 when the t-steps do not land exactly on 1. For a fake-flat
-connection the pair (source holonomy, h) is a valid 2-cell:
-t(h) g_source = g_target. The act(W^-1) direction is the one that makes that
-law hold; flipping it breaks the law at O(1) (covered by a regression test).
+form; the surface element is h = k(1). A row's sweep in s needs no other
+row, so rows are swept together: blocks of rows, at most MAX_BLOCK_POINTS
+sample points each, are sampled on the (s-node x t-row) grid in one call to
+the bigon's array closures and to the forms, then advanced by one `_rk4`
+call. Memory stays O(block) for any grid. Each row is swept once: a grid-N
+call costs 2N + 1 row sweeps, 2N + 2 when the t-steps do not land exactly on
+1. The t-integration stays one matrix. For a fake-flat connection the pair
+(source holonomy, h) is a valid 2-cell: t(h) g_source = g_target. The
+act(W^-1) direction is the one that makes that law hold; flipping it breaks
+the law at O(1) (covered by a regression test).
 """
 
 import numpy as np
@@ -32,6 +39,7 @@ from .forms import (
     fake_curvature_form, forms_close, square_wedge, three_curvature,
 )
 from .geometry import Path
+from .groups import frobenius_norms
 from .maps import maurer_cartan, right_log_derivative
 from .report import NO_SAMPLES, ValidationReport
 from .twocells import TwoCell
@@ -39,6 +47,7 @@ from .twocells import TwoCell
 DEFAULT_STEPS = 1000
 DEFAULT_GRID = 128
 TAU_FAKE = 1e-6
+MAX_BLOCK_POINTS = 1 << 16  # sample points (nodes and midpoints) per block of rows
 
 
 class LocalConnection:
@@ -55,16 +64,19 @@ class LocalConnection:
         self.A = A
         self.B = B
         self.dim = A.dim
+        self._fake = None
 
     @property
     def is_symbolic(self):
         return isinstance(self.A, FormField) and isinstance(self.B, FormField)
 
     def fake_curvature(self):
-        """F_A + dt(B), symbolic connections only."""
+        """F_A + dt(B), symbolic connections only; built once."""
         if not self.is_symbolic:
             raise GeometryError("fake curvature form needs symbolic components")
-        return fake_curvature_form(self.cm, self.A, self.B)
+        if self._fake is None:
+            self._fake = fake_curvature_form(self.cm, self.A, self.B)
+        return self._fake
 
     def fake_curvature_at(self, point, u, v):
         """Pointwise F_A(u,v) + dt(B(u,v)), dA by central differences."""
@@ -95,7 +107,8 @@ def _rk4(group, M_nodes, M_mids, h, right=False):
     """Classical RK4 for Y' = M Y (Y' = Y M if right), Y = identity at node 0.
 
     M_nodes[k] is M at node k and M_mids[k] is M at the midpoint of step k;
-    every step is reprojected to the group. Returns Y at every node.
+    each may be one matrix or a stack of them, advanced together. Every
+    step is reprojected to the group. Returns Y at every node.
     """
     mul = (lambda M, X: X @ M) if right else (lambda M, X: M @ X)
     Y = group.identity
@@ -117,14 +130,11 @@ def path_holonomy(cm_or_group, A, path, steps=DEFAULT_STEPS):
         raise GeometryError("transport integrates matrix groups only")
     if group.trivial:
         return group.identity
-
-    def rhs(s):
-        return -np.asarray(A.at(tuple(path.value(s)), path.velocity(s)))
-
     h = 1.0 / steps
-    nodes = [rhs(0.0)] + [rhs(k * h + h) for k in range(steps)]
-    mids = [rhs(k * h + h / 2) for k in range(steps)]
-    return _rk4(group, nodes, mids, h)[-1]
+    k = np.arange(steps)
+    ss = np.concatenate([[0.0], k * h + h, k * h + h / 2])
+    M = -A.at_points(path.value(ss), path.velocity(ss))
+    return _rk4(group, M[:steps + 1], M[steps + 1:], h)[-1]
 
 
 def holonomy_product(group, elements):
@@ -159,16 +169,66 @@ class SurfaceResult:
 
 def fake_residual_on_bigon(conn, bigon, samples=9):
     """Max fake-curvature norm on the bigon's own tangent pairs."""
+    grid = np.linspace(0.05, 0.95, samples)
+    s, t = grid[:, None], grid[None, :]
+    dim = bigon.dim
+    points = bigon.value(s, t).reshape(-1, dim)
+    u = bigon.d_s(s, t).reshape(-1, dim)
+    v = bigon.d_t(s, t).reshape(-1, dim)
+    if conn.is_symbolic:
+        norms = frobenius_norms(conn.fake_curvature().at_points(points, u, v))
+    else:
+        norms = [np.linalg.norm(conn.fake_curvature_at(p, a, b))
+                 for p, a, b in zip(points, u, v)]
     worst = 0.0
-    fake = conn.fake_curvature() if conn.is_symbolic else None
-    for s in np.linspace(0.05, 0.95, samples):
-        for t in np.linspace(0.05, 0.95, samples):
-            p = bigon.value(s, t)
-            u, v = bigon.d_s(s, t), bigon.d_t(s, t)
-            val = fake.at(tuple(p), u, v) if fake is not None \
-                else conn.fake_curvature_at(p, u, v)
-            worst = max(worst, float(np.linalg.norm(val)))
+    for n in norms:  # max() as the point loop took it: a NaN never wins
+        worst = max(worst, float(n))
     return worst
+
+
+def _sweep_rows(conn, bigon, ts, grid):
+    """b(t) and W(1, t) of the row at each height in ts (see module docstring)."""
+    cm = conn.cm
+    G, H = cm.G, cm.H
+    n2 = 2 * grid
+    hs = 1.0 / n2
+    simpson_w = np.ones(n2 + 1)
+    simpson_w[1:-1:2] = 4.0
+    simpson_w[2:-1:2] = 2.0
+    simpson_w *= hs / 3.0
+    nodes = np.arange(n2 + 1) * hs
+    mids = nodes[:-1] + hs / 2
+    # s runs down the first axis and t along the second, so the samples of
+    # step k form one contiguous stack over the block's rows
+    s = (nodes if G.trivial else np.concatenate([nodes, mids]))[:, None]
+    dim = bigon.dim
+    # the fewest blocks under the cap, with their rows shared out evenly
+    blocks = -(-len(ts) * len(s) // MAX_BLOCK_POINTS)
+    per_block = -(-len(ts) // blocks)
+    bs, W_ends = [], []
+    for lo in range(0, len(ts), per_block):
+        t = np.asarray(ts[lo:lo + per_block], dtype=float)[None, :]
+        rows = t.shape[1]
+        points = bigon.value(s, t)
+        tangents = bigon.d_s(s, t)
+        Bv = conn.B.at_points(points[:n2 + 1].reshape(-1, dim),
+                              tangents[:n2 + 1].reshape(-1, dim),
+                              bigon.d_t(s[:n2 + 1], t).reshape(-1, dim))
+        if G.trivial:
+            W_ends.append(np.broadcast_to(G.identity, (rows,) + G.identity.shape))
+        else:
+            M = -conn.A.at_points(points.reshape(-1, dim), tangents.reshape(-1, dim))
+            M = M.reshape((len(s), rows) + M.shape[1:])
+            Ws = np.stack(np.broadcast_arrays(*_rk4(G, M[:n2 + 1], M[n2 + 1:], hs)))
+            W_ends.append(Ws[-1])
+            Ws = Ws.reshape((-1,) + Ws.shape[2:])
+            Bv = cm.act_algebra(G.inv(Ws), Bv)
+        Bv = Bv.reshape((n2 + 1, rows) + Bv.shape[1:])
+        b = np.broadcast_to(H.algebra.zero(), (rows,) + Bv.shape[2:])
+        for w, Bk in zip(simpson_w, Bv):
+            b = b + w * Bk
+        bs.extend(b)
+    return bs, np.concatenate(W_ends)
 
 
 def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
@@ -182,43 +242,22 @@ def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
         raise GeometryError("bigon and connection live on different dimensions")
     if grid < 1:
         raise GeometryError(f"grid must be a positive integer, got {grid!r}")
-    n2 = 2 * grid
-    hs = 1.0 / n2
-    simpson_w = np.ones(n2 + 1)
-    simpson_w[1:-1:2] = 4.0
-    simpson_w[2:-1:2] = 2.0
-    simpson_w *= hs / 3.0
-
-    def row(t):
-        """One sweep: returns (b(t), W(1,t)) for the row at height t."""
-        ss = [k * hs for k in range(n2 + 1)]
-        pts = [(tuple(bigon.value(s, t)), bigon.d_s(s, t)) for s in ss]
-        Bvs = [conn.B.at(p, u, bigon.d_t(s, t)) for (p, u), s in zip(pts, ss)]
-        Ws = [G.identity]
-        if not G.trivial:
-            mids = [(tuple(bigon.value(s + hs / 2, t)), bigon.d_s(s + hs / 2, t))
-                    for s in ss[:-1]]
-            Ws = _rk4(G, [-np.asarray(conn.A.at(*pu)) for pu in pts],
-                      [-np.asarray(conn.A.at(*pu)) for pu in mids], hs)
-            Bvs = [cm.act_algebra(G.inv(W), Bv) for W, Bv in zip(Ws, Bvs)]
-        b = H.algebra.zero()
-        for w, Bv in zip(simpson_w, Bvs):
-            b = b + w * np.asarray(Bv)
-        return b, Ws[-1]
-
-    # k' = -k b(t) from k(0) = 1; rows are kept at the RK4 nodes and midpoints
+    # k' = -k b(t) from k(0) = 1; rows at the RK4 nodes and midpoints, in
+    # the order 0, then the midpoint and the end of each step
     ht = 1.0 / grid
-    b0, W_source = row(0.0)
-    b_nodes, b_mids = [-b0], []
+    ts = [0.0]
     for j in range(grid):
         t = j * ht
-        b_mids.append(-row(t + ht / 2)[0])
-        b_end, W_last = row(t + ht)
-        b_nodes.append(-b_end)
+        ts += [t + ht / 2, t + ht]
+    # the last row swept t = 1.0 itself unless the steps ht rounded off
+    if ts[-1] != 1.0:
+        ts.append(1.0)
+    bs, W_ends = _sweep_rows(conn, bigon, ts, grid)
+    b_nodes = [-bs[0]] + [-b for b in bs[2:2 * grid + 1:2]]
+    b_mids = [-b for b in bs[1:2 * grid:2]]
     k_el = _rk4(H, b_nodes, b_mids, ht, right=True)[-1]
 
-    # the last row swept t = 1.0 itself unless the steps ht rounded off
-    W_target = W_last if t + ht == 1.0 else row(1.0)[1]
+    W_source, W_target = W_ends[0].copy(), W_ends[-1].copy()
     fake = fake_residual_on_bigon(conn, bigon, fake_samples)
     # k satisfies hol(target) = hol(source) t(k); conjugating by the source
     # holonomy converts to the cell convention hol(target) = t(h) hol(source),

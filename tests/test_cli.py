@@ -7,6 +7,7 @@ across CI runs.  Wall-clock chatter goes to stderr only.
 """
 
 import json
+import time
 
 import pytest
 
@@ -332,3 +333,15 @@ def test_exhaustive_checks_ignore_zero_samples(capsys):
                     "--samples", "0"]) == 0
     check = json.loads(capsys.readouterr().out)["report"]["checks"][0]
     assert check["verdict"] == "PASS" and "(exhaustive)" in check["detail"]
+
+
+def test_huge_cyclic_module_exits_two_at_once(tmp_path, capsys):
+    # an n x n Cayley table would be built, and checked in O(n^3), before
+    # any other size check
+    path = _write(tmp_path, "huge.scn",
+                  json.dumps({"crossed_module": "GERBE(Z99999999999)", "seed": 1}))
+    started = time.perf_counter()
+    assert cli.run(["validate", "--scenario", path]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cyclic order" in err

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twogauge.crossed as crossed
 from twogauge.crossed import (
     crossed_module, differential_consistency, from_tables,
     peiffer_violating_fixture, shipped_finite_names, shipped_matrix_names,
@@ -160,3 +161,29 @@ def test_aut_z5_structure():
     assert all(cm.t(h) == cm.G.identity for h in cm.H.elements())
     rep = validate_crossed_module(cm, mode="exhaustive")
     assert rep.passed
+
+
+@pytest.mark.parametrize("name", shipped_matrix_names())
+def test_act_algebra_on_stacks_has_the_single_call_bits(name):
+    cm = crossed_module(name)
+    rng = np.random.default_rng(9)
+    g = np.stack([cm.G.random(rng) for _ in range(200)])
+    x = np.stack([cm.H.algebra.random(rng) for _ in range(200)])
+    got = cm.act_algebra(g, x)
+    want = np.stack([cm.act_algebra(a, b) for a, b in zip(g, x)])
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", ["GERBE(Z99999999999)", "AUT(Z101)", "GERBE(Z0)",
+                                  "AUT(Z" + "9" * 5000 + ")"])
+def test_cyclic_orders_beyond_the_cap_are_refused(spec):
+    with pytest.raises(GroupDomainError, match="cyclic order must lie between 1 and 100"):
+        crossed_module(spec)
+
+
+def test_the_cap_itself_is_admitted(monkeypatch):
+    monkeypatch.setattr(crossed, "MAX_CYCLIC_ORDER", 7)
+    assert crossed_module("AUT(Z07)").H.order == 7
+    assert crossed_module("GERBE(Z7)").H.order == 7
+    with pytest.raises(GroupDomainError):
+        crossed_module("GERBE(Z8)")

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,6 +178,54 @@ def test_compile_raises_eval_error():
     fn = compile_expr(parse("x1 / x2"))
     with pytest.raises(EvalError):
         fn((1.0, 0.0))
+
+
+# ---------------------------------------------------------------- array mode
+
+def _scalar_values(fn, xs, ys):
+    return np.array([fn((x, y)) for x, y in zip(xs.tolist(), ys.tolist())])
+
+
+@pytest.mark.parametrize("src", ["exp(x1)", "tanh(x1 * x2)", "x1 ^ 3", "x2 ^ -2 + x1 ^ 2",
+                                 "sin(x1) * cos(x2) - x1 / (1.5 + x2)", "exp(-1 / (x1 * x1))",
+                                 "2", "-(x1 + 3 * x2) / 7"])
+def test_array_mode_has_the_scalar_bits(src):
+    rng = np.random.default_rng(11)
+    xs, ys = rng.uniform(-3.0, 3.0, 4000), rng.uniform(0.1, 3.0, 4000)
+    fn = compile_expr(parse(src))
+    got = fn.arrays((xs, ys))
+    assert got.shape == xs.shape
+    assert got.tobytes() == _scalar_values(fn, xs, ys).tobytes()
+
+
+def test_array_mode_broadcasts_its_coordinates():
+    fn = compile_expr(parse("x1 * exp(x2)"))
+    xs, ys = np.linspace(0, 1, 5)[:, None], np.linspace(-1, 1, 3)[None, :]
+    got = fn.arrays((xs, ys))
+    assert got.shape == (5, 3)
+    assert got.tobytes() == np.array([[fn((x, y)) for y in ys[0]] for x in xs[:, 0]]).tobytes()
+
+
+@pytest.mark.parametrize("src, point", [("1 / (x1 - 0.5)", (0.5, 0.0)),
+                                        ("exp(x1 * 1000)", (1.0, 0.0)),
+                                        ("x3 + x1", (0.5, 0.0))])
+def test_array_mode_failure_is_the_scalar_error(src, point):
+    # one bad point among many: the whole array falls back to the scalar path
+    fn = compile_expr(parse(src))
+    with pytest.raises(EvalError) as scalar:
+        evaluate(parse(src), point)
+    xs = np.array([0.1, 0.2, point[0], 0.9])
+    with pytest.raises(EvalError) as got:
+        fn.arrays((xs, np.full(4, point[1])))
+    assert str(got.value) == str(scalar.value)
+    assert got.value.subexpression == scalar.value.subexpression
+
+
+def test_array_mode_keeps_values_the_scalar_path_allows():
+    # overflow to inf in a product is no error for Python floats
+    fn = compile_expr(parse("x1 * x1 * x1"))
+    xs = np.array([1e200, 2.0])
+    assert fn.arrays((xs,)).tolist() == [math.inf, 8.0]
 
 
 # ------------------------------------------------------------ print round trip

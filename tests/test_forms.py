@@ -196,3 +196,47 @@ def test_add_neg_scale_roundtrip():
     p = (0.4, 0.6)
     u = np.array([1.0, 2.0])
     assert np.allclose(S.at(p, u), 3 * A.at(p, u))
+
+
+# ------------------------------------------------------------- many points
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _at_each(form, points, *vectors):
+    return np.array([form.at(tuple(p), *(v[i] for v in vectors))
+                     for i, p in enumerate(points)])
+
+
+@pytest.mark.parametrize("degree, dim, comps", [
+    (0, 2, {"1": "x1 * x2", "3": "exp(x1)"}),
+    (1, 2, {"1,1": "x2", "2,2": "sin(x1)", "3,1": "x1 * x2", "1,2": "tanh(x2) ^ 3"}),
+    (2, 2, {"1,12": "1 + x1 * x2 * sin(x1)", "2,12": "-cos(x1)", "3,12": "x1 - x2 * sin(x1)"}),
+    (2, 3, {"1,12": "x3", "1,13": "x2", "2,23": "x1 * x2 ^ 2 * x3", "3,12": "0.5"}),
+    (3, 3, {"1,123": "x1 * x3 - x2", "2,123": "exp(x2 * x3)"}),
+])
+def test_at_points_has_the_bits_of_at(degree, dim, comps):
+    form = FormField.from_config(SU2, degree, dim, comps)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1.0, 1.0, (300, dim))
+    vectors = [rng.uniform(-2.0, 2.0, (300, dim)) for _ in range(degree)]
+    # exact zeros: coefficients that vanish are skipped, as `at` skips them
+    points[::7, 0] = 0.0
+    if vectors:
+        vectors[0][::5] = 0.0
+    got = form.at_points(points, *vectors)
+    assert got.shape == (300, 2, 2)
+    assert _bits(got) == _bits(_at_each(form, points, *vectors))
+    assert _bits(PointwiseForm.from_field(form).at_points(points, *vectors)) == _bits(got)
+
+
+def test_at_points_checks_its_arguments():
+    form = FormField.from_config(SU2, 1, 2, {"1,1": "x2"})
+    pts = np.zeros((4, 2))
+    with pytest.raises(EvalError, match="needs 1 vectors"):
+        form.at_points(pts)
+    with pytest.raises(EvalError, match="3 coordinates, expected 2"):
+        form.at_points(np.zeros((4, 3)), np.zeros((4, 3)))
+    with pytest.raises(EvalError, match="match"):
+        form.at_points(pts, np.zeros((3, 2)))

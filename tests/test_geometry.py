@@ -223,3 +223,80 @@ def test_bigon_s_reparametrization_keeps_area():
     b = shipped_bigon("unit-square")
     rb = b.reparametrize_s(Reparam.power_of_sitting(2))
     assert rb.swept_area(n=96) == pytest.approx(b.swept_area(n=96), abs=5e-3)
+
+
+# ------------------------------------------------------------ array closures
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _array_fixtures():
+    square = shipped_bigon("unit-square")
+    bigons = {name: shipped_bigon(name) for name in BIGON_FIXTURES}
+    bigons["vertical"] = shipped_bigon("half-square-lower").vertical(
+        shipped_bigon("half-square-upper"))
+    bigons["horizontal"] = square.horizontal(
+        Bigon.identity(Path.line((1.0, 0.0), (2.0, 0.0))))
+    bigons["s-expr"] = square.reparametrize_s(Reparam.from_expr("x1 ^ 2 * (3 - 2 * x1)"))
+    bigons["t-power"] = square.reparametrize_t(Reparam.power_of_sitting(3))
+    bigons["exprs"] = Bigon.from_exprs(["x1 * cos(x2 * 1.5707963267948966)",
+                                        "x1 * x2 * exp(x1) + tanh(x2) ^ 3"])
+    return bigons
+
+
+# node, midpoint and branch values: 1/2 is where the composites switch sides
+S_VALUES = np.unique(np.concatenate([np.linspace(0.0, 1.0, 41), np.arange(16) / 16 + 1 / 32,
+                                     [0.05, 0.5, 0.95]]))
+T_VALUES = np.linspace(0.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("name", PATH_FIXTURES)
+def test_path_arrays_match_scalar_calls(name):
+    path = shipped_path(name)
+    for method in (path.value, path.velocity):
+        got = method(S_VALUES[:, None])
+        assert got.shape == (len(S_VALUES), 1, path.dim)
+        assert _bits(got) == _bits(np.array([[method(s)] for s in S_VALUES]))
+
+
+@pytest.mark.parametrize("name", sorted(_array_fixtures()))
+def test_bigon_arrays_match_scalar_calls(name):
+    bigon = _array_fixtures()[name]
+    for method in (bigon.value, bigon.d_s, bigon.d_t):
+        got = method(S_VALUES[:, None], T_VALUES[None, :])
+        assert got.shape == (len(S_VALUES), len(T_VALUES), bigon.dim)
+        want = np.array([[method(s, t) for t in T_VALUES] for s in S_VALUES])
+        assert _bits(got) == _bits(want)
+        # full 2-D parameter grids take the composites' flattening branch
+        got = method(*np.meshgrid(S_VALUES, T_VALUES, indexing="ij"))
+        assert _bits(got) == _bits(want)
+
+
+def test_scalar_only_closure_is_refused_on_arrays():
+    sheet = Bigon(lambda s, t: np.array([1.0, 2.0, 3.0]),
+                  lambda s, t: np.zeros(3), lambda s, t: np.zeros(3), 2)
+    assert sheet.value(0.5, 0.5).shape == (3,)
+    with pytest.raises(GeometryError, match="broadcast"):
+        sheet.value(np.zeros((4, 1)), np.zeros((1, 5)))
+
+
+def test_composite_evaluates_each_side_only_on_its_half():
+    # an expression may fail outside its own leg, so neither leg of a
+    # concatenation is handed the other's parameter values
+    seen = {}
+
+    def recorder(tag, start):
+        def value(u):
+            seen.setdefault(tag, []).append(np.array(u, dtype=float).ravel())
+            u = np.asarray(u, dtype=float)
+            return np.stack([start + u, 0.0 * u], axis=-1)
+        return Path(value, lambda u: np.stack([np.ones_like(u), np.zeros_like(u)], axis=-1), 2)
+
+    joined = recorder("first", 0.0).compose(recorder("second", 1.0))
+    seen.clear()
+    s = np.linspace(0.0, 1.0, 11)
+    got = joined.value(s)
+    assert np.array_equal(np.concatenate(seen["first"]), 2 * s[s <= 0.5])
+    assert np.array_equal(np.concatenate(seen["second"]), 2 * s[s > 0.5] - 1)
+    assert _bits(got) == _bits(np.array([joined.value(x) for x in s]))

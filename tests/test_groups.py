@@ -6,6 +6,7 @@ import pytest
 from twogauge.errors import GroupDomainError, LogRangeError
 from twogauge.groups import (
     GL, SO3, SU2, TRIVIAL, U1, FiniteGroup, automorphism_group, automorphisms,
+    frobenius_norms,
 )
 
 
@@ -190,3 +191,58 @@ def test_trivial_and_gl():
     g = gl2.random(rng)
     assert gl2.contains(g)
     assert np.allclose(gl2.mul(g, gl2.inv(g)), np.eye(2), atol=1e-10)
+
+
+# ------------------------------------------------------------------- stacks
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _drifted_stack(G, n=600, seed=3):
+    # members pushed off the group by 1e-14 to 1e-8, across the 1e-10
+    # reprojection threshold
+    rng = np.random.default_rng(seed)
+    base = np.stack([G.random(rng) for _ in range(n)]).astype(G.dtype)
+    noise = rng.normal(size=base.shape) * 10 ** rng.uniform(-14, -8, (n, 1, 1))
+    if G.dtype is complex:
+        noise = noise + 1j * rng.normal(size=base.shape) * 1e-11
+    return base + noise
+
+
+@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL, lambda: GL(2)])
+def test_stacked_group_operations_have_the_per_matrix_bits(factory):
+    G = factory()
+    g = _drifted_stack(G)
+    assert _bits(G.defect(g)) == _bits(np.array([G.defect(x) for x in g]))
+    assert _bits(G.project(g)) == _bits(np.stack([G.project(x) for x in g]))
+    r = G.renormalize(g)
+    assert _bits(r) == _bits(np.stack([G.renormalize(x) for x in g]))
+    assert _bits(G.inv(r)) == _bits(np.stack([G.inv(x) for x in r]))
+
+
+def test_frobenius_norms_are_numpys_norms():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        for stack in (rng.normal(size=(500, n, n)),
+                      rng.normal(size=(500, n, n)) + 1j * rng.normal(size=(500, n, n))):
+            want = np.array([np.linalg.norm(x) for x in stack])
+            assert _bits(frobenius_norms(stack)) == _bits(want)
+
+
+@pytest.mark.parametrize("factory", [SU2, U1, SO3])
+def test_stacked_membership_check_decides_like_the_exact_defect(factory):
+    # defects spread around the 1e-6 bound, including the band between the
+    # cheap estimate's margin and the bound
+    G = factory()
+    rng = np.random.default_rng(8)
+    for scale in (1e-9, 3e-7, 8e-7, 1.2e-6, 1e-3):
+        g = np.stack([G.random(rng) for _ in range(40)]).astype(G.dtype)
+        g = g + scale * rng.normal(size=g.shape) / np.sqrt(g[0].size)
+        inside = all(G.defect(x) <= 1e-6 for x in g)
+        if inside:
+            assert G.inv(g).shape == g.shape
+        else:
+            worst = next(G.defect(x) for x in g if G.defect(x) > 1e-6)
+            with pytest.raises(GroupDomainError, match=f"defect {worst:.2e}"):
+                G.inv(g)

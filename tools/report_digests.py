@@ -18,6 +18,13 @@ a change touched, run the tool against both checkouts and diff:
 
 `--src` picks the source tree to import twogauge from; the default is the
 `src/` directory next to this script.
+
+    python3 tools/report_digests.py --repeat 5
+
+prints, instead of digests, one line per subcommand: the median over 5
+repeats of the summed "[wall]" seconds of that subcommand's runs, and how
+many of its runs report a wall (a run that exits 2 before starting prints
+none).
 """
 
 import argparse
@@ -25,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import os
+import statistics
 import sys
 
 
@@ -32,18 +40,42 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest_lines(cli, scenarios):
-    lines = []
+def shipped_runs(cli, scenarios):
+    """(command, scenario, exit code, stdout, stderr) of every shipped run."""
     for command in cli.COMMANDS:
         for scenario in scenarios:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.run([command, "--scenario", scenario])
-            kept = "".join(line for line in err.getvalue().splitlines(True)
-                           if not line.startswith("[wall]"))
-            lines.append(f"{command} {scenario} {code} "
-                         f"{_sha(out.getvalue())} {_sha(kept)}")
+            yield command, scenario, code, out.getvalue(), err.getvalue()
+
+
+def digest_lines(cli, scenarios):
+    lines = []
+    for command, scenario, code, out, err in shipped_runs(cli, scenarios):
+        kept = "".join(line for line in err.splitlines(True)
+                       if not line.startswith("[wall]"))
+        lines.append(f"{command} {scenario} {code} {_sha(out)} {_sha(kept)}")
     return sorted(lines)
+
+
+def wall_lines(cli, scenarios, repeats):
+    """Median over repeats of each subcommand's summed [wall] seconds."""
+    totals = {command: [] for command in cli.COMMANDS}
+    timed = dict.fromkeys(cli.COMMANDS, 0)
+    for _ in range(repeats):
+        sums = dict.fromkeys(cli.COMMANDS, 0.0)
+        timed = dict.fromkeys(cli.COMMANDS, 0)
+        for command, _scenario, _code, _out, err in shipped_runs(cli, scenarios):
+            for line in err.splitlines():
+                if line.startswith("[wall] "):
+                    sums[command] += float(line.split()[1].rstrip("s"))
+                    timed[command] += 1
+        for command, total in sums.items():
+            totals[command].append(total)
+    return [f"{command} {statistics.median(totals[command]):.3f}s "
+            f"({timed[command]} of {len(scenarios)} runs timed)"
+            for command in cli.COMMANDS]
 
 
 def main(argv=None):
@@ -51,12 +83,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="source tree holding the twogauge package")
+    parser.add_argument("--repeat", type=int, default=None, metavar="N",
+                        help="print median [wall] per subcommand over N repeats")
     args = parser.parse_args(argv)
+    if args.repeat is not None and args.repeat < 1:
+        parser.error("--repeat must be a positive integer")
     sys.path.insert(0, os.path.abspath(args.src))
     from twogauge import cli
     from twogauge.scenario import shipped_scenarios
 
-    for line in digest_lines(cli, shipped_scenarios()):
+    scenarios = shipped_scenarios()
+    lines = digest_lines(cli, scenarios) if args.repeat is None \
+        else wall_lines(cli, scenarios, args.repeat)
+    for line in lines:
         print(line)
 
 
