@@ -366,9 +366,7 @@ class ArrayExpr:
                 out = self._fn(arrays)
         except (ArithmeticError, ValueError, IndexError, _Pointwise):
             coords = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
-            values = [self._scalar(p) for p in zip(*coords)] if coords \
-                else [self._scalar(())]
-            out = np.array(values, dtype=float).reshape(shape)
+            out = np.array([self._scalar(p) for p in zip(*coords)], dtype=float).reshape(shape)
         return np.broadcast_to(out, shape)
 
 

@@ -294,20 +294,14 @@ class Path:
         r = Ramp(delta)
         span = angle1 - angle0
 
-        # numpy's sin and cos round like math's
+        # numpy's sin and cos round like math's, on arrays and on floats
         def value(s):
             th = angle0 + r(s) * span
-            if isinstance(th, np.ndarray):
-                return center + radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-            return center + radius * np.array([math.cos(th), math.sin(th)])
+            return center + radius * _stack([np.cos(th), np.sin(th)])
 
         def velocity(s):
             th = angle0 + r(s) * span
-            if isinstance(th, np.ndarray):
-                return (_col(radius * span * r.derivative(s))
-                        * np.stack([-np.sin(th), np.cos(th)], axis=-1))
-            return (radius * span * r.derivative(s)
-                    * np.array([-math.sin(th), math.cos(th)]))
+            return _col(radius * span * r.derivative(s)) * _stack([-np.sin(th), np.cos(th)])
 
         return cls(value, velocity, 2)
 

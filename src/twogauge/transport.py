@@ -64,19 +64,16 @@ class LocalConnection:
         self.A = A
         self.B = B
         self.dim = A.dim
-        self._fake = None
 
     @property
     def is_symbolic(self):
         return isinstance(self.A, FormField) and isinstance(self.B, FormField)
 
     def fake_curvature(self):
-        """F_A + dt(B), symbolic connections only; built once."""
+        """F_A + dt(B), symbolic connections only."""
         if not self.is_symbolic:
             raise GeometryError("fake curvature form needs symbolic components")
-        if self._fake is None:
-            self._fake = fake_curvature_form(self.cm, self.A, self.B)
-        return self._fake
+        return fake_curvature_form(self.cm, self.A, self.B)
 
     def fake_curvature_at(self, point, u, v):
         """Pointwise F_A(u,v) + dt(B(u,v)), dA by central differences."""
