@@ -153,7 +153,7 @@ class FormField:
                          - vecs[0][:, mu[1]] * vecs[1][:, mu[0]])
             elif self.degree == 3:
                 c = c * np.linalg.det(np.stack([v[:, list(mu)] for v in vecs], axis=1))
-            c = np.broadcast_to(c, (len(points),))[:, None, None]
+            c = c[:, None, None]
             total = np.where(c != 0.0, total + c * self.algebra.basis[a], total)
         return total
 

@@ -62,7 +62,6 @@ def digest_lines(cli, scenarios):
 def wall_lines(cli, scenarios, repeats):
     """Median over repeats of each subcommand's summed [wall] seconds."""
     totals = {command: [] for command in cli.COMMANDS}
-    timed = dict.fromkeys(cli.COMMANDS, 0)
     for _ in range(repeats):
         sums = dict.fromkeys(cli.COMMANDS, 0.0)
         timed = dict.fromkeys(cli.COMMANDS, 0)
