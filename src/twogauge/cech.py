@@ -26,11 +26,11 @@ import itertools
 
 import numpy as np
 
-from .crossed import CompiledModule, validate_crossed_module
+from .crossed import CompiledModule, _blocks, validate_crossed_module
 from .errors import BudgetExceeded, CompositionError, ConfigError, TwoGaugeError
 from .groups import TAU_GRP
 from .report import ValidationReport
-from .twocells import CellBatch, TwoCell, _blocks
+from .twocells import CellBatch, TwoCell
 
 
 def _faces(overlap):

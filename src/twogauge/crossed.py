@@ -23,6 +23,7 @@ Shipped catalog (spec identifiers accepted by `crossed_module`):
 """
 
 import re
+from functools import partial
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -39,6 +40,8 @@ EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
 # GERBE(Z<n>) and AUT(Z<n>) build an n x n Cayley table and check it in
 # O(n^3); n = 100 takes about a second, and a larger n is refused
 MAX_CYCLIC_ORDER = 100
+# cases per block of a batched check over compiled tables: bounds its memory
+BLOCK = 8192
 
 
 class CrossedModule:
@@ -158,6 +161,9 @@ class TableGroup:
     def inv(self, a):
         return self.inverse[a]
 
+    def conj(self, g, h):
+        return self.mul(self.mul(g, h), self.inv(g))
+
     def label(self, a):
         return self._group.label(int(a))
 
@@ -195,76 +201,94 @@ class CompiledModule:
 
 # ------------------------------------------------------------------ validators
 
-def _sampled_elements(group, rng, n):
-    return [group.random(rng) for _ in range(n)]
+def _blocks(total):
+    """Consecutive index ranges of at most BLOCK cases covering range(total)."""
+    for start in range(0, total, BLOCK):
+        yield np.arange(start, min(start + BLOCK, total))
+
+
+def _exhaustive_failures(holds, shape):
+    """How many index tuples of `shape` fail `holds` (index arrays -> bools),
+    and the first of them, in blocks in the order a tuple loop meets them."""
+    bad, first = 0, None
+    for cases in _blocks(int(np.prod(shape))):
+        args = np.unravel_index(cases, shape)
+        fails = np.flatnonzero(~holds(*args))
+        if fails.size and first is None:
+            first = [int(a[fails[0]]) for a in args]
+        bad += fails.size
+    return bad, first
 
 
 def validate_crossed_module(cm, mode="auto", samples=60, seed=42):
     """Axiom check: homomorphism, action, equivariance, Peiffer.
 
     mode 'exhaustive' walks every tuple (finite pairs only, budget
-    |G| * |H|^2 <= 10^6); 'sampled' draws `samples` random tuples; 'auto'
-    picks exhaustive when available within budget.
+    |G| * |H|^2 <= 10^6) on the compiled tables (`cm.compiled()`): each
+    axiom's predicate runs once per block of index arrays, in lexicographic
+    order, so its count and first witness are those of a tuple-by-tuple loop.
+    'sampled' draws `samples` random tuples; 'auto' picks exhaustive when
+    available within budget.
     """
-    G, H = cm.G, cm.H
     rep = ValidationReport(f"crossed module axioms: {cm.name}")
-    exhaustive = cm.is_finite and G.order * H.order ** 2 <= EXHAUSTIVE_VALIDATE_BUDGET
+    exhaustive = cm.is_finite and cm.G.order * cm.H.order ** 2 <= EXHAUSTIVE_VALIDATE_BUDGET
     if mode == "exhaustive" and not exhaustive:
         raise GroupDomainError("exhaustive validation not available for this pair")
     if mode == "sampled":
         exhaustive = False
 
     if exhaustive:
-        gs, hs = list(G.elements()), list(H.elements())
-        pairs_hh = [(h1, h2) for h1 in hs for h2 in hs]
-        pairs_gh = [(g, h) for g in gs for h in hs]
-        triples = [(g, h1, h2) for g in gs for h1 in hs for h2 in hs]
-        gg_h = [(g1, g2, h) for g1 in gs for g2 in gs for h in hs]
-        tol = None
+        mod = cm.compiled()
+        G, H = mod.G, mod.H
+        eq_g = eq_h = np.equal
+        n_g, n_h = G.order, H.order
+        pairs_hh, singles, pairs_gh = (n_h, n_h), (n_h,), (n_g, n_h)
+        triples, gg_h = (n_g, n_h, n_h), (n_g, n_g, n_h)
+        failures = _exhaustive_failures
     else:
+        mod, G, H = cm, cm.G, cm.H
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        gs = _sampled_elements(G, rng, max(4, samples // 8))
-        hs = _sampled_elements(H, rng, max(4, samples // 8))
+        for group in (G, H):  # draws never read: they only advance the stream
+            for _ in range(max(4, samples // 8)):
+                group.random(rng)
         pairs_hh = [(H.random(rng), H.random(rng)) for _ in range(samples)]
         pairs_gh = [(G.random(rng), H.random(rng)) for _ in range(samples)]
         triples = [(G.random(rng), H.random(rng), H.random(rng)) for _ in range(samples)]
         gg_h = [(G.random(rng), G.random(rng), H.random(rng)) for _ in range(samples)]
-        tol = TAU_GRP
+        singles = [(h,) for h, _ in pairs_hh]
+        eq_g, eq_h = partial(G.eq, tol=TAU_GRP), partial(H.eq, tol=TAU_GRP)
 
-    def eq_g(a, b):
-        return G.eq(a, b) if tol is None else G.eq(a, b, tol)
-
-    def eq_h(a, b):
-        return H.eq(a, b) if tol is None else H.eq(a, b, tol)
+        def failures(predicate, cases):
+            bad = [args for args in cases if not predicate(*args)]
+            return len(bad), (bad[0] if bad else None)
 
     def run(name, cases, predicate, describe):
         if not cases:
             rep.skip(name, NO_SAMPLES)
             return
-        bad = [case for case in cases if not predicate(*case)]
-        rep.add(name, not bad, witness=describe(*bad[0]) if bad else None,
-                detail=f"{len(bad)} violations" if bad else None)
+        bad, first = failures(predicate, cases)
+        rep.add(name, not bad, witness=describe(*first) if bad else None,
+                detail=f"{bad} violations" if bad else None)
 
     run("t-homomorphism", pairs_hh,
-        lambda h1, h2: eq_g(cm.t(H.mul(h1, h2)), G.mul(cm.t(h1), cm.t(h2))),
+        lambda h1, h2: eq_g(mod.t(H.mul(h1, h2)), G.mul(mod.t(h1), mod.t(h2))),
         lambda h1, h2: {"h1": H.label(h1), "h2": H.label(h2)})
-    singles = [(h,) for h in (H.elements() if exhaustive else [h for h, _ in pairs_hh])]
     run("alpha-identity", singles,
-        lambda h: eq_h(cm.alpha(G.identity, h), h),
+        lambda h: eq_h(mod.alpha(G.identity, h), h),
         lambda h: {"h": H.label(h)})
     run("alpha-automorphism", triples,
-        lambda g, h1, h2: eq_h(cm.alpha(g, H.mul(h1, h2)),
-                               H.mul(cm.alpha(g, h1), cm.alpha(g, h2))),
+        lambda g, h1, h2: eq_h(mod.alpha(g, H.mul(h1, h2)),
+                               H.mul(mod.alpha(g, h1), mod.alpha(g, h2))),
         lambda g, h1, h2: {"g": G.label(g), "h1": H.label(h1), "h2": H.label(h2)})
     run("alpha-action", gg_h,
-        lambda g1, g2, h: eq_h(cm.alpha(G.mul(g1, g2), h),
-                               cm.alpha(g1, cm.alpha(g2, h))),
+        lambda g1, g2, h: eq_h(mod.alpha(G.mul(g1, g2), h),
+                               mod.alpha(g1, mod.alpha(g2, h))),
         lambda g1, g2, h: {"g1": G.label(g1), "g2": G.label(g2), "h": H.label(h)})
     run("equivariance", pairs_gh,
-        lambda g, h: eq_g(cm.t(cm.alpha(g, h)), G.conj(g, cm.t(h))),
+        lambda g, h: eq_g(mod.t(mod.alpha(g, h)), G.conj(g, mod.t(h))),
         lambda g, h: {"g": G.label(g), "h": H.label(h)})
     run("peiffer", pairs_hh,
-        lambda h1, h2: eq_h(cm.alpha(cm.t(h1), h2), H.conj(h1, h2)),
+        lambda h1, h2: eq_h(mod.alpha(mod.t(h1), h2), H.conj(h1, h2)),
         lambda h1, h2: {"h1": H.label(h1), "h2": H.label(h2)})
     return rep
 
@@ -312,7 +336,9 @@ def _conj_matrix_module(name, group_factory):
         alpha=lambda g, h: M.conj(g, h),
         dt=lambda x: x,
         dalpha=lambda y, x: y @ x - x @ y,
-        act_algebra=lambda g, x: g @ x @ M.inv(g),
+        # both CONJ groups are unitary: g^-1 is the conjugate transpose, the
+        # matrix M.inv returns, without checking g again after its caller
+        act_algebra=lambda g, x: g @ x @ g.conj().swapaxes(-1, -2),
         dalpha_group=lambda y, h: M.algebra.project(y - h @ y @ M.inv(h)),
         dt_inverse=lambda y: y,
     )

@@ -19,6 +19,11 @@ negative literal, so that printed constants re-parse to the identical node.
 folding and 0/1 elimination only, plus a canonical ordering of sum and product
 operands. The ordering is what makes mixed partials syntactically equal, which
 in turn makes repeated exterior derivatives cancel structurally downstream.
+
+`compile_expr` runs the source of one code generator, `_gen`, in two
+namespaces: `math` and pow for one point, array functions for many
+(`ArrayExpr`). Both give the bits of `evaluate` and fall back to it for
+the exact EvalError text.
 """
 
 import math
@@ -318,12 +323,12 @@ def evaluate(e, point):
 def compile_expr(e):
     """Compile to a fast callable point -> float (used in integrator hot loops).
 
-    On arithmetic failure the careful evaluator is re-run to produce the
-    detailed EvalError. The callable's `arrays` attribute is the same
+    The code comes from `_gen`, run with `math` functions and the builtin
+    pow. On arithmetic failure the careful evaluator is re-run to produce
+    the detailed EvalError. The callable's `arrays` attribute is the same
     expression as an `ArrayExpr`, for many points at once.
     """
-    src = _gen(e)
-    fn = eval(compile(f"lambda x: {src}", "<expr>", "eval"), {"math": math})
+    fn = eval(compile(f"lambda x: {_gen(e)}", "<expr>", "eval"), dict(_SCALAR_NAMESPACE))
 
     def call(point, _fn=fn, _e=e):
         try:
@@ -340,13 +345,14 @@ class ArrayExpr:
 
     Called with a point given as a sequence of float arrays that broadcast
     together, it returns the values at every point, shaped like the
-    broadcast. + - * /, sin and cos run as numpy ufuncs, which round like
-    the scalar operators and `math` functions. exp, tanh and integer powers
-    run `math` and Python ** element by element, because their numpy
-    versions round differently. On any exception or floating-point error the
-    whole array is evaluated again point by point through the scalar
-    callable, so values and EvalError messages are the scalar ones. The
-    array code is compiled on first call.
+    broadcast. It runs the code `compile_expr` runs, from the same `_gen`,
+    with array functions bound to the names: + - * /, sin and cos run as
+    numpy ufuncs, which round like the scalar operators and `math`
+    functions; exp, tanh and powers run `math` and pow element by element,
+    because their numpy versions round differently. On any exception or
+    floating-point error the whole array is evaluated again point by point
+    through the scalar callable, so values and EvalError messages are the
+    scalar ones. The array code is compiled on first call.
     """
 
     __slots__ = ("expr", "_scalar", "_fn")
@@ -360,27 +366,23 @@ class ArrayExpr:
         arrays = [np.asarray(c, dtype=float) for c in point]
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
         if self._fn is None:
-            self._fn = _compile_array(self.expr)
+            self._fn = eval(compile(f"lambda x: {_gen(self.expr)}", "<expr>", "eval"),
+                            dict(_ARRAY_NAMESPACE))
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 out = self._fn(arrays)
-        except (ArithmeticError, ValueError, IndexError, _Pointwise):
+        except (ArithmeticError, ValueError, IndexError):
             coords = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
             out = np.array([self._scalar(p) for p in zip(*coords)], dtype=float).reshape(shape)
         return np.broadcast_to(out, shape)
 
 
-class _Pointwise(Exception):
-    """The array code cannot express this tree; evaluate point by point."""
-
-
 def _elementwise(scalar_fn, nargs=1):
     each = np.frompyfunc(scalar_fn, nargs, 1)
 
-    def apply(a, *rest):
-        if isinstance(a, np.ndarray):
-            return each(a, *rest).astype(float)
-        return scalar_fn(a, *rest)
+    def apply(*args):
+        out = each(*args)  # hands scalar_fn Python floats
+        return out.astype(float) if isinstance(out, np.ndarray) else out
     return apply
 
 
@@ -390,69 +392,42 @@ def _ufunc_or_math(ufunc, scalar_fn):
     return apply
 
 
+# the names `_gen` emits; a literal too large for a float prints as inf
+_SCALAR_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+                     "_tanh": math.tanh, "_pow": pow, "inf": math.inf, "nan": math.nan}
 _ARRAY_NAMESPACE = {
     "_sin": _ufunc_or_math(np.sin, math.sin),
     "_cos": _ufunc_or_math(np.cos, math.cos),
     "_exp": _elementwise(math.exp),
     "_tanh": _elementwise(math.tanh),
     "_pow": _elementwise(pow, 2),
+    "inf": math.inf, "nan": math.nan,
 }
 
 
-def _pointwise_only(x):
-    raise _Pointwise()
-
-
-def _compile_array(e):
-    try:
-        src = _gen_array(e)
-    except _Pointwise:
-        return _pointwise_only
-    return eval(compile(f"lambda x: {src}", "<expr>", "eval"), dict(_ARRAY_NAMESPACE))
-
-
-def _gen_array(e):
-    if isinstance(e, (Num, Var)):
-        return _gen(e)
-    if isinstance(e, Neg):
-        return f"(-{_gen_array(e.arg)})"
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-        return f"({_gen_array(e.left)}{op}{_gen_array(e.right)})"
-    if isinstance(e, Pow):
-        try:
-            n = int(round(evaluate(e.exponent, ())))
-        except EvalError:
-            raise _Pointwise() from None
-        return f"_pow({_gen_array(e.base)}, {n})"
-    if isinstance(e, Call):
-        return f"_{e.fn}({_gen_array(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _gen(e):
+    """Python source for a tree; functions and powers are calls, never `**`.
+
+    Python reads -2.0**2 as -(2.0**2); `_pow(-2.0, 2)` keeps the sign. A
+    constant exponent is rounded to its integer here, as `evaluate` does.
+    """
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
         return f"x[{e.index - 1}]"
     if isinstance(e, Neg):
         return f"(-{_gen(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_gen(e.left)}+{_gen(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_gen(e.left)}-{_gen(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_gen(e.left)}*{_gen(e.right)})"
-    if isinstance(e, Div):
-        return f"({_gen(e.left)}/{_gen(e.right)})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+        return f"({_gen(e.left)}{op}{_gen(e.right)})"
     if isinstance(e, Pow):
         try:
-            n = int(round(evaluate(e.exponent, ())))
-            return f"({_gen(e.base)}**{n})"
+            exponent = str(int(round(evaluate(e.exponent, ()))))
         except EvalError:
-            return f"({_gen(e.base)}**({_gen(e.exponent)}))"
+            exponent = _gen(e.exponent)
+        return f"_pow({_gen(e.base)}, {exponent})"
     if isinstance(e, Call):
-        return f"math.{e.fn}({_gen(e.arg)})"
+        return f"_{e.fn}({_gen(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -119,6 +119,7 @@ class FormField:
         return self._compiled
 
     def at(self, point, *vectors):
+        # kept beside at_points: pointwise forms call it once per point
         if len(vectors) != self.degree:
             raise EvalError(f"degree-{self.degree} field needs {self.degree} vectors, "
                             f"got {len(vectors)}")
@@ -128,13 +129,7 @@ class FormField:
         vecs = [np.asarray(v, dtype=float) for v in vectors]
         total = self.algebra.zero()
         for (a, mu), fn in self._fns().items():
-            c = fn(point)
-            if self.degree == 1:
-                c *= vecs[0][mu[0]]
-            elif self.degree == 2:
-                c *= vecs[0][mu[0]] * vecs[1][mu[1]] - vecs[0][mu[1]] * vecs[1][mu[0]]
-            elif self.degree == 3:
-                c *= np.linalg.det(np.array([[v[m] for m in mu] for v in vecs]))
+            c = fn(point) * _weight(mu, vecs)
             if c != 0.0:
                 total = total + c * self.algebra.basis[a]
         return total
@@ -142,18 +137,10 @@ class FormField:
     def at_points(self, points, *vectors):
         """`at` at every row of points (N, dim) with the matching vector rows."""
         points, vecs = _point_arrays(self, points, vectors)
-        x = tuple(points[:, i] for i in range(self.dim))
+        coords = [v.T for v in vecs]
         total = np.zeros((len(points),) + self.algebra.zero().shape, dtype=self.algebra.dtype)
         for (a, mu), fn in self._fns().items():
-            c = fn.arrays(x)
-            if self.degree == 1:
-                c = c * vecs[0][:, mu[0]]
-            elif self.degree == 2:
-                c = c * (vecs[0][:, mu[0]] * vecs[1][:, mu[1]]
-                         - vecs[0][:, mu[1]] * vecs[1][:, mu[0]])
-            elif self.degree == 3:
-                c = c * np.linalg.det(np.stack([v[:, list(mu)] for v in vecs], axis=1))
-            c = c[:, None, None]
+            c = (fn.arrays(points.T) * _weight(mu, coords))[:, None, None]
             total = np.where(c != 0.0, total + c * self.algebra.basis[a], total)
         return total
 
@@ -222,16 +209,13 @@ class FormField:
     def is_structurally_zero(self):
         return not self.components
 
-    def max_abs_on_grid(self, points, vector_basis=None):
-        """Largest evaluation norm over sample points and basis vector tuples."""
+    def max_abs_on_grid(self, points):
+        """Largest evaluation norm over sample points and coordinate vector tuples."""
         worst = 0.0
-        idx = range(self.dim)
-        basis = vector_basis or [np.eye(self.dim)[i] for i in idx]
-        tuples = list(combinations(range(len(basis)), self.degree))
+        tuples = list(combinations(np.eye(self.dim), self.degree))
         for p in points:
-            for js in tuples:
-                val = self.at(p, *[basis[j] for j in js])
-                worst = max(worst, float(np.linalg.norm(val)))
+            for vs in tuples:
+                worst = max(worst, float(np.linalg.norm(self.at(p, *vs))))
         return worst
 
     def text_components(self):
@@ -241,6 +225,18 @@ class FormField:
     def __repr__(self):
         return (f"<FormField deg={self.degree} dim={self.dim} "
                 f"algebra={self.algebra.name} terms={len(self.components)}>")
+
+
+def _weight(mu, vecs):
+    """det(v_i[mu_j]) for one point, or for N points when each v is (dim, N)."""
+    if len(mu) == 0:
+        return 1.0
+    if len(mu) == 1:
+        return vecs[0][mu[0]]
+    if len(mu) == 2:
+        return vecs[0][mu[0]] * vecs[1][mu[1]] - vecs[0][mu[1]] * vecs[1][mu[0]]
+    rows = np.array([[v[m] for m in mu] for v in vecs])
+    return np.linalg.det(rows if rows.ndim == 2 else rows.transpose(2, 0, 1))
 
 
 def _point_arrays(form, points, vectors):
@@ -430,14 +426,12 @@ def action_wedge_pointwise(cm, A, omega):
     raise GeometryError("action wedge implemented for degree-1 and degree-2 targets")
 
 
-def forms_close(f1, f2, points, tol, degree_vectors=None):
+def forms_close(f1, f2, points, tol):
     """Max pointwise difference over sample points and coordinate directions."""
     if f1.degree != f2.degree or f1.dim != f2.dim:
         raise GeometryError("cannot compare forms of different degree or dim")
-    basis = degree_vectors or [np.eye(f1.dim)[i] for i in range(f1.dim)]
     worst = 0.0
     for p in points:
-        for js in combinations(range(len(basis)), f1.degree):
-            vs = [basis[j] for j in js]
+        for vs in combinations(np.eye(f1.dim), f1.degree):
             worst = max(worst, float(np.linalg.norm(f1.at(p, *vs) - f2.at(p, *vs))))
     return worst, worst <= tol

@@ -15,7 +15,8 @@ first and refuses cut-locus points with the offending eigenvalue in the error.
 Group products renormalize by polar projection when the membership drift
 exceeds TAU_GRP / 10. `defect`, `renormalize`, `project` and `inv` also take
 a stack of matrices along a leading axis; each matrix gets the same bits and
-the same reprojection decision as it would alone.
+the same reprojection decision as it would alone. A stack's membership check
+is the exact `defect` of every matrix, with no cheaper estimate in front.
 """
 
 import itertools
@@ -411,6 +412,9 @@ class MatrixGroup:
             return self._stack_defect(g)
         if g.shape != (self.n, self.n):
             return np.inf
+        # kept beside the stack branch: a stack of one costs 1.5-2.5x as much
+        # (SU2 11 -> 17 us, U1 5 -> 11 us, SO3 9 -> 21 us), and the scalar
+        # checks call this thousands of times a run
         if self.trivial:
             return float(np.linalg.norm(g - np.eye(self.n)))
         d = 0.0
@@ -451,41 +455,18 @@ class MatrixGroup:
         return self.defect(g) <= tol
 
     def _check(self, g):
+        """g itself, after checking that it (or each matrix of a stack) is in the group."""
         g = self._cast(g)
-        if g.shape != (self.n, self.n):
-            if g.ndim == 3 and g.shape[1:] == (self.n, self.n):
-                return self._check_stack(g)
+        if g.shape[-2:] != (self.n, self.n) or g.ndim not in (2, 3):
             raise GroupDomainError(
                 f"expected {self.n}x{self.n} matrix for {self.name}, got shape {g.shape}")
-        if self.defect(g) > 1e-6:
-            raise GroupDomainError(f"matrix is not in {self.name} (defect {self.defect(g):.2e})")
-        return g
-
-    def _check_stack(self, g):
-        if self._surely_members(g):
-            return g
         d = self.defect(g)
-        bad = np.flatnonzero(d > 1e-6)
-        if len(bad):
-            raise GroupDomainError(f"matrix is not in {self.name} (defect {d[bad[0]]:.2e})")
+        if g.ndim == 3:
+            bad = d[d > 1e-6]
+            d = bad[0] if len(bad) else 0.0
+        if d > 1e-6:
+            raise GroupDomainError(f"matrix is not in {self.name} (defect {d:.2e})")
         return g
-
-    def _surely_members(self, g):
-        """True when every defect in a stack is certainly below the 1e-6 bound.
-
-        Estimates the squared residuals with elementwise products, about three
-        times cheaper than `defect`'s stacked matmul and det. Near the group the
-        two round apart by ~1e-15, so an estimate under (5e-7)^2 settles the
-        check; anything else goes to the exact defects.
-        """
-        if not self.unitary or self.n > 2 or (self.special and self.n != 2):
-            return False
-        gram = (g.conj()[:, :, :, None] * g[:, :, None, :]).sum(axis=1) - np.eye(self.n)
-        worst = (gram.real ** 2 + gram.imag ** 2).sum(axis=(1, 2))
-        if self.special:
-            off = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0] - 1.0
-            worst = np.maximum(worst, off.real ** 2 + off.imag ** 2)
-        return bool(np.all(worst < 2.5e-13))
 
     def project(self, g):
         """Nearest group element (polar projection; det-corrected for special groups)."""

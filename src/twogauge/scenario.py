@@ -68,7 +68,8 @@ class Scenario:
         self.seed = doc.get("seed", 42)
         self.grids = doc.get("grids", [8, 16, 32, 64])
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update(doc.get("tolerances", {}))
+        if isinstance(doc.get("tolerances"), dict):
+            self.tolerances.update(doc["tolerances"])
 
     def to_dict(self):
         """Normalized document: defaults filled in, key order canonical."""
@@ -115,6 +116,28 @@ def setting_errors(**settings):
     return errors
 
 
+_KINDS = {dict: "an object", list: "a list",
+          (str, dict): "a catalog name or an inline table object"}
+
+
+def _check_type(errors, what, value, kind):
+    """Whether a JSON value is of `kind`; if not, the problem goes to errors."""
+    if isinstance(value, kind):
+        return True
+    errors.append(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return False
+
+
+def _check_expressions(errors, what, value, kind=dict):
+    """Whether a JSON value is an object (or a list) of expression strings."""
+    if not _check_type(errors, what, value, kind):
+        return False
+    bad = [t for t in (value.values() if kind is dict else value) if not isinstance(t, str)]
+    if bad:
+        errors.append(f"{what}: expressions must be strings, got {bad[0]!r}")
+    return not bad
+
+
 def _resolve(doc, name):
     scn = Scenario(doc, name)
     errors = []
@@ -124,7 +147,7 @@ def _resolve(doc, name):
 
     if "crossed_module" not in doc:
         errors.append("missing crossed_module")
-    else:
+    elif _check_type(errors, "crossed_module", doc["crossed_module"], (str, dict)):
         spec = doc["crossed_module"]
         try:
             scn.module = from_tables(spec) if isinstance(spec, dict) \
@@ -132,13 +155,15 @@ def _resolve(doc, name):
         except (GroupDomainError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"crossed_module: {exc}")
 
-    if not (isinstance(scn.dim, int) and scn.dim >= 1):
+    dim_ok = isinstance(scn.dim, int) and scn.dim >= 1
+    if not dim_ok:
         errors.append(f"dim must be a positive integer, got {scn.dim!r}")
     errors += setting_errors(grid=scn.grid, samples=scn.samples,
                              steps=scn.steps, seed=scn.seed)
     if not (isinstance(scn.grids, list) and scn.grids
             and all(isinstance(n, int) and n >= 2 for n in scn.grids)):
         errors.append(f"grids must be a list of integers >= 2, got {scn.grids!r}")
+    _check_type(errors, "tolerances", doc.get("tolerances", {}), dict)
     for tname, tval in scn.tolerances.items():
         if tname not in DEFAULT_TOLERANCES:
             errors.append(f"unknown tolerance {tname!r}")
@@ -150,9 +175,12 @@ def _resolve(doc, name):
         errors.append("forms need a matrix crossed module, "
                       f"{doc.get('crossed_module')} is finite")
 
-    if "forms" in doc and module_ok and not scn.module.is_finite:
+    if "forms" in doc and module_ok and dim_ok and not scn.module.is_finite \
+            and _check_type(errors, "forms", doc["forms"], dict):
         algebras = {"base": scn.module.G.algebra, "fiber": scn.module.H.algebra}
         for fname, spec in doc["forms"].items():
+            if not _check_type(errors, f"form {fname!r}", spec, dict):
+                continue
             place = spec.get("algebra")
             if place not in algebras:
                 errors.append(f"form {fname!r}: algebra must be 'base' or "
@@ -168,10 +196,12 @@ def _resolve(doc, name):
                 errors.append(f"form {fname!r}: degree must be an integer "
                               f"between 0 and dim={scn.dim}, got {degree!r}")
                 continue
+            components = spec.get("components", {})
+            if not _check_expressions(errors, f"form {fname!r} components", components):
+                continue
             try:
                 scn.forms[fname] = FormField.from_config(
-                    algebras[place], degree, scn.dim,
-                    spec.get("components", {}))
+                    algebras[place], degree, scn.dim, components)
             except (ConfigError, ParseError, ValueError) as exc:
                 errors.append(f"form {fname!r}: {exc}")
 
@@ -186,21 +216,22 @@ def _resolve(doc, name):
         except (GeometryError, TwoGaugeError) as exc:
             errors.append(f"bigon: {exc}")
 
-    if "transition" in doc and module_ok:
+    if "transition" in doc and module_ok and dim_ok:
         spec = doc["transition"]
         if scn.module.is_finite:
             errors.append("transition data needs a matrix crossed module")
-        else:
-            try:
-                scn.gmap = ExpParamMap.from_exprs(scn.module.G, scn.dim,
-                                                  spec["g"])
-            except (KeyError, ParseError, ValueError, TwoGaugeError) as exc:
-                errors.append(f"transition g: {exc}")
-            try:
-                scn.a_form = FormField.from_config(scn.module.H.algebra, 1,
-                                                   scn.dim, spec.get("a", {}))
-            except (ConfigError, ParseError, ValueError) as exc:
-                errors.append(f"transition a: {exc}")
+        elif _check_type(errors, "transition", spec, dict):
+            if _check_expressions(errors, "transition g", spec.get("g"), list):
+                try:
+                    scn.gmap = ExpParamMap.from_exprs(scn.module.G, scn.dim, spec["g"])
+                except (ParseError, ValueError, TwoGaugeError) as exc:
+                    errors.append(f"transition g: {exc}")
+            if _check_expressions(errors, "transition a", spec.get("a", {})):
+                try:
+                    scn.a_form = FormField.from_config(scn.module.H.algebra, 1,
+                                                       scn.dim, spec.get("a", {}))
+                except (ConfigError, ParseError, ValueError) as exc:
+                    errors.append(f"transition a: {exc}")
             scn.perturb = spec.get("perturb")
             if scn.perturb is not None and not isinstance(scn.perturb, (int, float)):
                 errors.append("transition perturb must be a number")
@@ -219,8 +250,13 @@ def _resolve(doc, name):
             errors.append(f"nerve: {exc}")
 
     if "cocycle" in doc and module_ok and scn.nerve is not None:
-        if scn.module.is_finite:
-            spec = doc["cocycle"]
+        spec = doc["cocycle"]
+        if not scn.module.is_finite:
+            errors.append("cocycle values in scenario files need a finite "
+                          "crossed module")
+        elif _check_type(errors, "cocycle", spec, dict) \
+                and all(_check_type(errors, f"cocycle {part}", spec.get(part, {}), dict)
+                        for part in ("g", "h", "k")):
             try:
                 g = {_overlap_key(k): v for k, v in spec.get("g", {}).items()}
                 h = {_overlap_key(k): v for k, v in spec.get("h", {}).items()}
@@ -228,9 +264,6 @@ def _resolve(doc, name):
                 scn.cocycle = GluingCocycle(scn.module, scn.nerve, g, h, k)
             except (ConfigError, ValueError) as exc:
                 errors.append(f"cocycle: {exc}")
-        else:
-            errors.append("cocycle values in scenario files need a finite "
-                          "crossed module")
     elif "cocycle" in doc and "nerve" not in doc:
         errors.append("cocycle data given without a nerve")
 

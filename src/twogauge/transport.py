@@ -164,9 +164,9 @@ class SurfaceResult:
                 f"target_defect={self.target_defect:.2e}>")
 
 
-def fake_residual_on_bigon(conn, bigon, samples=9):
-    """Max fake-curvature norm on the bigon's own tangent pairs."""
-    grid = np.linspace(0.05, 0.95, samples)
+def fake_residual_on_bigon(conn, bigon):
+    """Max fake-curvature norm on the bigon's own tangent pairs, on a 9 x 9 grid."""
+    grid = np.linspace(0.05, 0.95, 9)
     s, t = grid[:, None], grid[None, :]
     dim = bigon.dim
     points = bigon.value(s, t).reshape(-1, dim)
@@ -228,8 +228,7 @@ def _sweep_rows(conn, bigon, ts, grid):
     return bs, np.concatenate(W_ends)
 
 
-def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
-                     fake_samples=9):
+def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE):
     """Transport the 2-arrow group across a bigon; see module docstring."""
     cm = conn.cm
     G, H = cm.G, cm.H
@@ -255,7 +254,7 @@ def surface_holonomy(conn, bigon, grid=DEFAULT_GRID, fake_tol=TAU_FAKE,
     k_el = _rk4(H, b_nodes, b_mids, ht, right=True)[-1]
 
     W_source, W_target = W_ends[0].copy(), W_ends[-1].copy()
-    fake = fake_residual_on_bigon(conn, bigon, fake_samples)
+    fake = fake_residual_on_bigon(conn, bigon)
     # k satisfies hol(target) = hol(source) t(k); conjugating by the source
     # holonomy converts to the cell convention hol(target) = t(h) hol(source),
     # under which transported cells paste by the 2-group's own rules
@@ -280,11 +279,10 @@ def kernel_check(conn, points, tol=1e-8):
     return rep
 
 
-def convergence_study(cm_or_group, A, path, grids=(8, 16, 32, 64),
-                      reference_factor=4):
+def convergence_study(cm_or_group, A, path, grids=(8, 16, 32, 64)):
     """Transport error versus step count; the reference is 4x the finest grid."""
     grids = sorted(int(g) for g in grids)
-    ref = path_holonomy(cm_or_group, A, path, steps=grids[-1] * reference_factor)
+    ref = path_holonomy(cm_or_group, A, path, steps=grids[-1] * 4)
     errors = []
     for n in grids:
         W = path_holonomy(cm_or_group, A, path, steps=n)

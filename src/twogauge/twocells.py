@@ -7,19 +7,18 @@ axiom, so `check_interchange` doubles as an independent axiom probe.
 
 CellBatch pastes many cells of a finite module at once over its compiled
 index tables, case by case with TwoCell's conventions. The exhaustive checks
-run on it in blocks of BLOCK cases, in lexicographic case order, so their
-memory stays bounded and their witnesses are the ones a case-by-case loop
-would find first.
+run on it in blocks of `crossed.BLOCK` cases, in lexicographic case order,
+so their memory stays bounded and their witnesses are the ones a
+case-by-case loop would find first.
 """
+
+from functools import partial
 
 from .errors import CompositionError, GroupDomainError
 from .report import NO_SAMPLES, ValidationReport
-from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET
+from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET, _blocks, _exhaustive_failures
 
 import numpy as np
-
-# cases per block of a batched check: bounds its working memory
-BLOCK = 8192
 
 
 class TwoCell:
@@ -175,12 +174,6 @@ class CellBatch:
         return f"<CellBatch {self.cm.name} shape={np.broadcast(self.g, self.h).shape}>"
 
 
-def _blocks(total):
-    """Consecutive index ranges of at most BLOCK cases covering range(total)."""
-    for start in range(0, total, BLOCK):
-        yield np.arange(start, min(start + BLOCK, total))
-
-
 def _interchange_sides(cell, cm, g1, g2, h1, h2, h3, h4):
     """Both pasting orders of the 2x2 diagram built from the six parameters.
 
@@ -206,21 +199,6 @@ def _interchange_holds(tab, g1, g2, h1, h2, h3, h4):
     return lhs.eq(rhs)
 
 
-def _interchange_exhaustive(cm):
-    """(violations, first violating case) over all cases, lexicographically."""
-    tab = cm.compiled()
-    shape = (cm.G.order,) * 2 + (cm.H.order,) * 4
-    bad = 0
-    first = None
-    for cases in _blocks(int(np.prod(shape))):
-        params = np.unravel_index(cases, shape)
-        fails = np.flatnonzero(~_interchange_holds(tab, *params))
-        if fails.size and first is None:
-            first = [int(p[fails[0]]) for p in params]
-        bad += fails.size
-    return bad, first
-
-
 def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
     """Interchange law over a 2x2 pasting grid.
 
@@ -242,7 +220,8 @@ def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
 
     if exhaustive:
         total = G.order ** 2 * H.order ** 4
-        bad, first = _interchange_exhaustive(cm)
+        bad, first = _exhaustive_failures(partial(_interchange_holds, cm.compiled()),
+                                          (G.order,) * 2 + (H.order,) * 4)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         cases = ((G.random(rng), G.random(rng), H.random(rng),

@@ -345,3 +345,45 @@ def test_huge_cyclic_module_exits_two_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cyclic order" in err
+
+
+def _shipped_doc(name, **changes):
+    with open(find_scenario(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {**doc, **changes}
+
+
+# JSON values of the wrong type, each at a key the scenario reads
+MALFORMED = {
+    "module-number": ("transitions_perturbed.scn", {"crossed_module": 7}),
+    "forms-list": ("transitions_perturbed.scn", {"forms": ["A"]}),
+    "form-number": ("transitions_perturbed.scn", {"forms": {"A": 5}}),
+    "component-number": ("transitions_perturbed.scn", {"forms": {"A": {
+        "algebra": "base", "degree": 1, "components": {"1,1": 3}}}}),
+    "tolerances-text": ("transitions_perturbed.scn", {"tolerances": "x"}),
+    "transition-list": ("transitions_perturbed.scn", {"transition": ["g"]}),
+    "transition-g-number": ("transitions_perturbed.scn", {"transition": {"g": 5}}),
+    "transition-a-list": ("transitions_perturbed.scn",
+                          {"transition": {"g": ["x1", "x2", "0"], "a": ["x"]}}),
+    "dim-text": ("transitions_perturbed.scn", {"dim": "x"}),
+    "cocycle-number": ("s3_cocycle.scn", {"cocycle": 7}),
+    "cocycle-g-list": ("s3_cocycle.scn", {"cocycle": {"g": [1]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_json_exits_two_with_one_line(case, tmp_path, capsys):
+    name, changes = MALFORMED[case]
+    path = _write(tmp_path, "bad.scn", _shipped_doc(name, **changes))
+    code = cli.run(["validate", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def test_inline_alpha_leaving_h_exits_two(tmp_path, capsys):
+    swap = [[0, 1], [1, 0]]
+    path = _write(tmp_path, "leaves.scn", {"crossed_module": {
+        "G": {"table": swap}, "H": {"table": swap}, "t": [0, 0], "alpha": [[0, 1], [1, 5]]}})
+    assert _refused(["validate", "--scenario", path], capsys)

@@ -187,3 +187,66 @@ def test_the_cap_itself_is_admitted(monkeypatch):
     assert crossed_module("GERBE(Z7)").H.order == 7
     with pytest.raises(GroupDomainError):
         crossed_module("GERBE(Z8)")
+
+
+# ------------------------------------------------ validation on compiled tables
+
+def _validate_by_loop(cm):
+    """(name, verdict, detail, witness) per axiom, tuple by tuple on the groups."""
+    G, H = cm.G, cm.H
+    gs, hs = list(G.elements()), list(H.elements())
+    t, alpha = cm.t, cm.alpha
+    checks = [
+        ("t-homomorphism", [(a, b) for a in hs for b in hs],
+         lambda h1, h2: t(H.mul(h1, h2)) == G.mul(t(h1), t(h2)),
+         lambda h1, h2: {"h1": H.label(h1), "h2": H.label(h2)}),
+        ("alpha-identity", [(h,) for h in hs],
+         lambda h: alpha(G.identity, h) == h,
+         lambda h: {"h": H.label(h)}),
+        ("alpha-automorphism", [(g, a, b) for g in gs for a in hs for b in hs],
+         lambda g, h1, h2: alpha(g, H.mul(h1, h2)) == H.mul(alpha(g, h1), alpha(g, h2)),
+         lambda g, h1, h2: {"g": G.label(g), "h1": H.label(h1), "h2": H.label(h2)}),
+        ("alpha-action", [(a, b, h) for a in gs for b in gs for h in hs],
+         lambda g1, g2, h: alpha(G.mul(g1, g2), h) == alpha(g1, alpha(g2, h)),
+         lambda g1, g2, h: {"g1": G.label(g1), "g2": G.label(g2), "h": H.label(h)}),
+        ("equivariance", [(g, h) for g in gs for h in hs],
+         lambda g, h: t(alpha(g, h)) == G.conj(g, t(h)),
+         lambda g, h: {"g": G.label(g), "h": H.label(h)}),
+        ("peiffer", [(a, b) for a in hs for b in hs],
+         lambda h1, h2: alpha(t(h1), h2) == H.conj(h1, h2),
+         lambda h1, h2: {"h1": H.label(h1), "h2": H.label(h2)}),
+    ]
+    out = []
+    for name, cases, holds, describe in checks:
+        bad = [case for case in cases if not holds(*case)]
+        out.append((name, "FAIL" if bad else "PASS",
+                    f"{len(bad)} violations" if bad else None,
+                    describe(*bad[0]) if bad else None))
+    return out
+
+
+def _equivariance_broken():
+    # Z/2 swapping the factors of the Klein group, t the first projection:
+    # t(alpha(1)(a, b)) = b differs from t(a, b) = a
+    klein = [[a ^ b for b in range(4)] for a in range(4)]
+    return from_tables({"name": "swap-klein",
+                        "G": {"table": [[0, 1], [1, 0]]},
+                        "H": {"table": klein},
+                        "t": [0, 0, 1, 1],
+                        "alpha": [[0, 1, 2, 3], [0, 2, 1, 3]]})
+
+
+@pytest.mark.parametrize("name", shipped_finite_names() + ["PEIFFER_BROKEN(S3)", "swap-klein"])
+def test_exhaustive_validation_equals_the_tuple_loop(name):
+    cm = _equivariance_broken() if name == "swap-klein" else crossed_module(name)
+    rep = validate_crossed_module(cm, mode="exhaustive")
+    got = [(c.name, c.verdict, c.detail, c.witness) for c in rep.checks]
+    assert got == _validate_by_loop(cm)
+
+
+def test_peiffer_fixture_counts_and_witness():
+    peiffer = validate_crossed_module(peiffer_violating_fixture()).check("peiffer")
+    assert peiffer.detail == "18 violations"
+    assert peiffer.witness == {"h1": "(23)", "h2": "(12)"}
+    broken = validate_crossed_module(_equivariance_broken())
+    assert "equivariance" in [c.name for c in broken.failures]

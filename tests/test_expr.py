@@ -2,11 +2,12 @@
 
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twogauge.errors import EvalError, ParseError
 from twogauge.expr import (
@@ -228,6 +229,22 @@ def test_array_mode_keeps_values_the_scalar_path_allows():
     assert fn.arrays((xs,)).tolist() == [math.inf, 8.0]
 
 
+def test_negative_literal_base_keeps_its_sign():
+    # Python reads -2.0**2 as -(2.0**2); the compiled code must not
+    e = parse("(-2) ^ 2 * x1")
+    assert e == Mul(Pow(Num(-2.0), Num(2.0)), Var(1))
+    assert evaluate(e, (1.0,)) == 4.0
+    assert compile_expr(e)((1.0,)) == 4.0
+    assert compile_expr(e).arrays((np.array([1.0, -0.5]),)).tolist() == [4.0, -2.0]
+
+
+def test_literal_too_large_for_a_float_compiles():
+    # 1e999 parses to inf, which the generated code names
+    fn = compile_expr(parse("1e999 * x1"))
+    assert fn((2.0,)) == math.inf
+    assert fn.arrays((np.array([2.0, 3.0]),)).tolist() == [math.inf, math.inf]
+
+
 # ------------------------------------------------------------ print round trip
 
 def _neg(child):
@@ -282,3 +299,34 @@ def test_readme_lists_the_parser_functions():
     listed = re.search(r"the operators `[^`]*`, and `([^`]*)`", readme)
     assert listed is not None
     assert sorted(listed.group(1).split()) == sorted(FUNCTIONS)
+
+
+# ------------------------------------- one generator against the tree-walker
+
+_PROBES = [(0.0, 0.0, 0.0), (-1.5, 0.5, 2.0), (0.25, -0.75, -3.0), (2.5, 0.0, -0.5)]
+
+
+def _outcome(fn, point):
+    """('value', bits) or ('error', message, subexpression) of one call."""
+    try:
+        return ("value", struct.pack("<d", float(fn(point))))
+    except EvalError as exc:
+        return ("error", str(exc), exc.subexpression)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_exprs)
+@example(Pow(Num(-0.0), Num(0.0)))
+@example(Mul(Var(2), Pow(Num(-3.0), Num(2.0))))
+def test_compiled_code_has_the_bits_of_evaluate(e):
+    fn = compile_expr(e)
+    want = [_outcome(lambda p: evaluate(e, p), p) for p in _PROBES]
+    assert [_outcome(fn, p) for p in _PROBES] == want
+    columns = tuple(np.array(c) for c in zip(*_PROBES))
+    errors = [w for w in want if w[0] == "error"]
+    if errors:
+        with pytest.raises(EvalError) as got:
+            fn.arrays(columns)
+        assert ("error", str(got.value), got.value.subexpression) == errors[0]
+    else:
+        assert [("value", struct.pack("<d", v)) for v in fn.arrays(columns).tolist()] == want

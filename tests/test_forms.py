@@ -231,6 +231,15 @@ def test_at_points_has_the_bits_of_at(degree, dim, comps):
     assert _bits(PointwiseForm.from_field(form).at_points(points, *vectors)) == _bits(got)
 
 
+def test_negative_literal_power_agrees_between_at_and_at_points():
+    form = FormField.from_config(SU2, 1, 2, {"1,1": "(-2) ^ 2 * x1"})
+    points = np.array([[1.0, 0.0], [-0.5, 2.0]])
+    vectors = np.array([[1.0, 0.0], [2.0, 1.0]])
+    got = form.at_points(points, vectors)
+    assert _bits(got) == _bits(_at_each(form, points, vectors))
+    assert np.array_equal(got[0], 4.0 * SU2.basis[0])
+
+
 def test_at_points_checks_its_arguments():
     form = FormField.from_config(SU2, 1, 2, {"1,1": "x2"})
     pts = np.zeros((4, 2))

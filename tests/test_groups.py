@@ -232,8 +232,9 @@ def test_frobenius_norms_are_numpys_norms():
 
 @pytest.mark.parametrize("factory", [SU2, U1, SO3])
 def test_stacked_membership_check_decides_like_the_exact_defect(factory):
-    # defects spread around the 1e-6 bound, including the band between the
-    # cheap estimate's margin and the bound
+    # defects spread around the 1e-6 bound, on both sides of it and close to
+    # it; the stack must raise exactly when a matrix alone would, naming the
+    # first bad matrix's defect
     G = factory()
     rng = np.random.default_rng(8)
     for scale in (1e-9, 3e-7, 8e-7, 1.2e-6, 1e-3):
