@@ -141,8 +141,8 @@ class CrossedModule:
 class TableGroup:
     """A finite group's Cayley table, applied to whole index arrays at once.
 
-    `mul` and `inv` take ints or integer arrays that broadcast together and
-    return the elementwise products and inverses, without membership checks:
+    `mul`, `inv` and `conj` take ints or integer arrays that broadcast
+    together and return the elementwise results, without membership checks:
     every index that reaches them comes from the compiled tables.
     """
 

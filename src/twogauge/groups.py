@@ -457,11 +457,12 @@ class MatrixGroup:
     def _check(self, g):
         """g itself, after checking that it (or each matrix of a stack) is in the group."""
         g = self._cast(g)
-        if g.shape[-2:] != (self.n, self.n) or g.ndim not in (2, 3):
+        stack = g.shape != (self.n, self.n)
+        if stack and (g.ndim != 3 or g.shape[1:] != (self.n, self.n)):
             raise GroupDomainError(
                 f"expected {self.n}x{self.n} matrix for {self.name}, got shape {g.shape}")
         d = self.defect(g)
-        if g.ndim == 3:
+        if stack:
             bad = d[d > 1e-6]
             d = bad[0] if len(bad) else 0.0
         if d > 1e-6:
