@@ -1,9 +1,11 @@
 """Command line: a scenario file in, a verdict report out.
 
 Exit codes: 0 when every check passes, 1 when at least one fails, 2 for
-usage or configuration problems. Reports carry "schema": 1 and are emitted
-as canonical JSON (sorted keys, no whitespace) so identical inputs produce
-byte-identical output; wall time goes to stderr where it cannot break that.
+usage or configuration problems and for any input the run cannot answer,
+always with one stderr line and never a traceback. Reports carry
+"schema": 1 and are emitted as canonical JSON (sorted keys, no whitespace)
+so identical inputs produce byte-identical output; wall time goes to
+stderr where it cannot break that.
 """
 
 import argparse
@@ -15,8 +17,7 @@ import numpy as np
 
 from .cech import check_tetrahedron, check_triangle, check_unit_laws, classify_finite
 from .crossed import differential_consistency, validate_crossed_module
-from .errors import (BudgetExceeded, ConfigError, GeometryError,
-                     GroupDomainError, TwoGaugeError)
+from .errors import BudgetExceeded, ConfigError, TwoGaugeError
 from .geometry import Reparam
 from .report import NO_SAMPLES, ValidationReport, jsonify
 from .scenario import load_scenario, setting_errors, shipped_scenarios
@@ -226,6 +227,12 @@ def _emit(doc, args):
         sys.stdout.write(text)
 
 
+def _refuse(message):
+    """Print one stderr line and return exit code 2."""
+    print("twogauge: " + " ".join(message.splitlines()), file=sys.stderr)
+    return 2
+
+
 def run(argv=None):
     started = time.perf_counter()
     parser = build_parser()
@@ -243,16 +250,18 @@ def run(argv=None):
         seed = args.seed if args.seed is not None else scn.seed
         grid = args.grid if args.grid is not None else scn.grid
         samples = args.samples if args.samples is not None else scn.samples
-        report, payload = _HANDLERS[args.command](scn, seed, grid, samples)
+        # a NaN that reaches a product warns on stderr at each site; the
+        # membership checks turn it into the one-line refusal below
+        with np.errstate(invalid="ignore"):
+            report, payload = _HANDLERS[args.command](scn, seed, grid, samples)
     except ConfigError as exc:
-        print(f"twogauge: configuration error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"configuration error: {exc}")
     except BudgetExceeded as exc:
-        print(f"twogauge: refusing to run: {exc}", file=sys.stderr)
-        return 2
-    except (GroupDomainError, GeometryError, TwoGaugeError) as exc:
-        print(f"twogauge: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"refusing to run: {exc}")
+    except TwoGaugeError as exc:
+        return _refuse(str(exc))
+    except Exception as exc:  # the boundary: never a traceback
+        return _refuse(f"internal error: {type(exc).__name__}: {exc}")
     doc = {"schema": 1, "command": args.command, "scenario": scn.name,
            "description": scn.description, "seed": seed,
            "report": jsonify(report.to_dict()), "payload": jsonify(payload)}
@@ -264,8 +273,7 @@ def run(argv=None):
                 for n, err in zip(payload["grids"], payload["errors"]):
                     fh.write(f"{n},{err!r}\n")
     except OSError as exc:
-        print(f"twogauge: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(f"cannot write output: {exc}")
     print(f"[wall] {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -26,7 +26,6 @@ import re
 from functools import partial
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import GroupDomainError
 from .groups import (
@@ -366,6 +365,7 @@ def _aut_su2_module():
 
     def lift(R):
         # either preimage works: alpha conjugates, so the sign cancels
+        from scipy.spatial.transform import Rotation  # loaded on first use
         q = Rotation.from_matrix(np.asarray(R, dtype=float)).as_quat()
         return _su2_from_quaternion(q)
 

@@ -182,7 +182,7 @@ class _Parser:
         except EvalError:
             raise ParseError("exponent must be a constant expression", offset,
                              expected=["integer constant"]) from None
-        if abs(v - round(v)) > 1e-9:
+        if _integer_exponent(v) is None:
             raise ParseError(f"integer exponent required, got {v}", offset,
                              expected=["integer constant"])
 
@@ -251,7 +251,7 @@ def _wrap(e, need):
 
 
 def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # int(v) raises on inf and nan
         return str(int(v))
     return repr(v)
 
@@ -305,11 +305,9 @@ def evaluate(e, point):
         except ZeroDivisionError:
             raise EvalError("division by zero", subexpression=to_text(e)) from None
     if isinstance(e, Pow):
-        n = evaluate(e.exponent, point)
-        if abs(n - round(n)) > 1e-9:
-            raise EvalError(f"non-integer exponent {n}", subexpression=to_text(e))
+        k = _exponent_of(e, point)
         try:
-            return float(evaluate(e.base, point)) ** int(round(n))
+            return float(evaluate(e.base, point)) ** k
         except (ZeroDivisionError, OverflowError) as exc:
             raise EvalError(str(exc), subexpression=to_text(e)) from None
     if isinstance(e, Call):
@@ -318,6 +316,30 @@ def evaluate(e, point):
         except (OverflowError, ValueError) as exc:
             raise EvalError(str(exc), subexpression=to_text(e)) from None
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _integer_exponent(n):
+    """n as an int when it lies within 1e-9 of one, else None (also for inf, nan)."""
+    if math.isfinite(n) and abs(n - round(n)) <= 1e-9:
+        return int(round(n))
+    return None
+
+
+def _exponent_of(e, point):
+    """The integer exponent of the Pow node e at point; EvalError if there is none."""
+    n = evaluate(e.exponent, point)
+    k = _integer_exponent(n)
+    if k is None:
+        raise EvalError(f"non-integer exponent {n}", subexpression=to_text(e))
+    return k
+
+
+def _integer_pow(base, n):
+    """pow(base, n) under `evaluate`'s exponent rule; raises ValueError otherwise."""
+    k = _integer_exponent(n)
+    if k is None:
+        raise ValueError(f"non-integer exponent {n}")
+    return pow(base, k)
 
 
 def compile_expr(e):
@@ -394,13 +416,15 @@ def _ufunc_or_math(ufunc, scalar_fn):
 
 # the names `_gen` emits; a literal too large for a float prints as inf
 _SCALAR_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-                     "_tanh": math.tanh, "_pow": pow, "inf": math.inf, "nan": math.nan}
+                     "_tanh": math.tanh, "_pow": pow, "_intpow": _integer_pow,
+                     "inf": math.inf, "nan": math.nan}
 _ARRAY_NAMESPACE = {
     "_sin": _ufunc_or_math(np.sin, math.sin),
     "_cos": _ufunc_or_math(np.cos, math.cos),
     "_exp": _elementwise(math.exp),
     "_tanh": _elementwise(math.tanh),
     "_pow": _elementwise(pow, 2),
+    "_intpow": _elementwise(_integer_pow, 2),
     "inf": math.inf, "nan": math.nan,
 }
 
@@ -409,7 +433,9 @@ def _gen(e):
     """Python source for a tree; functions and powers are calls, never `**`.
 
     Python reads -2.0**2 as -(2.0**2); `_pow(-2.0, 2)` keeps the sign. A
-    constant exponent is rounded to its integer here, as `evaluate` does.
+    constant exponent within 1e-9 of an integer is rounded to it here, as
+    `evaluate` does; any other exponent goes to `_intpow`, which raises where
+    `evaluate` does, so the caller falls back to `evaluate` for its error.
     """
     if isinstance(e, Num):
         return repr(e.value)
@@ -422,10 +448,10 @@ def _gen(e):
         return f"({_gen(e.left)}{op}{_gen(e.right)})"
     if isinstance(e, Pow):
         try:
-            exponent = str(int(round(evaluate(e.exponent, ()))))
-        except EvalError:
-            exponent = _gen(e.exponent)
-        return f"_pow({_gen(e.base)}, {exponent})"
+            n = _exponent_of(e, ())
+        except EvalError:  # a variable or a non-integer exponent
+            return f"_intpow({_gen(e.base)}, {_gen(e.exponent)})"
+        return f"_pow({_gen(e.base)}, {n})"
     if isinstance(e, Call):
         return f"_{e.fn}({_gen(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
@@ -630,8 +656,7 @@ def differentiate(e, var):
                     mul_(e.left, differentiate(e.right, var)))
         return div_(numr, mul_(e.right, e.right))
     if isinstance(e, Pow):
-        n = evaluate(e.exponent, ())
-        n = int(round(n))
+        n = _exponent_of(e, ())
         return mul_(num(n), pow_(e.base, n - 1), differentiate(e.base, var))
     if isinstance(e, Call):
         inner = differentiate(e.arg, var)

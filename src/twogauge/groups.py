@@ -12,6 +12,8 @@ with its Lie algebra and a fixed, documented basis:
 
 exp is scaling-and-squaring Pade (scipy expm); log eigen-checks the argument
 first and refuses cut-locus points with the offending eigenvalue in the error.
+Both import scipy when first called, so a process that never takes an exp or
+a log never pays for loading it.
 Group products renormalize by polar projection when the membership drift
 exceeds TAU_GRP / 10. `defect`, `renormalize`, `project` and `inv` also take
 a stack of matrices along a leading axis; each matrix gets the same bits and
@@ -22,7 +24,6 @@ is the exact `defect` of every matrix, with no cheaper estimate in front.
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GroupDomainError, LogRangeError
 
@@ -462,10 +463,11 @@ class MatrixGroup:
             raise GroupDomainError(
                 f"expected {self.n}x{self.n} matrix for {self.name}, got shape {g.shape}")
         d = self.defect(g)
+        # `not d <= bound` and not `d > bound`: a NaN defect must fail
         if stack:
-            bad = d[d > 1e-6]
+            bad = d[~(d <= 1e-6)]
             d = bad[0] if len(bad) else 0.0
-        if d > 1e-6:
+        if not d <= 1e-6:
             raise GroupDomainError(f"matrix is not in {self.name} (defect {d:.2e})")
         return g
 
@@ -526,6 +528,7 @@ class MatrixGroup:
     def exp(self, x):
         if self.algebra.dim == 0:
             return self.identity
+        import scipy.linalg  # loaded on first use: most runs need no scipy
         g = scipy.linalg.expm(np.asarray(x, dtype=self.dtype))
         return self.renormalize(g)
 
@@ -549,6 +552,7 @@ class MatrixGroup:
         else:
             if np.any(np.abs(w) < 1e-12):
                 raise LogRangeError("log of a singular matrix", eigenvalue=w[np.argmin(np.abs(w))])
+        import scipy.linalg
         X = scipy.linalg.logm(g)
         return self.algebra.project(X)
 

@@ -8,7 +8,6 @@ independent central-difference route for cross-checking.
 """
 
 import numpy as np
-from scipy.linalg import expm_frechet
 
 from .errors import GeometryError
 from .forms import FormField, PointwiseForm
@@ -73,6 +72,7 @@ class ExpParamMap(GroupMap):
     def jac(self, point, direction):
         X = self.exponent.at(point)
         dX = self._dexponent.at(point, np.asarray(direction, dtype=float))
+        from scipy.linalg import expm_frechet  # loaded on first use
         _, L = expm_frechet(X, dX)
         return L
 

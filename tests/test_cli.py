@@ -7,8 +7,14 @@ across CI runs.  Wall-clock chatter goes to stderr only.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twogauge import cli
@@ -387,3 +393,60 @@ def test_inline_alpha_leaving_h_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "leaves.scn", {"crossed_module": {
         "G": {"table": swap}, "H": {"table": swap}, "t": [0, 0], "alpha": [[0, 1], [1, 5]]}})
     assert _refused(["validate", "--scenario", path], capsys)
+
+
+def test_nan_surface_element_exits_two_with_one_line(tmp_path, capsys):
+    # 1e999 * x1 is inf * 0 = nan at x1 = 0: the membership check refuses
+    # the transported element, and the products that made it do not warn
+    doc = _shipped_doc("abelian_square.scn")
+    doc["forms"]["B"]["components"] = {"1,12": "1e999 * x1"}
+    path = _write(tmp_path, "nan.scn", doc)
+    code = cli.run(["holonomy-surface", "--scenario", path, "--grid", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "twogauge: matrix is not in U1 (defect nan)\n"
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom\nsecond line"),
+                                   np.linalg.LinAlgError("Singular matrix")],
+                         ids=["runtime", "linalg"])
+def test_foreign_exception_exits_two_with_one_line(error, monkeypatch, capsys):
+    def handler(*args):
+        raise error
+    monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+    code = cli.run(["validate", "--scenario", "abelian.scn"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert type(error).__name__ in captured.err and "Traceback" not in captured.err
+
+
+# a fresh interpreter: this one has scipy loaded by other test modules
+COLD_RUNS = textwrap.dedent("""
+    import io, sys
+    from contextlib import redirect_stderr, redirect_stdout
+    import twogauge
+    from twogauge import cli
+
+    def quiet(*argv):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return cli.run(list(argv))
+
+    codes = [quiet("classify", "--scenario", "gerbe_census.scn"),
+             quiet("cocycle", "--scenario", "s3_cocycle.scn"),
+             quiet("validate", "--scenario", "eh_probe.scn"),
+             quiet("holonomy-surface", "--scenario", "abelian_square.scn",
+                   "--grid", "8")]
+    print(codes, "scipy" in sys.modules)
+    quiet("validate", "--scenario", "su2_charts.scn")  # samples SU(2) by exp
+    print("scipy.linalg" in sys.modules)
+""")
+
+
+def test_scipy_loads_only_where_a_run_needs_it():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", COLD_RUNS], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 1, 0] False", "True"]

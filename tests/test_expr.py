@@ -75,6 +75,8 @@ def test_parse_error_non_integer_exponent():
         parse("x1^2.5")
     with pytest.raises(ParseError):
         parse("x1^x2")
+    with pytest.raises(ParseError):
+        parse("x1^1e999")
     # constant integer-valued exponent expressions are fine and stay unfolded
     assert parse("x1^(2 + 1)") == Pow(Var(1), Add(Num(2.0), Num(1.0)))
 
@@ -245,6 +247,23 @@ def test_literal_too_large_for_a_float_compiles():
     assert fn.arrays((np.array([2.0, 3.0]),)).tolist() == [math.inf, math.inf]
 
 
+@pytest.mark.parametrize("tree", [Pow(Var(1), Num(0.5)), Pow(Num(2.0), Var(1))],
+                         ids=["constant-exponent", "variable-exponent"])
+def test_non_integer_exponent_is_refused_like_evaluate(tree):
+    # trees the parser refuses, but FormField takes Expr objects as they are
+    fn = compile_expr(tree)
+    for call in (fn, lambda p: fn.arrays((np.array([p[0], 2.0]),))):
+        with pytest.raises(EvalError, match="non-integer exponent 0.5") as exc:
+            call((0.5,))
+        assert exc.value.subexpression == to_text(tree)
+
+
+def test_non_integer_exponent_has_no_derivative():
+    # rounding 0.5 to 0 would give the derivative 0 without a word
+    with pytest.raises(EvalError, match="non-integer exponent 0.5"):
+        differentiate(Pow(Var(1), Num(0.5)), 1)
+
+
 # ------------------------------------------------------------ print round trip
 
 def _neg(child):
@@ -318,6 +337,11 @@ def _outcome(fn, point):
 @given(_exprs)
 @example(Pow(Num(-0.0), Num(0.0)))
 @example(Mul(Var(2), Pow(Num(-3.0), Num(2.0))))
+@example(Pow(Var(1), Num(0.5)))
+@example(Pow(Num(2.0), Var(1)))
+@example(Pow(Var(2), Var(3)))
+@example(Pow(Var(1), Add(Num(2.0), Div(Var(1), Num(1e15)))))  # within 1e-9 of 2
+@example(Pow(Var(1), Num(math.inf)))
 def test_compiled_code_has_the_bits_of_evaluate(e):
     fn = compile_expr(e)
     want = [_outcome(lambda p: evaluate(e, p), p) for p in _PROBES]

@@ -247,3 +247,16 @@ def test_stacked_membership_check_decides_like_the_exact_defect(factory):
             worst = next(G.defect(x) for x in g if G.defect(x) > 1e-6)
             with pytest.raises(GroupDomainError, match=f"defect {worst:.2e}"):
                 G.inv(g)
+
+
+@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL, lambda: GL(2)])
+def test_nan_matrix_fails_the_membership_check(factory):
+    # every comparison with NaN is False, so `defect > bound` would let it in
+    G = factory()
+    bad = np.array(G.identity, dtype=G.dtype)
+    bad[0, 0] = np.nan
+    with np.errstate(invalid="ignore"):  # det warns on NaN
+        with pytest.raises(GroupDomainError, match=r"defect (nan|inf)"):
+            G.inv(bad)
+        with pytest.raises(GroupDomainError, match=r"defect (nan|inf)"):
+            G.inv(np.stack([G.identity, bad, G.identity]))

@@ -24,7 +24,14 @@ a change touched, run the tool against both checkouts and diff:
 prints, instead of digests, one line per subcommand: the median over 5
 repeats of the summed "[wall]" seconds of that subcommand's runs, and how
 many of its runs report a wall (a run that exits 2 before starting prints
-none).
+none). Those walls start after the imports, so they leave out start-up.
+
+    python3 tools/report_digests.py --cold 3
+
+runs every scenario and subcommand as its own fresh `python -m twogauge.cli`
+process against `--src`, and prints one line per subcommand: the median
+over 3 repeats of the summed wall time of that subcommand's processes,
+imports included, then the same for all runs together.
 """
 
 import argparse
@@ -33,7 +40,9 @@ import hashlib
 import io
 import os
 import statistics
+import subprocess
 import sys
+import time
 
 
 def _sha(text):
@@ -77,23 +86,55 @@ def wall_lines(cli, scenarios, repeats):
             for command in cli.COMMANDS]
 
 
+def cold_lines(src, commands, scenarios, repeats):
+    """Median over repeats of each subcommand's summed fresh-process seconds."""
+    env = {**os.environ, "PYTHONPATH": src}
+    totals = {command: [] for command in commands}
+    for _ in range(repeats):
+        for command in commands:
+            total = 0.0
+            for scenario in scenarios:
+                started = time.perf_counter()
+                subprocess.run([sys.executable, "-m", "twogauge.cli", command,
+                                "--scenario", scenario], env=env, timeout=600,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                total += time.perf_counter() - started
+            totals[command].append(total)
+    lines = [f"{command} {statistics.median(totals[command]):.3f}s "
+             f"({len(scenarios)} processes)" for command in commands]
+    overall = [sum(run) for run in zip(*totals.values())]
+    lines.append(f"all {statistics.median(overall):.3f}s "
+                 f"({len(commands) * len(scenarios)} processes)")
+    return lines
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="source tree holding the twogauge package")
-    parser.add_argument("--repeat", type=int, default=None, metavar="N",
+    timing = parser.add_mutually_exclusive_group()
+    timing.add_argument("--repeat", type=int, default=None, metavar="N",
                         help="print median [wall] per subcommand over N repeats")
+    timing.add_argument("--cold", type=int, default=None, metavar="N",
+                        help="print median fresh-process seconds per subcommand "
+                             "over N repeats")
     args = parser.parse_args(argv)
-    if args.repeat is not None and args.repeat < 1:
-        parser.error("--repeat must be a positive integer")
-    sys.path.insert(0, os.path.abspath(args.src))
+    for name in ("repeat", "cold"):
+        if getattr(args, name) is not None and getattr(args, name) < 1:
+            parser.error(f"--{name} must be a positive integer")
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
     from twogauge import cli
     from twogauge.scenario import shipped_scenarios
 
     scenarios = shipped_scenarios()
-    lines = digest_lines(cli, scenarios) if args.repeat is None \
-        else wall_lines(cli, scenarios, args.repeat)
+    if args.cold is not None:
+        lines = cold_lines(src, cli.COMMANDS, scenarios, args.cold)
+    elif args.repeat is not None:
+        lines = wall_lines(cli, scenarios, args.repeat)
+    else:
+        lines = digest_lines(cli, scenarios)
     for line in lines:
         print(line)
 
