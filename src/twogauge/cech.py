@@ -425,6 +425,9 @@ class _StateLayout:
         self.radices = [tab.G.order] * len(doubles) + [tab.H.order] * len(triples)
         self.d_index = {d: n for n, d in enumerate(doubles)}
         self.t_index = {t: len(doubles) + n for n, t in enumerate(triples)}
+        # place value of each column in a code
+        self.weights = [int(np.prod(self.radices[n + 1:], dtype=np.int64))
+                        for n in range(len(self.radices))]
 
     def code(self, columns, n):
         """Codes of the n states whose leading columns are `columns`."""
@@ -489,14 +492,38 @@ def _cocycle_codes(tab, layout, quads):
 
 
 def _moved_codes(tab, layout, codes, lam, bmap):
-    """Codes of the states reached from `codes` by one change of trivializations."""
-    gv, hv = layout.accessors(layout.digits(codes))
+    """Codes of the states reached from `codes` by one change of trivializations.
+
+    Only the columns the move touches are pasted: the doubles and triples
+    that contain a chart of `lam`, and the doubles of `bmap` and the triples
+    that have one as an edge. Every other column would paste identities
+    around its stored value and give it back, so it keeps its digit and the
+    code changes by the touched columns' differences alone. Each column the
+    pastings read is decoded once.
+    """
+    charts, edges = set(lam), set(bmap)
+    doubles = [d for d in layout.doubles if d in edges or charts & set(d)]
+    triples = [t for t in layout.triples
+               if charts & set(t) or edges & set(_faces(t))]
+    decoded = {}
+
+    def column(n):
+        if n not in decoded:
+            decoded[n] = codes // layout.weights[n] % layout.radices[n]
+        return decoded[n]
+
+    gv = lambda d: column(layout.d_index[d])
+    hv = lambda t: column(layout.t_index[t])
     lam_at = lambda i: lam.get(i, tab.G.identity)
     b_at = lambda d: bmap.get(d, tab.H.identity)
-    moved = ([_transformed_double(tab, gv, lam_at, b_at, d) for d in layout.doubles]
-             + [_transformed_triple(tab, gv, hv, lam_at, b_at, t)
-                for t in layout.triples])
-    return layout.code(moved, len(codes))
+    changed = ([(layout.d_index[d], _transformed_double(tab, gv, lam_at, b_at, d))
+                for d in doubles]
+               + [(layout.t_index[t], _transformed_triple(tab, gv, hv, lam_at, b_at, t))
+                  for t in triples])
+    moved = codes.copy()
+    for n, digit in changed:
+        moved += (digit - column(n)) * layout.weights[n]
+    return moved
 
 
 def _merge(parent, other):
@@ -532,6 +559,16 @@ def classify_finite(cm, nerve, budget=10 ** 7):
     stored as mixed-radix codes. Each single-site change of trivializations
     is applied to every cocycle at once and mapped back to a cocycle index;
     classes are the components of those maps (union-find).
+
+    Move values range over a generating set of G (lam at a chart) or H (b at
+    a double), not over every element: the moves at one site compose as a
+    group action (lam: m_x m_y = m_xy; b: m_x m_y = m_yx), so the moves by
+    generators reach every move at that site, and the components, hence the
+    least representatives, are the same. A move pastes only the columns it
+    touches: for lam at chart c, the doubles and triples containing c; for b
+    at double d, d and the triples with d as an edge. Every other column
+    pastes identities around its stored value, which gives the value back
+    once the axioms hold (alpha(e) = id, t(e) = e), so it is copied.
     """
     if not cm.is_finite:
         raise ConfigError("classification needs a finite crossed module")
@@ -555,15 +592,8 @@ def classify_finite(cm, nerve, budget=10 ** 7):
     layout = _StateLayout(tab, doubles, triples)
     codes = _cocycle_codes(tab, layout, quads)
 
-    moves = []
-    for i in nerve.charts:
-        for lam_val in G.elements():
-            if lam_val != G.identity:
-                moves.append(({i: lam_val}, {}))
-    for d in doubles:
-        for b_val in H.elements():
-            if b_val != H.identity:
-                moves.append(({}, {d: b_val}))
+    moves = [({i: x}, {}) for i in nerve.charts for x in tab.G.generators]
+    moves += [({}, {d: y}) for d in doubles for y in tab.H.generators]
 
     parent = np.arange(len(codes))
     for lam, bmap in moves:

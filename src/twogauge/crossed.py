@@ -143,6 +143,8 @@ class TableGroup:
     `mul`, `inv` and `conj` take ints or integer arrays that broadcast
     together and return the elementwise results, without membership checks:
     every index that reaches them comes from the compiled tables.
+    `generators` is the least-first generating set: each element, in
+    increasing index order, that the earlier ones do not generate.
     """
 
     def __init__(self, group):
@@ -152,6 +154,22 @@ class TableGroup:
         self.inverse = np.array([group.inv(a) for a in group.elements()], dtype=np.intp)
         self._group = group
         self._flat = self.table.ravel()
+        self.generators = self._least_generators()
+
+    def _least_generators(self):
+        table = self.table.tolist()
+        gens, span = [], {self.identity}
+        for a in range(self.order):
+            if a in span:
+                continue
+            gens.append(a)
+            # close under right multiplication by the generators: in a
+            # finite group that is the generated subgroup
+            frontier = span
+            while frontier:
+                frontier = {table[x][g] for x in frontier for g in gens} - span
+                span |= frontier
+        return gens
 
     def mul(self, a, b):
         # one flat gather is about twice as fast as indexing by two arrays

@@ -371,10 +371,11 @@ class ArrayExpr:
     with array functions bound to the names: + - * /, sin and cos run as
     numpy ufuncs, which round like the scalar operators and `math`
     functions; exp, tanh and powers run `math` and pow element by element,
-    because their numpy versions round differently. On any exception or
-    floating-point error the whole array is evaluated again point by point
-    through the scalar callable, so values and EvalError messages are the
-    scalar ones. The array code is compiled on first call.
+    because their numpy versions round differently. On any exception,
+    floating-point error or non-finite result the whole array is evaluated
+    again point by point through the scalar callable, so values and
+    EvalError messages are the scalar ones. The array code is compiled on
+    first call.
     """
 
     __slots__ = ("expr", "_scalar", "_fn")
@@ -393,9 +394,14 @@ class ArrayExpr:
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 out = self._fn(arrays)
+            # inf / 0 and nan / 0 raise no flag, so any non-finite value is
+            # left to the scalar path, which may refuse it
+            if np.isfinite(out).all():
+                return np.broadcast_to(out, shape)
         except (ArithmeticError, ValueError, IndexError):
-            coords = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
-            out = np.array([self._scalar(p) for p in zip(*coords)], dtype=float).reshape(shape)
+            pass
+        coords = [np.broadcast_to(a, shape).ravel().tolist() for a in arrays]
+        out = np.array([self._scalar(p) for p in zip(*coords)], dtype=float).reshape(shape)
         return np.broadcast_to(out, shape)
 
 

@@ -10,6 +10,7 @@ hand-expanded formulas live here, and only here, as independent oracles:
                     alpha(l_i g_ij g_jk)(h_ijk) alpha(l_i g_ij g_jk)(b_jk)^-1
                     alpha(l_i g_ij)(b_ij)^-1 )
 """
+import functools
 import itertools
 import json
 import random
@@ -19,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twogauge.cech as cech
 from twogauge.cech import (CoverNerve, GluingCocycle, NERVE_FIXTURES,
                            check_tetrahedron, check_triangle, check_unit_laws,
                            classify_finite, coboundary_act, nerve)
-from twogauge.crossed import crossed_module
+from twogauge.crossed import crossed_module, shipped_finite_names
 from twogauge.errors import BudgetExceeded, ConfigError
 from twogauge.maps import ExpParamMap
 
@@ -592,3 +594,95 @@ def test_census_refuses_an_invalid_module():
     with pytest.raises(ConfigError) as exc:
         classify_finite(crossed_module("PEIFFER_BROKEN(S3)"), nerve("tetrahedron"))
     assert "peiffer" in str(exc.value)
+
+
+# ------------------------------------------------ generator moves, touched columns
+
+# every shipped finite module on every strict shipped nerve the budget admits
+ADMITTED = [(m, nv) for m in shipped_finite_names()
+            for nv in NERVE_FIXTURES if nerve(nv).is_strict
+            and crossed_module(m).G.order ** len(nerve(nv).doubles)
+            * crossed_module(m).H.order ** len(nerve(nv).triples) <= 10 ** 7]
+
+
+@functools.lru_cache(maxsize=None)
+def census_states(module, nerve_name):
+    """(tables, layout, codes of every cocycle) as the census builds them."""
+    cm, nv = crossed_module(module), nerve(nerve_name)
+    tab = cm.compiled()
+    layout = cech._StateLayout(tab, sorted(nv.doubles), sorted(nv.triples))
+    return tab, layout, cech._cocycle_codes(tab, layout, sorted(nv.quads))
+
+
+def moved_codes_in_full(tab, layout, codes, lam, bmap):
+    # the oracle: every column pasted anew, none copied
+    gv, hv = layout.accessors(layout.digits(codes))
+    lam_at = lambda i: lam.get(i, tab.G.identity)
+    b_at = lambda d: bmap.get(d, tab.H.identity)
+    moved = ([cech._transformed_double(tab, gv, lam_at, b_at, d) for d in layout.doubles]
+             + [cech._transformed_triple(tab, gv, hv, lam_at, b_at, t)
+                for t in layout.triples])
+    return layout.code(moved, len(codes))
+
+
+def single_site_moves(tab, charts, layout):
+    """Every single-site move with every value, identity included."""
+    for c in charts:
+        yield "chart", c, [({c: x}, {}) for x in range(tab.G.order)]
+    for d in layout.doubles:
+        yield "double", d, [({}, {d: y}) for y in range(tab.H.order)]
+
+
+@pytest.mark.parametrize("module,nerve_name", ADMITTED)
+def test_single_site_moves_compose_as_group_actions(module, nerve_name):
+    # lam at a chart: m_x after m_y is m_xy; b at a double: m_x after m_y
+    # is m_yx. So the moves by a generating set reach every value's move
+    tab, layout, codes = census_states(module, nerve_name)
+    for kind, site, moves in single_site_moves(tab, nerve(nerve_name).charts, layout):
+        group = tab.G if kind == "chart" else tab.H
+        moved = [cech._moved_codes(tab, layout, codes, lam, bmap) for lam, bmap in moves]
+        assert np.array_equal(moved[group.identity], codes)
+        for (lam, bmap), once in zip(moves, moved):
+            x = lam.get(site, bmap.get(site))
+            for y in range(group.order):
+                twice = cech._moved_codes(tab, layout, moved[y], lam, bmap)
+                xy = group.mul(x, y) if kind == "chart" else group.mul(y, x)
+                assert np.array_equal(twice, moved[xy]), (kind, site, x, y)
+
+
+@pytest.mark.parametrize("module,nerve_name", ADMITTED)
+def test_touched_columns_equal_a_full_recompute(module, nerve_name):
+    tab, layout, codes = census_states(module, nerve_name)
+    for _, _, moves in single_site_moves(tab, nerve(nerve_name).charts, layout):
+        for lam, bmap in moves:
+            assert np.array_equal(cech._moved_codes(tab, layout, codes, lam, bmap),
+                                  moved_codes_in_full(tab, layout, codes, lam, bmap))
+
+
+def test_census_moves_by_generators_only(monkeypatch):
+    # one move per chart and G generator, and per double and H generator
+    made = []
+    moved_codes = cech._moved_codes
+
+    def counting(tab, layout, codes, lam, bmap):
+        made.append((tuple(lam.items()), tuple(bmap.items())))
+        return moved_codes(tab, layout, codes, lam, bmap)
+
+    monkeypatch.setattr(cech, "_moved_codes", counting)
+    for module, nerve_name, expected in [("CONJ(S3)", "triangle", 3 * 2 + 3 * 2),
+                                         ("FLIP(Z3)", "sphere", 4 * 1 + 6 * 1),
+                                         ("GERBE(Z5)", "tetrahedron", 6 * 1)]:
+        made.clear()
+        classify_finite(crossed_module(module), nerve(nerve_name))
+        assert len(set(made)) == expected
+
+
+def test_large_cyclic_gerbe_on_the_sphere():
+    # H^2(S^2; Z20) = Z20: all 20^4 h are cocycles, one class per value of
+    # the alternating sum, least member (0, 0, 0, k)
+    census = classify_finite(crossed_module("GERBE(Z20)"), nerve("sphere"))
+    assert (census["cocycles"], census["orbits"]) == (20 ** 4, 20)
+    g = {d: 0 for d in ("0,1", "0,2", "0,3", "1,2", "1,3", "2,3")}
+    assert census["representatives"] == [
+        {"g": g, "h": {"0,1,2": 0, "0,1,3": 0, "0,2,3": 0, "1,2,3": k}}
+        for k in range(20)]

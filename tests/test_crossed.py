@@ -250,3 +250,37 @@ def test_peiffer_fixture_counts_and_witness():
     assert peiffer.witness == {"h1": "(23)", "h2": "(12)"}
     broken = validate_crossed_module(_equivariance_broken())
     assert "equivariance" in [c.name for c in broken.failures]
+
+
+# ------------------------------------------------------ least generating sets
+
+def _generated(tab, gens):
+    """Every product of generators, by breadth-first search from the identity."""
+    seen, frontier = {tab.identity}, [tab.identity]
+    while frontier:
+        reached = {int(tab.mul(a, x)) for a in frontier for x in gens}
+        frontier = sorted(reached - seen)
+        seen |= reached
+    return seen
+
+
+@pytest.mark.parametrize("name", shipped_finite_names())
+def test_least_generators_span_each_finite_group(name):
+    tables = crossed_module(name).compiled()
+    for tab in (tables.G, tables.H):
+        gens = tab.generators
+        assert _generated(tab, gens) == set(range(tab.order))
+        # least-first: each is the least element the earlier ones miss
+        for n, x in enumerate(gens):
+            missed = set(range(tab.order)) - _generated(tab, gens[:n])
+            assert x == min(missed)
+
+
+def test_generator_counts():
+    def counts(name):
+        tables = crossed_module(name).compiled()
+        return len(tables.G.generators), len(tables.H.generators)
+    assert counts("GERBE(Z5)") == (0, 1)
+    assert counts("FLIP(Z3)") == (1, 1)
+    assert counts("CONJ(S3)") == (2, 2)
+    assert counts("GERBE(Z100)") == (0, 1)

@@ -247,6 +247,28 @@ def test_literal_too_large_for_a_float_compiles():
     assert fn.arrays((np.array([2.0, 3.0]),)).tolist() == [math.inf, math.inf]
 
 
+@pytest.mark.parametrize("numerator", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_over_zero_is_refused_like_evaluate(numerator):
+    # IEEE inf / 0 and nan / 0 raise no floating-point flag in array mode
+    tree = Div(Num(numerator), Sub(Var(1), Var(1)))
+    fn = compile_expr(tree)
+    with pytest.raises(EvalError, match="division by zero") as scalar:
+        evaluate(tree, (1.0,))
+    for call in (fn, lambda p: fn.arrays((np.array([p[0], 2.0]),))):
+        with pytest.raises(EvalError, match="division by zero") as exc:
+            call((1.0,))
+        assert exc.value.subexpression == scalar.value.subexpression
+
+
+def test_non_finite_values_the_scalar_path_allows_keep_their_bits():
+    # nan and inf without a division by zero are values, not errors
+    fn = compile_expr(Add(Mul(Num(math.inf), Var(1)), Num(math.nan)))
+    got = fn.arrays((np.array([1.0, -2.0]),))
+    assert np.isnan(got).all() and math.isnan(fn((1.0,)))
+    fn = compile_expr(Div(Num(math.inf), Var(1)))
+    assert fn.arrays((np.array([1.0, -2.0]),)).tolist() == [math.inf, -math.inf]
+
+
 @pytest.mark.parametrize("tree", [Pow(Var(1), Num(0.5)), Pow(Num(2.0), Var(1))],
                          ids=["constant-exponent", "variable-exponent"])
 def test_non_integer_exponent_is_refused_like_evaluate(tree):

@@ -3,7 +3,7 @@ import pytest
 
 from twogauge.crossed import crossed_module
 from twogauge.errors import EvalError, GeometryError
-from twogauge.expr import Num, parse
+from twogauge.expr import Div, Num, Sub, Var, parse
 from twogauge.forms import (
     FormField, PointwiseForm, action_wedge, action_wedge_pointwise, curvature,
     fake_curvature_form, forms_close, overlap_curvature, square_wedge,
@@ -238,6 +238,18 @@ def test_negative_literal_power_agrees_between_at_and_at_points():
     got = form.at_points(points, vectors)
     assert _bits(got) == _bits(_at_each(form, points, vectors))
     assert np.array_equal(got[0], 4.0 * SU2.basis[0])
+
+
+@pytest.mark.parametrize("numerator", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_over_zero_is_refused_by_at_and_at_points(numerator):
+    form = FormField(SU2, 1, 2, {(0, (0,)): Div(Num(numerator), Sub(Var(1), Var(1)))})
+    points = np.array([[1.0, 0.0], [-0.5, 2.0]])
+    vectors = np.array([[1.0, 0.0], [2.0, 1.0]])
+    with pytest.raises(EvalError, match="division by zero") as one:
+        form.at(tuple(points[0]), vectors[0])
+    with pytest.raises(EvalError, match="division by zero") as many:
+        form.at_points(points, vectors)
+    assert str(many.value) == str(one.value)
 
 
 def test_at_points_checks_its_arguments():

@@ -32,12 +32,24 @@ runs every scenario and subcommand as its own fresh `python -m twogauge.cli`
 process against `--src`, and prints one line per subcommand: the median
 over 3 repeats of the summed wall time of that subcommand's processes,
 imports included, then the same for all runs together.
+
+    python3 tools/report_digests.py --census
+
+prints, instead, one line per finite census: every shipped finite module on
+every shipped nerve, and GERBE(Z20) on the sphere,
+
+    module nerve sha256(json census)
+
+or `module nerve refused: <message>` where `classify_finite` refuses the
+pair. Diffing this against `--src ../parent/src` shows whether a change
+moved any census.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import statistics
 import subprocess
@@ -108,17 +120,41 @@ def cold_lines(src, commands, scenarios, repeats):
     return lines
 
 
+# a cyclic gerbe larger than any shipped module, within the census budget
+EXTRA_CENSUS = [("GERBE(Z20)", "sphere")]
+
+
+def census_lines():
+    """One digest or refusal line per finite census, shipped pairs first."""
+    from twogauge.cech import NERVE_FIXTURES, classify_finite, nerve
+    from twogauge.crossed import crossed_module, shipped_finite_names
+    from twogauge.errors import TwoGaugeError
+
+    pairs = [(m, nv) for m in shipped_finite_names() for nv in NERVE_FIXTURES]
+    lines = []
+    for module, nerve_name in pairs + EXTRA_CENSUS:
+        try:
+            census = classify_finite(crossed_module(module), nerve(nerve_name))
+        except TwoGaugeError as exc:
+            lines.append(f"{module} {nerve_name} refused: {exc}")
+            continue
+        lines.append(f"{module} {nerve_name} {_sha(json.dumps(census, sort_keys=True))}")
+    return lines
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="source tree holding the twogauge package")
-    timing = parser.add_mutually_exclusive_group()
-    timing.add_argument("--repeat", type=int, default=None, metavar="N",
-                        help="print median [wall] per subcommand over N repeats")
-    timing.add_argument("--cold", type=int, default=None, metavar="N",
-                        help="print median fresh-process seconds per subcommand "
-                             "over N repeats")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--repeat", type=int, default=None, metavar="N",
+                      help="print median [wall] per subcommand over N repeats")
+    mode.add_argument("--cold", type=int, default=None, metavar="N",
+                      help="print median fresh-process seconds per subcommand "
+                           "over N repeats")
+    mode.add_argument("--census", action="store_true",
+                      help="print one digest per finite census instead")
     args = parser.parse_args(argv)
     for name in ("repeat", "cold"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
@@ -129,7 +165,9 @@ def main(argv=None):
     from twogauge.scenario import shipped_scenarios
 
     scenarios = shipped_scenarios()
-    if args.cold is not None:
+    if args.census:
+        lines = census_lines()
+    elif args.cold is not None:
         lines = cold_lines(src, cli.COMMANDS, scenarios, args.cold)
     elif args.repeat is not None:
         lines = wall_lines(cli, scenarios, args.repeat)
