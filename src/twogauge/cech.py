@@ -32,6 +32,9 @@ from .groups import TAU_GRP
 from .report import ValidationReport
 from .twocells import CellBatch, TwoCell
 
+# classify_finite refuses a nerve with more candidate assignments than this
+CENSUS_BUDGET = 10 ** 7
+
 
 def _faces(overlap):
     return [overlap[:m] + overlap[m + 1:] for m in range(len(overlap))]
@@ -190,21 +193,15 @@ def _residual(group, x, y):
     return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
 
 
-def _pick(nerve, declared, where, what):
-    if where is None:
-        return list(declared)
-    where = tuple(where)
-    if where not in set(declared):
-        raise ConfigError(f"{what} {where} is not declared on this nerve")
-    return [where]
+def check_triangle(data):
+    """g_ij g_jk t(h_ijk) = g_ik on each declared triple.
 
-
-def check_triangle(data, where=None, tol=TAU_GRP):
-    """g_ij g_jk t(h_ijk) = g_ik on each declared (or the given) triple."""
+    Finite values must agree exactly; matrix values within TAU_GRP.
+    """
     cm = data.cm
     G = cm.G
     rep = ValidationReport("triangle laws")
-    for tri in _pick(data.nerve, data.nerve.triples, where, "triple"):
+    for tri in data.nerve.triples:
         i, j, k = tri
         worst, witness = 0.0, None
         for p in data.nerve.points(tri):
@@ -214,8 +211,8 @@ def check_triangle(data, where=None, tol=TAU_GRP):
             r = _residual(G, lhs, rhs)
             if r > worst:
                 worst, witness = r, {"triple": list(tri), "point": p}
-        ok = worst <= (0.0 if G.kind == "finite" else tol)
-        rep.add(f"triangle({i},{j},{k})", ok, residual=worst, tolerance=tol,
+        ok = worst <= (0.0 if G.kind == "finite" else TAU_GRP)
+        rep.add(f"triangle({i},{j},{k})", ok, residual=worst, tolerance=TAU_GRP,
                 witness=None if ok else witness)
     return rep
 
@@ -232,17 +229,19 @@ def _tetra_sides(cm, gv, hv, quad, tol=None):
     return side1, side2
 
 
-def check_tetrahedron(data, where=None, tol=TAU_GRP):
-    """Pasting equality of the two routes around each quadruple.
+def check_tetrahedron(data):
+    """Pasting equality of the two routes around each declared quadruple.
 
     Both routes are composed with the generic 2-cell operations, so this
     check inherits the composition conventions instead of restating them.
+    Finite routes must agree exactly; matrix routes within TAU_GRP, and
+    their cells compose when the 1-arrows match within 10 TAU_GRP.
     """
     cm = data.cm
     rep = ValidationReport("tetrahedron laws")
     finite = cm.G.kind == "finite"
-    ctol = None if finite else 10 * tol
-    for quad in _pick(data.nerve, data.nerve.quads, where, "quad"):
+    ctol = None if finite else 10 * TAU_GRP
+    for quad in data.nerve.quads:
         worst, witness, broken = 0.0, None, None
         for p in data.nerve.points(quad):
             try:
@@ -261,29 +260,28 @@ def check_tetrahedron(data, where=None, tol=TAU_GRP):
             rep.add(name, False, witness=broken,
                     detail="prerequisite triangle fails, sides do not compose")
             continue
-        ok = worst <= (0.0 if finite else tol)
-        rep.add(name, ok, residual=worst, tolerance=tol,
+        ok = worst <= (0.0 if finite else TAU_GRP)
+        rep.add(name, ok, residual=worst, tolerance=TAU_GRP,
                 witness=None if ok else witness)
     return rep
 
 
-def check_unit_laws(data, where=None, tol=TAU_GRP):
+def check_unit_laws(data):
     """Unit-corrector diagrams on degenerate overlaps.
 
     For each chart with (i, i) declared: g_ii t(k_i) = 1. For each declared
     (i, i, j): the k_i cell whiskered by g_ij equals the h_iij cell. For each
     (i, j, j): the k_j cell whiskered on the other side equals the h_ijj
-    cell. Whiskers and comparisons go through the 2-cell engine.
+    cell. Whiskers and comparisons go through the 2-cell engine. Finite
+    values must agree exactly; matrix values within TAU_GRP.
     """
     cm = data.cm
     G = cm.G
     rep = ValidationReport("unit laws")
-    finite = G.kind == "finite"
-    etol = 0.0 if finite else tol
-    charts = data.nerve.charts if where is None else [where]
+    etol = 0.0 if G.kind == "finite" else TAU_GRP
     dset = set(data.nerve.doubles)
     touched = False
-    for i in charts:
+    for i in data.nerve.charts:
         if (i, i) not in dset:
             continue
         touched = True
@@ -294,10 +292,10 @@ def check_unit_laws(data, where=None, tol=TAU_GRP):
             if r > worst:
                 worst, witness = r, {"chart": i, "point": p}
         rep.add(f"unit-target({i})", worst <= etol, residual=worst,
-                tolerance=tol, witness=None if worst <= etol else witness)
+                tolerance=TAU_GRP, witness=None if worst <= etol else witness)
     for tri in data.nerve.triples:
         a, b, c = tri
-        if a == b != c and (where is None or where == a):
+        if a == b != c:
             touched = True
             worst = 0.0
             for p in data.nerve.points(tri):
@@ -307,8 +305,8 @@ def check_unit_laws(data, where=None, tol=TAU_GRP):
                             data.h_at(tri, p))
                 worst = max(worst, _residual(cm.H, left.h, law.h))
             rep.add(f"left-unit({a},{c})", worst <= etol, residual=worst,
-                    tolerance=tol)
-        if a != b == c and (where is None or where == b):
+                    tolerance=TAU_GRP)
+        if a != b == c:
             touched = True
             worst = 0.0
             for p in data.nerve.points(tri):
@@ -318,7 +316,7 @@ def check_unit_laws(data, where=None, tol=TAU_GRP):
                             data.h_at(tri, p))
                 worst = max(worst, _residual(cm.H, right.h, law.h))
             rep.add(f"right-unit({a},{b})", worst <= etol, residual=worst,
-                    tolerance=tol)
+                    tolerance=TAU_GRP)
     if not touched:
         rep.skip("unit-laws", "no degenerate overlaps declared")
     return rep
@@ -546,14 +544,15 @@ def _merge(parent, other):
             parent[:] = up
 
 
-def classify_finite(cm, nerve, budget=10 ** 7):
+def classify_finite(cm, nerve):
     """Enumerate normalized cocycles and their coboundary orbits.
 
     Normalized means k_i = 1 with data only on strictly increasing overlaps.
     Enumeration is lexicographic in (overlap order, element index); orbit
     representatives are the lexicographically least states, so the census is
-    deterministic. Refuses when |G|^#doubles * |H|^#triples exceeds budget,
-    and refuses a pair (G, H, t, alpha) that fails the crossed-module axioms.
+    deterministic. Refuses when |G|^#doubles * |H|^#triples exceeds
+    CENSUS_BUDGET, and refuses a pair (G, H, t, alpha) that fails the
+    crossed-module axioms.
 
     The states are pasted in batches over the module's compiled tables and
     stored as mixed-radix codes. Each single-site change of trivializations
@@ -579,10 +578,10 @@ def classify_finite(cm, nerve, budget=10 ** 7):
     triples = sorted(nerve.triples)
     quads = sorted(nerve.quads)
     size = G.order ** len(doubles) * H.order ** len(triples)
-    if size > budget:
+    if size > CENSUS_BUDGET:
         raise BudgetExceeded(
-            f"{size} candidate assignments exceed the budget {budget}",
-            size=size, budget=budget)
+            f"{size} candidate assignments exceed the budget {CENSUS_BUDGET}",
+            size=size, budget=CENSUS_BUDGET)
     axioms = validate_crossed_module(cm)
     if not axioms.passed:
         raise ConfigError(f"classification needs a crossed module: {cm.name} fails "

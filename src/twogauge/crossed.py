@@ -41,6 +41,8 @@ EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
 MAX_CYCLIC_ORDER = 100
 # cases per block of a batched check over compiled tables: bounds its memory
 BLOCK = 8192
+# differential_consistency: the largest residual / eps^2 that passes
+FIRST_ORDER_BOUND = 10.0
 
 
 class CrossedModule:
@@ -310,13 +312,13 @@ def validate_crossed_module(cm, mode="auto", samples=60, seed=42):
     return rep
 
 
-def differential_consistency(cm, samples=20, eps=1e-3, seed=42, bound=10.0):
+def differential_consistency(cm, samples=20, eps=1e-3, seed=42):
     """First-order agreement of (t, alpha) with (dt, dalpha).
 
     For x in the H algebra: || t(exp(eps x)) - exp(eps dt(x)) || = O(eps^2).
     For y in the G algebra and h = exp(x): since alpha(g) is an automorphism,
     log(alpha(exp(eps y))(h)) = x + eps dalpha(y)(x) + O(eps^2).
-    Reports max residual / eps^2 against `bound`.
+    Reports max residual / eps^2 against FIRST_ORDER_BOUND.
     """
     if not cm.has_differential:
         raise GroupDomainError(f"{cm.name} has no differential data")
@@ -338,8 +340,10 @@ def differential_consistency(cm, samples=20, eps=1e-3, seed=42, bound=10.0):
         lhs = H.log(cm.alpha(G.exp(eps * y), h))
         r_a = np.linalg.norm(lhs - (x + eps * cm.dalpha(y, x)))
         worst_a = max(worst_a, r_a / eps ** 2)
-    rep.add("dt-first-order", worst_t <= bound, residual=worst_t, tolerance=bound)
-    rep.add("dalpha-first-order", worst_a <= bound, residual=worst_a, tolerance=bound)
+    rep.add("dt-first-order", worst_t <= FIRST_ORDER_BOUND, residual=worst_t,
+            tolerance=FIRST_ORDER_BOUND)
+    rep.add("dalpha-first-order", worst_a <= FIRST_ORDER_BOUND, residual=worst_a,
+            tolerance=FIRST_ORDER_BOUND)
     return rep
 
 

@@ -1,7 +1,7 @@
 """Paths and bigons on R^n with sitting instants.
 
 Every shipped parametrization is constant on a margin near the ends of its
-parameter interval (width `delta`, default 0.1). That makes concatenation
+parameter interval, of width SITTING = 0.1. That makes concatenation
 smooth without matching derivatives at the seam: both sides arrive with all
 derivatives zero. The margin is produced by the standard smooth step built
 from exp(-1/u).
@@ -38,8 +38,10 @@ import numpy as np
 from .errors import CompositionError, GeometryError
 from .expr import compile_expr, differentiate, max_var_index, parse
 
-DEFAULT_SITTING = 0.1
+SITTING = 0.1
 TAU_GEO = 1e-9
+# Bigon.vertical and .horizontal: how far the shared boundaries may differ
+TAU_JOIN = 1e-7
 
 
 def _each(fn, x):
@@ -163,28 +165,19 @@ def smooth_step_derivative(u):
     return (db * c + b * dc) / (b + c) ** 2
 
 
-class Ramp:
-    """Sitting ramp: 0 on [0, delta], 1 on [1-delta, 1], smooth between."""
+def ramp(s):
+    """Sitting ramp: 0 on [0, SITTING], 1 on [1 - SITTING, 1], smooth between."""
+    if isinstance(s, np.ndarray):
+        return _each(ramp, s)
+    return smooth_step((s - SITTING) / (1.0 - 2.0 * SITTING))
 
-    def __init__(self, delta=DEFAULT_SITTING):
-        if not (0.0 <= delta < 0.5):
-            raise GeometryError("sitting margin must lie in [0, 0.5)")
-        self.delta = float(delta)
 
-    def __call__(self, s):
-        if isinstance(s, np.ndarray):
-            return _each(self, s)
-        if self.delta == 0.0:
-            return min(max(s, 0.0), 1.0)
-        return smooth_step((s - self.delta) / (1.0 - 2.0 * self.delta))
-
-    def derivative(self, s):
-        if isinstance(s, np.ndarray):
-            return _each(self.derivative, s)
-        if self.delta == 0.0:
-            return 1.0 if 0.0 < s < 1.0 else 0.0
-        w = 1.0 - 2.0 * self.delta
-        return smooth_step_derivative((s - self.delta) / w) / w
+def ramp_derivative(s):
+    """The exact derivative of `ramp`."""
+    if isinstance(s, np.ndarray):
+        return _each(ramp_derivative, s)
+    w = 1.0 - 2.0 * SITTING
+    return smooth_step_derivative((s - SITTING) / w) / w
 
 
 class Reparam:
@@ -210,22 +203,18 @@ class Reparam:
         return self._dfn(s)
 
     @classmethod
-    def identity(cls):
-        return cls(lambda s: s, lambda s: 1.0, "identity")
+    def sitting(cls):
+        """The sitting ramp itself."""
+        return cls(ramp, ramp_derivative, f"sitting({SITTING})")
 
     @classmethod
-    def sitting(cls, delta=DEFAULT_SITTING):
-        r = Ramp(delta)
-        return cls(r, r.derivative, f"sitting({delta})")
-
-    @classmethod
-    def power_of_sitting(cls, exponent, delta=DEFAULT_SITTING):
-        r = Ramp(delta)
+    def power_of_sitting(cls, exponent):
+        """The sitting ramp raised to an integer power."""
         k = int(exponent)
-        return cls(lambda s: _power(r(s), k),
-                   lambda s: k * _power(r(s), k - 1) * r.derivative(s) if k > 1
-                   else r.derivative(s),
-                   f"sitting({delta})^{k}")
+        return cls(lambda s: _power(ramp(s), k),
+                   lambda s: k * _power(ramp(s), k - 1) * ramp_derivative(s) if k > 1
+                   else ramp_derivative(s),
+                   f"sitting({SITTING})^{k}")
 
     @classmethod
     def from_expr(cls, text):
@@ -260,7 +249,7 @@ class Path:
         return np.asarray(self._velocity(float(s)), dtype=float)
 
     @classmethod
-    def from_exprs(cls, texts, delta=DEFAULT_SITTING):
+    def from_exprs(cls, texts):
         """Coordinate expressions in x1; the sitting ramp is pre-composed."""
         exprs = [parse(t) if isinstance(t, str) else t for t in texts]
         for e in exprs:
@@ -268,42 +257,41 @@ class Path:
                 raise GeometryError("path coordinates use the single variable x1")
         fns = [compile_expr(e) for e in exprs]
         dfns = [compile_expr(differentiate(e, 1)) for e in exprs]
-        r = Ramp(delta)
 
         def value(s):
-            u = r(s)
+            u = ramp(s)
             return _stack([_call(f, (u,)) for f in fns])
 
         def velocity(s):
-            u = r(s)
-            du = r.derivative(s)
+            u = ramp(s)
+            du = ramp_derivative(s)
             return _stack([_call(f, (u,)) * du for f in dfns])
 
         return cls(value, velocity, len(exprs))
 
     @classmethod
-    def line(cls, p0, p1, delta=DEFAULT_SITTING):
+    def line(cls, p0, p1):
+        """The segment from p0 to p1, through the sitting ramp."""
         p0 = np.asarray(p0, dtype=float)
         p1 = np.asarray(p1, dtype=float)
-        r = Ramp(delta)
         d = p1 - p0
-        return cls(lambda s: p0 + _col(r(s)) * d,
-                   lambda s: _col(r.derivative(s)) * d, len(p0))
+        return cls(lambda s: p0 + _col(ramp(s)) * d,
+                   lambda s: _col(ramp_derivative(s)) * d, len(p0))
 
     @classmethod
-    def arc(cls, center, radius, angle0, angle1, delta=DEFAULT_SITTING):
+    def arc(cls, center, radius, angle0, angle1):
+        """A circular arc from angle0 to angle1, through the sitting ramp."""
         center = np.asarray(center, dtype=float)
-        r = Ramp(delta)
         span = angle1 - angle0
 
         # numpy's sin and cos round like math's, on arrays and on floats
         def value(s):
-            th = angle0 + r(s) * span
+            th = angle0 + ramp(s) * span
             return center + radius * _stack([np.cos(th), np.sin(th)])
 
         def velocity(s):
-            th = angle0 + r(s) * span
-            return _col(radius * span * r.derivative(s)) * _stack([-np.sin(th), np.cos(th)])
+            th = angle0 + ramp(s) * span
+            return _col(radius * span * ramp_derivative(s)) * _stack([-np.sin(th), np.cos(th)])
 
         return cls(value, velocity, 2)
 
@@ -313,11 +301,11 @@ class Path:
         z = np.zeros_like(p)
         return cls(lambda s: p, lambda s: z, len(p))
 
-    def compose(self, other, tol=TAU_GEO):
-        """This path first, then `other`; endpoints must meet."""
+    def compose(self, other):
+        """This path first, then `other`; endpoints must meet within TAU_GEO."""
         if other.dim != self.dim:
             raise CompositionError("paths live in different dimensions")
-        if np.linalg.norm(self.end - other.start) > tol:
+        if np.linalg.norm(self.end - other.start) > TAU_GEO:
             raise CompositionError("paths do not share the junction point",
                                    source=other.start.tolist(),
                                    target=self.end.tolist())
@@ -338,17 +326,18 @@ class Path:
                     lambda s: _col(phi.derivative(s)) * np.asarray(self._velocity(phi(s))),
                     self.dim)
 
-    def certify_sitting(self, delta=DEFAULT_SITTING, samples=25, tol=TAU_GEO):
-        """Max deviation from the endpoints inside the sitting margins."""
+    def certify_sitting(self, delta=SITTING):
+        """Max deviation from the endpoints inside margins of width `delta`,
+        at 25 points each, and whether it is within TAU_GEO."""
         worst = 0.0
-        for k in range(samples):
-            s = delta * 0.95 * k / (samples - 1)
+        for k in range(25):
+            s = delta * 0.95 * k / 24
             worst = max(worst,
                         float(np.linalg.norm(self.value(s) - self.start)),
                         float(np.linalg.norm(self.velocity(s))),
                         float(np.linalg.norm(self.value(1 - s) - self.end)),
                         float(np.linalg.norm(self.velocity(1 - s))))
-        return worst, worst <= tol
+        return worst, worst <= TAU_GEO
 
 
 class Bigon:
@@ -397,7 +386,7 @@ class Bigon:
                     lambda s: self._ds(s, 1.0), self.dim)
 
     @classmethod
-    def from_exprs(cls, texts, delta=DEFAULT_SITTING):
+    def from_exprs(cls, texts):
         """Coordinate expressions in x1 (sweep) and x2 (deformation).
 
         Both parameters are pre-composed with the sitting ramp. The raw
@@ -411,46 +400,45 @@ class Bigon:
         fns = [compile_expr(e) for e in exprs]
         dsf = [compile_expr(differentiate(e, 1)) for e in exprs]
         dtf = [compile_expr(differentiate(e, 2)) for e in exprs]
-        r = Ramp(delta)
 
         def value(s, t):
-            q = (r(s), r(t))
+            q = (ramp(s), ramp(t))
             return _stack([_call(f, q) for f in fns])
 
         def d_s(s, t):
-            q = (r(s), r(t))
-            du = r.derivative(s)
+            q = (ramp(s), ramp(t))
+            du = ramp_derivative(s)
             return _stack([_call(f, q) * du for f in dsf])
 
         def d_t(s, t):
-            q = (r(s), r(t))
-            dv = r.derivative(t)
+            q = (ramp(s), ramp(t))
+            dv = ramp_derivative(t)
             return _stack([_call(f, q) * dv for f in dtf])
 
         return cls(value, d_s, d_t, len(exprs))
 
     @classmethod
-    def interpolate(cls, p0, p1, delta=DEFAULT_SITTING, tol=TAU_GEO):
-        """Straight-line sweep between two paths with the same endpoints."""
+    def interpolate(cls, p0, p1):
+        """Straight-line sweep between two paths with the same endpoints
+        (within TAU_GEO), through the sitting ramp in t."""
         if p0.dim != p1.dim:
             raise CompositionError("paths live in different dimensions")
-        if (np.linalg.norm(p0.start - p1.start) > tol
-                or np.linalg.norm(p0.end - p1.end) > tol):
+        if (np.linalg.norm(p0.start - p1.start) > TAU_GEO
+                or np.linalg.norm(p0.end - p1.end) > TAU_GEO):
             raise CompositionError("interpolation needs paths with equal endpoints",
                                    source=[p0.start.tolist(), p0.end.tolist()],
                                    target=[p1.start.tolist(), p1.end.tolist()])
-        r = Ramp(delta)
 
         def value(s, t):
-            w = _col(r(t))
+            w = _col(ramp(t))
             return (1 - w) * p0.value(s) + w * p1.value(s)
 
         def d_s(s, t):
-            w = _col(r(t))
+            w = _col(ramp(t))
             return (1 - w) * p0.velocity(s) + w * p1.velocity(s)
 
         def d_t(s, t):
-            return _col(r.derivative(t)) * (p1.value(s) - p0.value(s))
+            return _col(ramp_derivative(t)) * (p1.value(s) - p0.value(s))
 
         return cls(value, d_s, d_t, p0.dim)
 
@@ -466,35 +454,39 @@ class Bigon:
         return cls.identity(Path.constant(point))
 
     @classmethod
-    def thin_sliver(cls, path, phi0, phi1, delta=DEFAULT_SITTING):
-        """Reparametrization sweep inside one path; sweeps zero area."""
-        r = Ramp(delta)
+    def thin_sliver(cls, path, phi0, phi1):
+        """Reparametrization sweep inside one path, through the sitting ramp
+        in t; sweeps zero area."""
 
         def mix(s, t):
-            w = r(t)
+            w = ramp(t)
             return (1 - w) * phi0(s) + w * phi1(s)
 
         def value(s, t):
             return path.value(mix(s, t))
 
         def d_s(s, t):
-            w = r(t)
+            w = ramp(t)
             du = (1 - w) * phi0.derivative(s) + w * phi1.derivative(s)
             return _col(du) * path.velocity(mix(s, t))
 
         def d_t(s, t):
-            return (_col(r.derivative(t) * (phi1(s) - phi0(s)))
+            return (_col(ramp_derivative(t) * (phi1(s) - phi0(s)))
                     * path.velocity(mix(s, t)))
 
         return cls(value, d_s, d_t, path.dim)
 
-    def vertical(self, other, tol=1e-7):
-        """Stack in the deformation direction: self first, then `other`."""
+    def vertical(self, other):
+        """Stack in the deformation direction: self first, then `other`.
+
+        Self's target and other's source must agree within TAU_JOIN at 9
+        points.
+        """
         if other.dim != self.dim:
             raise CompositionError("bigons live in different dimensions")
         worst = max(np.linalg.norm(self.value(s, 1.0) - other.value(s, 0.0))
                     for s in np.linspace(0, 1, 9))
-        if worst > tol:
+        if worst > TAU_JOIN:
             raise CompositionError(
                 f"target and source paths differ by {worst:.2e}")
         b1, b2 = self, other
@@ -507,12 +499,13 @@ class Bigon:
                          lambda s, t: 2 * np.asarray(b2._dt(s, 2 * t - 1)))
         return Bigon(value, d_s, d_t, self.dim)
 
-    def horizontal(self, other, tol=1e-7):
-        """Side by side in the sweep direction: self first, then `other`."""
+    def horizontal(self, other):
+        """Side by side in the sweep direction: self first, then `other`;
+        the corners must meet within TAU_JOIN."""
         if other.dim != self.dim:
             raise CompositionError("bigons live in different dimensions")
         gap = np.linalg.norm(self.value(1.0, 0.0) - other.value(0.0, 0.0))
-        if gap > tol:
+        if gap > TAU_JOIN:
             raise CompositionError(f"corner points differ by {gap:.2e}",
                                    source=other.value(0.0, 0.0).tolist(),
                                    target=self.value(1.0, 0.0).tolist())
@@ -543,10 +536,11 @@ class Bigon:
                      lambda s, t: _col(phi.derivative(t)) * np.asarray(self._dt(s, phi(t))),
                      self.dim)
 
-    def certify(self, delta=DEFAULT_SITTING, samples=9, tol=TAU_GEO):
-        """Sitting margins in both directions; returns (max residual, ok)."""
+    def certify(self, delta=SITTING):
+        """Sitting margins of width `delta` in both directions, on 9 rows and
+        9 columns; returns (max residual, whether it is within TAU_GEO)."""
         worst = 0.0
-        grid = np.linspace(0, 1, samples)
+        grid = np.linspace(0, 1, 9)
         margin = np.linspace(0, delta * 0.95, 5)
         for t in grid:
             p, q = self.value(0.0, 0.0), self.value(1.0, 0.0)
@@ -566,7 +560,7 @@ class Bigon:
                             float(np.linalg.norm(self.value(s, 1 - m) - top)),
                             float(np.linalg.norm(self.d_t(s, m))),
                             float(np.linalg.norm(self.d_t(s, 1 - m))))
-        return worst, worst <= tol
+        return worst, worst <= TAU_GEO
 
     def swept_area(self, n=64):
         """Signed area integral of det(d_s, d_t) (midpoint rule; dim 2 only)."""
@@ -582,44 +576,41 @@ class Bigon:
         return total
 
 
-def _pi_path(height=1.0, delta=DEFAULT_SITTING):
-    up = Path.line((0.0, 0.0), (0.0, height), delta)
-    across = Path.line((0.0, height), (1.0, height), delta)
-    down = Path.line((1.0, height), (1.0, 0.0), delta)
+def _pi_path(height):
+    up = Path.line((0.0, 0.0), (0.0, height))
+    across = Path.line((0.0, height), (1.0, height))
+    down = Path.line((1.0, height), (1.0, 0.0))
     return up.compose(across).compose(down)
 
 
-def shipped_path(name, delta=DEFAULT_SITTING):
+def shipped_path(name):
     if name == "segment-x":
-        return Path.line((0.0, 0.0), (1.0, 0.0), delta)
+        return Path.line((0.0, 0.0), (1.0, 0.0))
     if name == "segment-y":
-        return Path.line((0.0, 0.0), (0.0, 1.0), delta)
+        return Path.line((0.0, 0.0), (0.0, 1.0))
     if name == "circle-arc":
-        return Path.arc((0.0, 0.0), 1.0, 0.0, math.pi / 2, delta)
+        return Path.arc((0.0, 0.0), 1.0, 0.0, math.pi / 2)
     if name == "full-circle":
-        return Path.arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi, delta)
+        return Path.arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi)
     if name == "constant-origin":
         return Path.constant((0.0, 0.0))
     if name == "pi-detour":
-        return _pi_path(1.0, delta)
+        return _pi_path(1.0)
     raise GeometryError(f"unknown path fixture {name!r}")
 
 
-def shipped_bigon(name, delta=DEFAULT_SITTING):
+def shipped_bigon(name):
     if name == "unit-square":
-        return Bigon.interpolate(shipped_path("segment-x", delta),
-                                 _pi_path(1.0, delta), delta)
+        return Bigon.interpolate(shipped_path("segment-x"), _pi_path(1.0))
     if name == "half-square-lower":
-        return Bigon.interpolate(shipped_path("segment-x", delta),
-                                 _pi_path(0.5, delta), delta)
+        return Bigon.interpolate(shipped_path("segment-x"), _pi_path(0.5))
     if name == "half-square-upper":
-        return Bigon.interpolate(_pi_path(0.5, delta), _pi_path(1.0, delta), delta)
+        return Bigon.interpolate(_pi_path(0.5), _pi_path(1.0))
     if name == "thin-sliver":
-        return Bigon.thin_sliver(shipped_path("segment-x", delta),
-                                 Reparam.sitting(delta),
-                                 Reparam.power_of_sitting(2, delta), delta)
+        return Bigon.thin_sliver(shipped_path("segment-x"), Reparam.sitting(),
+                                 Reparam.power_of_sitting(2))
     if name == "identity-segment":
-        return Bigon.identity(shipped_path("segment-x", delta))
+        return Bigon.identity(shipped_path("segment-x"))
     if name == "constant-origin":
         return Bigon.constant((0.0, 0.0))
     raise GeometryError(f"unknown bigon fixture {name!r}")

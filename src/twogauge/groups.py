@@ -556,7 +556,9 @@ class MatrixGroup:
         X = scipy.linalg.logm(g)
         return self.algebra.project(X)
 
-    def random(self, rng, scale=0.6):
+    def random(self, rng):
+        """A random element: exp of a random algebra element of scale 0.6
+        (GL(n): the identity plus noise, kept away from singular)."""
         if self.trivial:
             return self.identity
         if self.invertible_only:
@@ -564,7 +566,7 @@ class MatrixGroup:
             while abs(np.linalg.det(g)) < 1e-3:
                 g = np.eye(self.n) + 0.3 * rng.normal(size=(self.n, self.n))
             return g
-        return self.exp(self.algebra.random(rng, scale))
+        return self.exp(self.algebra.random(rng, 0.6))
 
     def label(self, g):
         return np.array2string(np.asarray(g), precision=4, suppress_small=True)

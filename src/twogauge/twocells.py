@@ -20,6 +20,9 @@ from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET, _blocks, _exhaustive_failure
 
 import numpy as np
 
+# how far the two sides of a sampled interchange case may differ
+SAMPLED_INTERCHANGE_TOL = 1e-9
+
 
 class TwoCell:
     """Pair (g, h): a 2-arrow from g to t(h) g."""
@@ -188,9 +191,9 @@ def _interchange_sides(cell, cm, g1, g2, h1, h2, h3, h4):
     return lhs, rhs
 
 
-def _interchange_case(cm, g1, g2, h1, h2, h3, h4, tol):
+def _interchange_case(cm, g1, g2, h1, h2, h3, h4):
     lhs, rhs = _interchange_sides(TwoCell, cm, g1, g2, h1, h2, h3, h4)
-    return lhs.eq(rhs) if tol is None else lhs.eq(rhs, tol)
+    return lhs.eq(rhs, SAMPLED_INTERCHANGE_TOL)
 
 
 def _interchange_holds(tab, g1, g2, h1, h2, h3, h4):
@@ -199,11 +202,12 @@ def _interchange_holds(tab, g1, g2, h1, h2, h3, h4):
     return lhs.eq(rhs)
 
 
-def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
+def check_interchange(cm, mode="auto", samples=200, seed=42):
     """Interchange law over a 2x2 pasting grid.
 
     Exhaustive when |G|^2 |H|^4 <= 10^8 (finite pairs, batched over the
-    compiled tables); otherwise sampled. Failure witnesses name the six
+    compiled tables); otherwise `samples` random cases, whose two sides must
+    agree within SAMPLED_INTERCHANGE_TOL. Failure witnesses name the six
     generating elements of the first failing case.
     """
     G, H = cm.G, cm.H
@@ -228,8 +232,7 @@ def check_interchange(cm, mode="auto", samples=200, seed=42, tol=None):
                   H.random(rng), H.random(rng), H.random(rng))
                  for _ in range(samples))
         total = samples
-        case_tol = tol if tol is not None else 1e-9
-        fails = [case for case in cases if not _interchange_case(cm, *case, case_tol)]
+        fails = [case for case in cases if not _interchange_case(cm, *case)]
         bad, first = len(fails), (fails[0] if fails else None)
 
     worst = None

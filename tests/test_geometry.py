@@ -5,8 +5,8 @@ import pytest
 
 from twogauge.errors import CompositionError, GeometryError
 from twogauge.geometry import (
-    BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Ramp, Reparam, shipped_bigon,
-    shipped_path, smooth_step, smooth_step_derivative,
+    BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Reparam, ramp, ramp_derivative,
+    shipped_bigon, shipped_path, smooth_step, smooth_step_derivative,
 )
 
 
@@ -27,12 +27,11 @@ def test_smooth_step_profile():
 
 
 def test_ramp_sits_on_margins():
-    r = Ramp(0.1)
     for s in [0.0, 0.05, 0.1]:
-        assert r(s) == 0.0 and r.derivative(s) == 0.0
+        assert ramp(s) == 0.0 and ramp_derivative(s) == 0.0
     for s in [0.9, 0.95, 1.0]:
-        assert r(s) == 1.0 and r.derivative(s) == 0.0
-    assert 0.0 < r(0.5) < 1.0
+        assert ramp(s) == 1.0 and ramp_derivative(s) == 0.0
+    assert 0.0 < ramp(0.5) < 1.0
 
 
 def test_line_path_endpoints_velocity():
