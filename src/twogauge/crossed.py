@@ -267,9 +267,6 @@ def validate_crossed_module(cm, mode="auto", samples=60, seed=42):
     else:
         mod, G, H = cm, cm.G, cm.H
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        for group in (G, H):  # draws never read: they only advance the stream
-            for _ in range(max(4, samples // 8)):
-                group.random(rng)
         pairs_hh = [(H.random(rng), H.random(rng)) for _ in range(samples)]
         pairs_gh = [(G.random(rng), H.random(rng)) for _ in range(samples)]
         triples = [(G.random(rng), H.random(rng), H.random(rng)) for _ in range(samples)]
