@@ -16,7 +16,7 @@ from functools import partial
 
 from .errors import CompositionError, GroupDomainError
 from .report import NO_SAMPLES, ValidationReport
-from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET, _blocks, _exhaustive_failures
+from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET, _exhaustive_failures
 
 import numpy as np
 
@@ -247,23 +247,19 @@ def check_interchange(cm, mode="auto", samples=200, seed=42):
     return rep
 
 
-def _eckmann_hilton_exhaustive(cm):
-    """Witness for the first pair (h1, h2) whose two pastings differ, or None."""
-    tab = cm.compiled()
-    n = cm.H.order
-    e = tab.G.identity
-    for cases in _blocks(n * n):
-        h1, h2 = np.unravel_index(cases, (n, n))
-        a = CellBatch(tab, e, h1)
-        b = CellBatch(tab, e, h2)
-        vert = a.vertical(b)
-        horiz = a.horizontal(b)
-        fails = np.flatnonzero(~vert.eq(horiz))
-        if fails.size:
-            k = fails[0]
-            return {"h1": tab.H.label(h1[k]), "h2": tab.H.label(h2[k]),
-                    "vertical": vert.label(k), "horizontal": horiz.label(k)}
-    return None
+def _eckmann_hilton_sides(cell, cm, h1, h2):
+    """Vertical and horizontal pastings of (1, h1) and (1, h2).
+
+    `cell` is TwoCell (one case) or CellBatch (cm compiled, index arrays).
+    """
+    a = cell(cm, cm.G.identity, h1)
+    b = cell(cm, cm.G.identity, h2)
+    return a.vertical(b), a.horizontal(b)
+
+
+def _eckmann_hilton_holds(cell, cm, h1, h2):
+    vert, horiz = _eckmann_hilton_sides(cell, cm, h1, h2)
+    return vert.eq(horiz)
 
 
 def eckmann_hilton_probe(cm, samples=100, seed=42):
@@ -281,24 +277,22 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
     H = cm.H
     rep = ValidationReport(f"eckmann-hilton: {cm.name}")
     if cm.is_finite:
-        witness = _eckmann_hilton_exhaustive(cm)
+        _, first = _exhaustive_failures(
+            partial(_eckmann_hilton_holds, CellBatch, cm.compiled()), (H.order, H.order))
     elif samples < 1:
         rep.skip("pastings-agree", NO_SAMPLES)
         return rep
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]
-        witness = None
-        e = cm.G.identity
-        for h1, h2 in pairs:
-            a = TwoCell(cm, e, h1)
-            b = TwoCell(cm, e, h2)
-            vert = a.vertical(b)
-            horiz = a.horizontal(b)
-            if not vert.eq(horiz):
-                witness = {"h1": H.label(h1), "h2": H.label(h2),
-                           "vertical": vert.label(), "horizontal": horiz.label()}
-                break
+        first = next((pair for pair in pairs
+                      if not _eckmann_hilton_holds(TwoCell, cm, *pair)), None)
+    witness = None
+    if first is not None:
+        h1, h2 = first
+        vert, horiz = _eckmann_hilton_sides(TwoCell, cm, h1, h2)
+        witness = {"h1": H.label(h1), "h2": H.label(h2),
+                   "vertical": vert.label(), "horizontal": horiz.label()}
     commutes = witness is None
     rep.add("pastings-agree", commutes, witness=witness,
             detail="vertical (1, h2 h1) vs horizontal (1, h1 h2)")
