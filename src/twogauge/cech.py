@@ -135,7 +135,8 @@ def _eval(value, point):
 class GluingCocycle:
     """Transition data over a nerve: g per double, h per triple, k per chart.
 
-    Every declared overlap must have data (checked up front, all omissions
+    Every declared overlap must have data, and over a finite module every
+    value must be an element of its group (checked up front, all problems
     reported together). Unit correctors k default to the group identity,
     which is the normalized case.
     """
@@ -162,6 +163,13 @@ class GluingCocycle:
         for key in self.k:
             if key not in set(nerve.charts):
                 problems.append(f"k value for unknown chart {key!r}")
+        if cm.is_finite:
+            for part, values, group in (("g", self.g, cm.G), ("h", self.h, cm.H),
+                                        ("k", self.k, cm.H)):
+                for key, val in values.items():
+                    if not group.contains(val):
+                        problems.append(f"{part} value {val!r} at {key} is not an "
+                                        f"element of {group.name}")
         if problems:
             raise ConfigError(problems)
 

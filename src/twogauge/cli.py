@@ -174,8 +174,14 @@ _HANDLERS = {"validate": cmd_validate, "interchange": cmd_interchange,
              "classify": cmd_classify, "converge": cmd_converge}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line and exit 2, as every refusal is."""
+        self.exit(_refuse(f"usage error: {message}; see {self.prog} --help"))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twogauge",
         description="Checkers and transport integrators for 2-group gauge data.",
         epilog="Shipped scenarios: " + ", ".join(shipped_scenarios()))

@@ -105,7 +105,9 @@ class FiniteGroup:
         return range(self.order)
 
     def contains(self, a):
-        return isinstance(a, (int, np.integer)) and 0 <= int(a) < self.order
+        """Whether `a` is an element index; a bool is not one."""
+        return (isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                and 0 <= int(a) < self.order)
 
     def _check(self, a):
         if not self.contains(a):

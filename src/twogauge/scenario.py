@@ -100,6 +100,15 @@ class Scenario:
         return self.forms[key]
 
 
+def _is_int(value):
+    """Whether a JSON value is an integer; true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def setting_errors(**settings):
     """Problems with run settings (grid, samples, steps, seed), one per bad value.
 
@@ -111,7 +120,7 @@ def setting_errors(**settings):
     errors = []
     for field, value in settings.items():
         ok, need = rules.get(field, (lambda v: v >= 1, "be a positive integer"))
-        if not (isinstance(value, int) and ok(value)):
+        if not (_is_int(value) and ok(value)):
             errors.append(f"{field} must {need}, got {value!r}")
     return errors
 
@@ -155,19 +164,21 @@ def _resolve(doc, name):
         except (GroupDomainError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"crossed_module: {exc}")
 
-    dim_ok = isinstance(scn.dim, int) and scn.dim >= 1
+    dim_ok = _is_int(scn.dim) and scn.dim >= 1
     if not dim_ok:
         errors.append(f"dim must be a positive integer, got {scn.dim!r}")
     errors += setting_errors(grid=scn.grid, samples=scn.samples,
                              steps=scn.steps, seed=scn.seed)
-    if not (isinstance(scn.grids, list) and scn.grids
-            and all(isinstance(n, int) and n >= 2 for n in scn.grids)):
-        errors.append(f"grids must be a list of integers >= 2, got {scn.grids!r}")
+    # a fitted order needs two distinct step counts
+    if not (isinstance(scn.grids, list) and all(_is_int(n) and n >= 2 for n in scn.grids)
+            and len(set(scn.grids)) >= 2):
+        errors.append("grids must be a list of at least two distinct integers >= 2, "
+                      f"got {scn.grids!r}")
     _check_type(errors, "tolerances", doc.get("tolerances", {}), dict)
     for tname, tval in scn.tolerances.items():
         if tname not in DEFAULT_TOLERANCES:
             errors.append(f"unknown tolerance {tname!r}")
-        elif not (isinstance(tval, (int, float)) and tval > 0):
+        elif not (_is_number(tval) and tval > 0):
             errors.append(f"tolerance {tname!r} must be positive")
 
     module_ok = scn.module is not None
@@ -192,7 +203,7 @@ def _resolve(doc, name):
                               f"{expected} algebra, got {place!r}")
                 continue
             degree = spec.get("degree")
-            if not (isinstance(degree, int) and 0 <= degree <= scn.dim):
+            if not (_is_int(degree) and 0 <= degree <= scn.dim):
                 errors.append(f"form {fname!r}: degree must be an integer "
                               f"between 0 and dim={scn.dim}, got {degree!r}")
                 continue
@@ -233,7 +244,7 @@ def _resolve(doc, name):
                 except (ConfigError, ParseError, ValueError) as exc:
                     errors.append(f"transition a: {exc}")
             scn.perturb = spec.get("perturb")
-            if scn.perturb is not None and not isinstance(scn.perturb, (int, float)):
+            if scn.perturb is not None and not _is_number(scn.perturb):
                 errors.append("transition perturb must be a number")
 
     if "nerve" in doc:
