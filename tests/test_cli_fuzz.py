@@ -30,8 +30,11 @@ def _shipped_doc(name):
         return json.load(fh)
 
 
+SCENARIOS = {name: _shipped_doc(name) for name in shipped_scenarios()}
+
+
 def _with(name, **changes):
-    return {**_shipped_doc(name), **changes}
+    return {**SCENARIOS[name], **changes}
 
 
 # Inputs that once passed or fitted silently; each must exit 2 with one line.
@@ -50,7 +53,7 @@ CONTRACT_GAPS = {
     "bool-settings": ("validate", _with("abelian.scn", grid=True, samples=True, dim=True)),
     "bool-tolerance-and-perturb": ("transitions", _with(
         "transitions_perturbed.scn", tolerances={"transition": True},
-        transition={**_shipped_doc("transitions_perturbed.scn")["transition"],
+        transition={**SCENARIOS["transitions_perturbed.scn"]["transition"],
                     "perturb": True})),
     # an order fitted through one point, with a RankWarning on stderr
     "grids-one-size": ("converge", _with("su2_charts.scn", grids=[2])),
@@ -113,7 +116,6 @@ NAMES = {
     "bigon": st.sampled_from(BIGON_FIXTURES + ["nope"]),
     "grids": st.lists(SMALL_INT, max_size=4),
 }
-SCENARIOS = {name: _shipped_doc(name) for name in shipped_scenarios()}
 FIELDS = sorted(_KNOWN_KEYS) + ["wibble"]
 # the scenario key without which a subcommand cannot start
 NEEDS = {"holonomy-path": "path", "converge": "path", "holonomy-surface": "bigon",
