@@ -10,10 +10,10 @@ with its Lie algebra and a fixed, documented basis:
     so(3): Lk with (Lk) v = e_k x v       (cross-product generators)
     gl(n): elementary matrices E_ij, row-major
 
-exp is scaling-and-squaring Pade (scipy expm); log eigen-checks the argument
-first and refuses cut-locus points with the offending eigenvalue in the error.
-Both import scipy when first called, so a process that never takes an exp or
-a log never pays for loading it.
+exp is scaling-and-squaring Pade (scipy expm; np.exp on 1x1 matrices, as in
+scipy); log eigen-checks the argument and refuses cut-locus points with the
+offending eigenvalue in the error. Both import scipy when first needed, so a
+process that never takes an exp of a matrix or a log never loads it.
 Group products renormalize by polar projection when the membership drift
 exceeds TAU_GRP / 10. `defect`, `renormalize`, `project` and `inv` also take
 a stack of matrices along a leading axis; each matrix gets the same bits and
@@ -37,6 +37,21 @@ _SIGMA = [
 
 
 # ---------------------------------------------------------------- finite side
+
+def is_integer(value):
+    """Whether a value is a Python or numpy integer; true and false are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _index_array(values, what):
+    """`values` as an integer array, refusing what np.asarray(values, dtype=int)
+    would coerce: booleans, non-integers and rows of unequal length."""
+    values = np.asarray(values, dtype=object)
+    bad = [v for v in values.flat if not (is_integer(v) and abs(v) < 2 ** 62)]
+    if bad:
+        raise GroupDomainError(f"{what} entries must be integer indices, got {bad[0]!r}")
+    return values.astype(np.intp)
+
 
 def _perm_mul(p, q):
     """Composition 'apply q first, then p' on index tuples."""
@@ -67,31 +82,26 @@ class FiniteGroup:
     kind = "finite"
 
     def __init__(self, table, names=None, name="finite"):
-        table = np.asarray(table, dtype=int)
+        table = _index_array(table, "multiplication table")
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupDomainError("multiplication table must be square")
         n = table.shape[0]
         if n == 0 or table.min() < 0 or table.max() >= n:
             raise GroupDomainError("table entries must index the element set")
-        ident = None
-        for e in range(n):
-            if all(table[e, a] == a and table[a, e] == a for a in range(n)):
-                ident = e
-                break
-        if ident is None:
+        elements = np.arange(n)
+        ident = np.flatnonzero((table == elements).all(1) & (table.T == elements).all(1))
+        if not ident.size:
             raise GroupDomainError("table has no identity element")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a, b], c] != table[a, table[b, c]]:
-                        raise GroupDomainError(
-                            f"table not associative at ({a},{b},{c})")
-        inv = np.full(n, -1, dtype=int)
-        for a in range(n):
-            hits = np.nonzero(table[a] == ident)[0]
-            if len(hits) != 1 or table[hits[0], a] != ident:
-                raise GroupDomainError(f"element {a} has no two-sided inverse")
-            inv[a] = hits[0]
+        ident = int(ident[0])
+        for a in range(n):  # a row of the n^3 cube at a time: (ab)c against a(bc)
+            bad = np.argwhere(table[table[a]] != table[a][table])
+            if bad.size:
+                raise GroupDomainError("table not associative at ({},{},{})".format(a, *bad[0]))
+        is_ident = table == ident
+        inv = is_ident.argmax(axis=1)
+        bad = np.flatnonzero((is_ident.sum(axis=1) != 1) | (table[inv, elements] != ident))
+        if bad.size:
+            raise GroupDomainError(f"element {bad[0]} has no two-sided inverse")
         self.table = table
         self.order = n
         self.identity = ident
@@ -106,8 +116,7 @@ class FiniteGroup:
 
     def contains(self, a):
         """Whether `a` is an element index; a bool is not one."""
-        return (isinstance(a, (int, np.integer)) and not isinstance(a, bool)
-                and 0 <= int(a) < self.order)
+        return is_integer(a) and 0 <= int(a) < self.order
 
     def _check(self, a):
         if not self.contains(a):
@@ -523,16 +532,21 @@ class MatrixGroup:
         return self.renormalize(self._check(g) @ self._check(h) @ self.inv(g))
 
     def eq(self, a, b, tol=TAU_GRP):
+        """Whether a and b agree within tol: one bool per matrix of a stack."""
         a = np.asarray(a)
         b = np.asarray(b)
+        if max(a.ndim, b.ndim) == 3:
+            return frobenius_norms(a - b) <= tol
         return a.shape == b.shape and np.linalg.norm(a - b) <= tol
 
     def exp(self, x):
         if self.algebra.dim == 0:
             return self.identity
+        x = np.asarray(x, dtype=self.dtype)
+        if self.n == 1:  # what scipy's expm returns for 1x1 matrices
+            return self.renormalize(np.exp(x))
         import scipy.linalg  # loaded on first use: most runs need no scipy
-        g = scipy.linalg.expm(np.asarray(x, dtype=self.dtype))
-        return self.renormalize(g)
+        return self.renormalize(scipy.linalg.expm(x))
 
     def log(self, g):
         """Principal logarithm; refuses arguments at the cut locus.

@@ -30,8 +30,8 @@ from .errors import ConfigError, GeometryError, GroupDomainError, ParseError, Tw
 from .forms import FormField
 from .geometry import shipped_bigon, shipped_path
 from .maps import ExpParamMap
-from .transport import DEFAULT_GRID, DEFAULT_STEPS, TAU_FAKE
-from .groups import TAU_GRP
+from .transport import DEFAULT_GRID, DEFAULT_STEPS, TAU_FAKE, grids_errors
+from .groups import TAU_GRP, is_integer
 
 DEFAULT_SAMPLES = 40
 DEFAULT_TOLERANCES = {"group": TAU_GRP, "fake": TAU_FAKE,
@@ -100,11 +100,6 @@ class Scenario:
         return self.forms[key]
 
 
-def _is_int(value):
-    """Whether a JSON value is an integer; true and false are not numbers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -120,7 +115,7 @@ def setting_errors(**settings):
     errors = []
     for field, value in settings.items():
         ok, need = rules.get(field, (lambda v: v >= 1, "be a positive integer"))
-        if not (_is_int(value) and ok(value)):
+        if not (is_integer(value) and ok(value)):
             errors.append(f"{field} must {need}, got {value!r}")
     return errors
 
@@ -164,16 +159,12 @@ def _resolve(doc, name):
         except (GroupDomainError, KeyError, TypeError, ValueError) as exc:
             errors.append(f"crossed_module: {exc}")
 
-    dim_ok = _is_int(scn.dim) and scn.dim >= 1
+    dim_ok = is_integer(scn.dim) and scn.dim >= 1
     if not dim_ok:
         errors.append(f"dim must be a positive integer, got {scn.dim!r}")
     errors += setting_errors(grid=scn.grid, samples=scn.samples,
                              steps=scn.steps, seed=scn.seed)
-    # a fitted order needs two distinct step counts
-    if not (isinstance(scn.grids, list) and all(_is_int(n) and n >= 2 for n in scn.grids)
-            and len(set(scn.grids)) >= 2):
-        errors.append("grids must be a list of at least two distinct integers >= 2, "
-                      f"got {scn.grids!r}")
+    errors += grids_errors(scn.grids)
     _check_type(errors, "tolerances", doc.get("tolerances", {}), dict)
     for tname, tval in scn.tolerances.items():
         if tname not in DEFAULT_TOLERANCES:
@@ -203,7 +194,7 @@ def _resolve(doc, name):
                               f"{expected} algebra, got {place!r}")
                 continue
             degree = spec.get("degree")
-            if not (_is_int(degree) and 0 <= degree <= scn.dim):
+            if not (is_integer(degree) and 0 <= degree <= scn.dim):
                 errors.append(f"form {fname!r}: degree must be an integer "
                               f"between 0 and dim={scn.dim}, got {degree!r}")
                 continue

@@ -33,13 +33,13 @@ the law at O(1) (covered by a regression test).
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .forms import (
     FormField, PointwiseForm, action_wedge_pointwise, curvature,
     fake_curvature_form, forms_close, square_wedge, three_curvature,
 )
 from .geometry import Path
-from .groups import frobenius_norms
+from .groups import frobenius_norms, is_integer
 from .maps import maurer_cartan, right_log_derivative
 from .report import NO_SAMPLES, ValidationReport
 from .twocells import TwoCell
@@ -279,8 +279,17 @@ def kernel_check(conn, points, tol=1e-8):
     return rep
 
 
+def grids_errors(grids):
+    """[] if an order can be fitted on `grids`, else the one problem with it."""
+    ok = isinstance(grids, (list, tuple)) and all(is_integer(n) and n >= 2 for n in grids)
+    return [] if ok and len(set(grids)) >= 2 else [
+        f"grids must be a list of at least two distinct integers >= 2, got {grids!r}"]
+
+
 def convergence_study(cm_or_group, A, path, grids=(8, 16, 32, 64)):
     """Transport error versus step count; the reference is 4x the finest grid."""
+    if grids_errors(grids):
+        raise ConfigError(grids_errors(grids))
     grids = sorted(int(g) for g in grids)
     ref = path_holonomy(cm_or_group, A, path, steps=grids[-1] * 4)
     errors = []

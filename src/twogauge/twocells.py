@@ -5,23 +5,21 @@ stacks cells along a shared 1-arrow; horizontal pasting runs them side by
 side. The interchange identity relating the two is equivalent to the Peiffer
 axiom, so `check_interchange` doubles as an independent axiom probe.
 
-CellBatch pastes many cells of a finite module at once over its compiled
-index tables, case by case with TwoCell's conventions. The exhaustive checks
-run on it in blocks of `crossed.BLOCK` cases, in lexicographic case order,
-so their memory stays bounded and their witnesses are the ones a
-case-by-case loop would find first.
+TwoCell pastes one cell and is the reference for the conventions. CellBatch
+pastes many cells with TwoCell's conventions, over a finite module's compiled
+tables or over matrix stacks. Every check here, exhaustive or sampled, runs
+on it in blocks of `crossed.BLOCK` cases in case order, so its memory stays
+bounded and its witnesses are the ones a case-by-case loop finds first.
 """
 
 from functools import partial
 
 from .errors import CompositionError, GroupDomainError
 from .report import NO_SAMPLES, ValidationReport
-from .crossed import EXHAUSTIVE_INTERCHANGE_BUDGET, _exhaustive_failures
+from .crossed import (EXHAUSTIVE_INTERCHANGE_BUDGET, _failures, _index_blocks,
+                      _stacked_blocks, _witness)
 
 import numpy as np
-
-# how far the two sides of a sampled interchange case may differ
-SAMPLED_INTERCHANGE_TOL = 1e-9
 
 
 class TwoCell:
@@ -87,11 +85,8 @@ class TwoCell:
         """Post-compose with the identity cell on g0."""
         return self.horizontal(TwoCell.identity(self.cm, g0))
 
-    def eq(self, other, tol=None):
-        cm = self.cm
-        if tol is None:
-            return cm.G.eq(self.g, other.g) and cm.H.eq(self.h, other.h)
-        return cm.G.eq(self.g, other.g, tol) and cm.H.eq(self.h, other.h, tol)
+    def eq(self, other):
+        return self.cm.G.eq(self.g, other.g) and self.cm.H.eq(self.h, other.h)
 
     def label(self):
         return f"({self.cm.G.label(self.g)}, {self.cm.H.label(self.h)})"
@@ -101,11 +96,12 @@ class TwoCell:
 
 
 class CellBatch:
-    """Many 2-cells (g, h) over one compiled finite module, as index arrays.
+    """Many 2-cells (g, h) at once, one case per position along a leading axis.
 
-    `cm` is a module's `compiled()` form; g and h are ints or integer arrays
-    that broadcast together, one case per position. Every operation follows
-    TwoCell's conventions case by case, and `vertical` raises TwoCell's
+    `cm` is a finite module's `compiled()` form, with g and h index arrays,
+    or a matrix module, with g and h (N, n, n) stacks; either may also be a
+    single element shared by every case. Every operation follows TwoCell's
+    conventions case by case, and `vertical` raises TwoCell's
     CompositionError for the first case whose 1-arrows do not match.
     """
 
@@ -129,19 +125,20 @@ class CellBatch:
         return self.cm.G.mul(self.cm.t(self.h), self.g)
 
     def vertical(self, other, tol=None):
-        """Paste `other` on top: defined where other.source == self.target.
-
-        `tol` is accepted for TwoCell's signature; finite cells match exactly.
-        """
+        """Paste `other` on top where other.source == self.target (see TwoCell)."""
         if other.cm is not self.cm:
             raise CompositionError("cells live over different crossed modules")
-        source, target = np.broadcast_arrays(other.source, self.target)
-        bad = np.flatnonzero(source != target)
+        G = self.cm.G
+        matches = np.asarray(G.eq(other.source, self.target) if tol is None
+                             else G.eq(other.source, self.target, tol))
+        bad = np.flatnonzero(~matches)
         if bad.size:
-            first = bad[0]
+            source, target = other.source, self.target
+            if matches.ndim:  # one bool per case: name the first case's arrows
+                source, target = np.broadcast_arrays(source, target)
+                source, target = source[bad[0]], target[bad[0]]
             raise CompositionError("vertical pasting needs matching 1-arrows",
-                                   source=self.cm.G.label(source.flat[first]),
-                                   target=self.cm.G.label(target.flat[first]))
+                                   source=G.label(source), target=G.label(target))
         return CellBatch(self.cm, self.g, self.cm.H.mul(other.h, self.h))
 
     def horizontal(self, other):
@@ -164,23 +161,18 @@ class CellBatch:
         """Post-compose with the identity cells on g0."""
         return self.horizontal(CellBatch.identity(self.cm, g0))
 
-    def eq(self, other, tol=None):
-        """Boolean array: where the two batches hold the same cell."""
-        return (self.g == other.g) & (self.h == other.h)
-
-    def label(self, case):
-        """TwoCell's label of the cell at flat position `case`."""
-        g, h = np.broadcast_arrays(self.g, self.h)
-        return f"({self.cm.G.label(g.flat[case])}, {self.cm.H.label(h.flat[case])})"
+    def eq(self, other):
+        """Where the two batches hold the same cell: a bool per case."""
+        return self.cm.G.eq(self.g, other.g) & self.cm.H.eq(self.h, other.h)
 
     def __repr__(self):
-        return f"<CellBatch {self.cm.name} shape={np.broadcast(self.g, self.h).shape}>"
+        return f"<CellBatch {self.cm.name}>"
 
 
 def _interchange_sides(cell, cm, g1, g2, h1, h2, h3, h4):
     """Both pasting orders of the 2x2 diagram built from the six parameters.
 
-    `cell` is TwoCell (one case) or CellBatch (cm compiled, index arrays).
+    `cell` is TwoCell (one case) or CellBatch (many).
     """
     f1 = cell(cm, g1, h1)
     f2 = cell(cm, f1.target, h2)
@@ -191,23 +183,18 @@ def _interchange_sides(cell, cm, g1, g2, h1, h2, h3, h4):
     return lhs, rhs
 
 
-def _interchange_case(cm, g1, g2, h1, h2, h3, h4):
-    lhs, rhs = _interchange_sides(TwoCell, cm, g1, g2, h1, h2, h3, h4)
-    return lhs.eq(rhs, SAMPLED_INTERCHANGE_TOL)
-
-
-def _interchange_holds(tab, g1, g2, h1, h2, h3, h4):
-    """Boolean array: the interchange law on each case, over compiled tables."""
-    lhs, rhs = _interchange_sides(CellBatch, tab, g1, g2, h1, h2, h3, h4)
+def _interchange_holds(cm, g1, g2, h1, h2, h3, h4):
+    """Boolean array: the interchange law on each case of a batch."""
+    lhs, rhs = _interchange_sides(CellBatch, cm, g1, g2, h1, h2, h3, h4)
     return lhs.eq(rhs)
 
 
 def check_interchange(cm, mode="auto", samples=200, seed=42):
     """Interchange law over a 2x2 pasting grid.
 
-    Exhaustive when |G|^2 |H|^4 <= 10^8 (finite pairs, batched over the
-    compiled tables); otherwise `samples` random cases, whose two sides must
-    agree within SAMPLED_INTERCHANGE_TOL. Failure witnesses name the six
+    Exhaustive when |G|^2 |H|^4 <= 10^8 (finite pairs, over the compiled
+    tables); otherwise `samples` random cases, whose two sides must agree
+    within the groups' `eq` tolerance. Failure witnesses name the six
     generating elements of the first failing case.
     """
     G, H = cm.G, cm.H
@@ -224,23 +211,16 @@ def check_interchange(cm, mode="auto", samples=200, seed=42):
 
     if exhaustive:
         total = G.order ** 2 * H.order ** 4
-        bad, first = _exhaustive_failures(partial(_interchange_holds, cm.compiled()),
-                                          (G.order,) * 2 + (H.order,) * 4)
+        blocks = _index_blocks((G.order,) * 2 + (H.order,) * 4)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        cases = ((G.random(rng), G.random(rng), H.random(rng),
-                  H.random(rng), H.random(rng), H.random(rng))
-                 for _ in range(samples))
         total = samples
-        fails = [case for case in cases if not _interchange_case(cm, *case)]
-        bad, first = len(fails), (fails[0] if fails else None)
-
-    worst = None
-    if first is not None:
-        g1, g2, h1, h2, h3, h4 = first
-        worst = {"g1": G.label(g1), "g2": G.label(g2),
-                 "h1": H.label(h1), "h2": H.label(h2),
-                 "h3": H.label(h3), "h4": H.label(h4)}
+        blocks = _stacked_blocks((G.random(rng), G.random(rng), H.random(rng),
+                                  H.random(rng), H.random(rng), H.random(rng))
+                                 for _ in range(samples))
+    mod = cm.compiled() if cm.is_finite else cm
+    bad, first = _failures(partial(_interchange_holds, mod), blocks)
+    worst = None if first is None else _witness(G, H, "g1 g2 h1 h2 h3 h4", first)
     rep.add("interchange", bad == 0, witness=worst,
             detail=f"{total - bad}/{total} cases"
                    + (" (exhaustive)" if exhaustive else " (sampled)"))
@@ -250,15 +230,15 @@ def check_interchange(cm, mode="auto", samples=200, seed=42):
 def _eckmann_hilton_sides(cell, cm, h1, h2):
     """Vertical and horizontal pastings of (1, h1) and (1, h2).
 
-    `cell` is TwoCell (one case) or CellBatch (cm compiled, index arrays).
+    `cell` is TwoCell (one case) or CellBatch (many).
     """
     a = cell(cm, cm.G.identity, h1)
     b = cell(cm, cm.G.identity, h2)
     return a.vertical(b), a.horizontal(b)
 
 
-def _eckmann_hilton_holds(cell, cm, h1, h2):
-    vert, horiz = _eckmann_hilton_sides(cell, cm, h1, h2)
+def _eckmann_hilton_holds(cm, h1, h2):
+    vert, horiz = _eckmann_hilton_sides(CellBatch, cm, h1, h2)
     return vert.eq(horiz)
 
 
@@ -267,33 +247,28 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
 
     Vertical pasting of (1, h1) then (1, h2) yields (1, h2 h1); horizontal
     yields (1, h1 h2). The probe reports whether they agree, with a
-    noncommuting witness pair when they do not.
+    noncommuting witness pair when they do not: over every pair of a finite
+    H, or over `samples` random pairs.
     """
-    if cm.G.kind == "finite":
-        if cm.G.order != 1:
-            raise GroupDomainError("probe needs a trivial 1-arrow group")
-    elif not cm.G.trivial:
+    if (cm.G.order != 1) if cm.G.kind == "finite" else not cm.G.trivial:
         raise GroupDomainError("probe needs a trivial 1-arrow group")
     H = cm.H
     rep = ValidationReport(f"eckmann-hilton: {cm.name}")
     if cm.is_finite:
-        _, first = _exhaustive_failures(
-            partial(_eckmann_hilton_holds, CellBatch, cm.compiled()), (H.order, H.order))
+        mod, blocks = cm.compiled(), _index_blocks((H.order, H.order))
     elif samples < 1:
         rep.skip("pastings-agree", NO_SAMPLES)
         return rep
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pairs = [(H.random(rng), H.random(rng)) for _ in range(samples)]
-        first = next((pair for pair in pairs
-                      if not _eckmann_hilton_holds(TwoCell, cm, *pair)), None)
+        mod = cm
+        blocks = _stacked_blocks((H.random(rng), H.random(rng)) for _ in range(samples))
+    _, first = _failures(partial(_eckmann_hilton_holds, mod), blocks)
     witness = None
     if first is not None:
-        h1, h2 = first
-        vert, horiz = _eckmann_hilton_sides(TwoCell, cm, h1, h2)
-        witness = {"h1": H.label(h1), "h2": H.label(h2),
+        vert, horiz = _eckmann_hilton_sides(TwoCell, cm, *first)
+        witness = {**_witness(cm.G, H, "h1 h2", first),
                    "vertical": vert.label(), "horizontal": horiz.label()}
-    commutes = witness is None
-    rep.add("pastings-agree", commutes, witness=witness,
+    rep.add("pastings-agree", first is None, witness=witness,
             detail="vertical (1, h2 h1) vs horizontal (1, h1 h2)")
     return rep

@@ -395,6 +395,28 @@ def test_inline_alpha_leaving_h_exits_two(tmp_path, capsys):
     assert _refused(["validate", "--scenario", path], capsys)
 
 
+INLINE_COERCIONS = {
+    # true was taken for 1 and 1.9 cut to 1 in the Cayley table itself
+    "cayley-table": {"G": {"table": [[0, 1.9], [True, 0]]}, "H": {"table": [[0]]},
+                     "t": [0], "alpha": [[0], [0]]},
+    # the same in t and alpha
+    "t-and-alpha": {"G": {"table": [[0, 1], [1, 0]]}, "H": {"table": [[0, 1], [1, 0]]},
+                    "t": [0, True], "alpha": [[0, 1], [0, 1.9]]},
+    "t-bool": {"G": {"table": [[0, 1], [1, 0]]}, "H": {"table": [[0, 1], [1, 0]]},
+               "t": [0, True], "alpha": [[0, 1], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INLINE_COERCIONS))
+def test_inline_tables_take_integers_only(case, tmp_path, capsys):
+    path = _write(tmp_path, "coerced.scn", {"crossed_module": INLINE_COERCIONS[case]})
+    code = cli.run(["validate", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "entries must be integer indices" in captured.err
+
+
 def test_nan_surface_element_exits_two_with_one_line(tmp_path, capsys):
     # 1e999 * x1 is inf * 0 = nan at x1 = 0: the membership check refuses
     # the transported element, and the products that made it do not warn
@@ -436,7 +458,10 @@ COLD_RUNS = textwrap.dedent("""
              quiet("cocycle", "--scenario", "s3_cocycle.scn"),
              quiet("validate", "--scenario", "eh_probe.scn"),
              quiet("holonomy-surface", "--scenario", "abelian_square.scn",
-                   "--grid", "8")]
+                   "--grid", "8"),
+             # U(1) samples: a 1x1 exp needs no scipy
+             quiet("interchange", "--scenario", "abelian.scn"),
+             quiet("interchange", "--scenario", "abelian_square.scn")]
     print(codes, "scipy" in sys.modules)
     quiet("validate", "--scenario", "su2_charts.scn")  # samples SU(2) by exp
     print("scipy.linalg" in sys.modules)
@@ -449,4 +474,4 @@ def test_scipy_loads_only_where_a_run_needs_it():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 1, 0] False", "True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 1, 0, 0, 0] False", "True"]

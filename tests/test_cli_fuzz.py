@@ -6,6 +6,8 @@ traceback; exit 2 prints exactly one stderr line and no report; and exit 1
 happens exactly when the report holds a FAIL. Runs stay small: grid and
 samples are at most 4, integers in scenarios at most 4, and the crossed
 modules drawn are ones whose every census takes well under a second.
+Inline crossed modules and nerves are drawn as copies of shipped ones with
+a few entries replaced, dropped or added.
 """
 
 import contextlib
@@ -19,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twogauge import cli
-from twogauge.cech import NERVE_FIXTURES
-from twogauge.crossed import shipped_finite_names, shipped_matrix_names
+from twogauge.cech import NERVE_FIXTURES, nerve
+from twogauge.crossed import crossed_module, shipped_finite_names, shipped_matrix_names
 from twogauge.geometry import BIGON_FIXTURES, PATH_FIXTURES
 from twogauge.scenario import _KNOWN_KEYS, find_scenario, shipped_scenarios
 
@@ -186,4 +188,88 @@ def _gap(name):
 @example(case=(["validate", "--scenario", "{scenario}", "--seed", "-1"],
                SCENARIOS["abelian.scn"]))
 def test_every_input_gets_a_defined_answer(case):
+    _assert_contract(*_run(*case))
+
+
+# ------------------------------------------------- inline modules and nerves
+
+def _inline_module(name):
+    """A shipped finite crossed module spelled as inline tables."""
+    cm = crossed_module(name)
+    G, H = cm.G, cm.H
+    return {"G": {"table": G.table.tolist()}, "H": {"table": H.table.tolist()},
+            "t": [cm.t(h) for h in H.elements()],
+            "alpha": [[cm.alpha(g, h) for h in H.elements()] for g in G.elements()]}
+
+
+def _inline_nerve(name):
+    cover = nerve(name)
+    return {"charts": list(cover.charts), "doubles": [list(d) for d in cover.doubles],
+            "triples": [list(t) for t in cover.triples],
+            "quads": [list(q) for q in cover.quads]}
+
+
+def _lists(value):
+    """Every list inside a JSON value."""
+    if isinstance(value, dict):
+        return [inner for v in value.values() for inner in _lists(v)]
+    if isinstance(value, list):
+        return [value] + [inner for v in value for inner in _lists(v)]
+    return []
+
+
+# entries that are not indices: booleans, floats, strings, out of range, nested;
+# each draw is a fresh copy, so a later mutation cannot reach another draw
+ODD_ENTRIES = st.sampled_from([True, False, 1.5, 1.0, -1, 5, 7, 10 ** 30, "1", None,
+                               [], [0], [0, 1, 2]]).map(lambda v: json.loads(json.dumps(v)))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with up to two lists changed: an entry replaced by an odd one,
+    an entry dropped (a ragged row), or an odd entry appended."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        target = draw(st.sampled_from(_lists(doc)))
+        op = draw(st.sampled_from(["replace", "drop", "append"])) if target else "append"
+        if op == "append":
+            target.append(draw(ODD_ENTRIES))
+            continue
+        k = draw(st.integers(0, len(target) - 1))
+        if op == "drop":
+            del target[k]
+        else:
+            target[k] = draw(ODD_ENTRIES)
+    return doc
+
+
+# shipped scenarios on finite modules, and the commands that read them
+INLINE_COMMANDS = {"eh_probe.scn": ["validate", "interchange"],
+                   "flip_census.scn": ["validate", "interchange", "classify"],
+                   "gerbe_census.scn": ["validate", "interchange", "classify"],
+                   "s3_cocycle.scn": ["validate", "cocycle", "classify"],
+                   "corrupted_s3.scn": ["cocycle"]}
+
+
+@st.composite
+def inline_cases(draw):
+    """(argv, scenario): a shipped finite scenario whose crossed module, nerve
+    or both are written out inline and then mutated."""
+    name = draw(st.sampled_from(sorted(INLINE_COMMANDS)))
+    doc = json.loads(json.dumps(SCENARIOS[name]))
+    inline_nerve = "nerve" in doc and draw(st.booleans())
+    if not inline_nerve or draw(st.booleans()):
+        doc["crossed_module"] = draw(mutated(_inline_module(doc["crossed_module"])))
+    if inline_nerve:
+        doc["nerve"] = draw(mutated(_inline_nerve(doc["nerve"])))
+    command = draw(st.sampled_from(INLINE_COMMANDS[name]))
+    return [command, "--scenario", "{scenario}", "--samples", "4"], doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=inline_cases())
+@example(case=(["validate", "--scenario", "{scenario}"],
+               {"crossed_module": {"G": {"table": [[0, 1.9], [True, 0]]},
+                                   "H": {"table": [[0]]}, "t": [0], "alpha": [[0], [0]]}}))
+def test_inline_modules_and_nerves_get_a_defined_answer(case):
     _assert_contract(*_run(*case))

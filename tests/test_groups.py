@@ -260,3 +260,85 @@ def test_nan_matrix_fails_the_membership_check(factory):
             G.inv(bad)
         with pytest.raises(GroupDomainError, match=r"defect (nan|inf)"):
             G.inv(np.stack([G.identity, bad, G.identity]))
+
+
+def _table_verdict_by_loops(table):
+    """The checks FiniteGroup ran before they took arrays: identity, then
+    associativity triple by triple, then inverses; the first failure's text,
+    or the identity and the inverses."""
+    n = len(table)
+    ident = next((e for e in range(n)
+                  if all(table[e][a] == a and table[a][e] == a for a in range(n))), None)
+    if ident is None:
+        return "table has no identity element"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"table not associative at ({a},{b},{c})"
+    inv = []
+    for a in range(n):
+        hits = [b for b in range(n) if table[a][b] == ident]
+        if len(hits) != 1 or table[hits[0]][a] != ident:
+            return f"element {a} has no two-sided inverse"
+        inv.append(hits[0])
+    return ident, inv
+
+
+def _table_verdict(table):
+    try:
+        group = FiniteGroup(table)
+    except GroupDomainError as exc:
+        return str(exc)
+    return group.identity, [group.inv(a) for a in group.elements()]
+
+
+def test_array_table_checks_give_the_loops_first_failure():
+    rng = np.random.default_rng(11)
+    bases = [FiniteGroup.cyclic(n).table.tolist() for n in (1, 2, 4, 6)]
+    bases += [FiniteGroup.symmetric(3).table.tolist(),
+              [[a ^ b for b in range(4)] for a in range(4)]]
+    verdicts = set()
+    for base in bases:
+        n = len(base)
+        for _ in range(40):
+            table = [row[:] for row in base]
+            # one to three entries moved, some within the identity's row
+            for _ in range(rng.integers(1, 4)):
+                table[rng.integers(n)][rng.integers(n)] = int(rng.integers(n))
+            want = _table_verdict_by_loops(table)
+            assert _table_verdict(table) == want, table
+            verdicts.add(want if isinstance(want, str) else "group")
+        random_table = rng.integers(n, size=(n, n)).tolist()
+        assert _table_verdict(random_table) == _table_verdict_by_loops(random_table)
+    # monoids that are not groups: associative, with an identity, without inverses
+    for table in ([[0, 1], [1, 1]], [[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+                  [[0, 1, 2], [1, 2, 2], [2, 2, 2]]):
+        want = _table_verdict_by_loops(table)
+        assert _table_verdict(table) == want
+        verdicts.add(want)
+    assert {v if v == "group" else v.split(" at ")[0].split(" has ")[-1] for v in verdicts} \
+        == {"group", "no identity element", "table not associative", "no two-sided inverse"}
+
+
+@pytest.mark.parametrize("table", [[[0, 1.9], [True, 0]], [[0, 1], [True, 0]], [[0, 1], [1, 0.0]],
+                                   [[0, 1], [1]], [[0, 1], [1, "0"]],
+                                   [[0, 1], [1, np.True_]]])
+def test_tables_hold_integers_only(table):
+    with pytest.raises(GroupDomainError, match="entries must be integer indices"):
+        FiniteGroup(table)
+
+
+def test_huge_table_entries_are_refused():
+    with pytest.raises(GroupDomainError, match="must be integer indices"):
+        FiniteGroup([[0, 10 ** 30], [1, 0]])
+
+
+def test_u1_exp_has_the_scipy_bits():
+    # a 1x1 exp skips scipy; scipy's expm takes np.exp on 1x1 input too
+    from scipy.linalg import expm
+    G = U1()
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x = G.algebra.random(rng, 0.6) * rng.uniform(0.1, 10.0)
+        assert G.exp(x).tobytes() == G.renormalize(expm(x)).tobytes()

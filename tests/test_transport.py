@@ -3,14 +3,15 @@ import pytest
 from scipy.linalg import expm
 
 from twogauge.crossed import crossed_module
-from twogauge.errors import GeometryError
+from twogauge.errors import ConfigError, GeometryError
 from twogauge.forms import FormField, PointwiseForm
 from twogauge.geometry import Bigon, Path, Reparam, shipped_bigon, shipped_path
 from twogauge.maps import ConstantMap, ExpParamMap, NumericalMap
+from twogauge.scenario import scenario_from_dict
 from twogauge.transport import (
     LocalConnection, check_transition_laws, check_transition_laws_plain,
     check_triple_overlap, convergence_study, fake_flat_connection,
-    fake_residual_on_bigon, holonomy_product, kernel_check, path_holonomy,
+    fake_residual_on_bigon, grids_errors, holonomy_product, kernel_check, path_holonomy,
     _rk4, surface_holonomy, transform_connection,
 )
 
@@ -77,6 +78,17 @@ def test_integrator_is_fourth_order():
     assert study["grids"] == [8, 16, 32, 64]
     assert all(b < a for a, b in zip(study["errors"], study["errors"][1:]))
     assert abs(study["order"] - 4.0) < 0.5
+
+
+@pytest.mark.parametrize("grids", [(4, 4), (4,), (), (1, 4), (4, True), [4, 8.0]])
+def test_convergence_needs_two_distinct_step_counts(grids, recwarn):
+    # one rule for the library and the scenario loader: no one-point fit
+    with pytest.raises(ConfigError) as exc:
+        convergence_study(SU2, FIELD_A, shipped_path("pi-detour"), grids=grids)
+    assert str(exc.value) == grids_errors(grids)[0] and not recwarn.list
+    with pytest.raises(ConfigError) as loaded:
+        scenario_from_dict({"crossed_module": "CONJ(SU2)", "grids": list(grids)})
+    assert str(loaded.value) == grids_errors(list(grids))[0]
 
 
 M_CONST = np.array([[0.7j, 0.9 + 0.4j], [-0.9 + 0.4j, -0.7j]])
