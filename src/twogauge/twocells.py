@@ -5,11 +5,12 @@ stacks cells along a shared 1-arrow; horizontal pasting runs them side by
 side. The interchange identity relating the two is equivalent to the Peiffer
 axiom, so `check_interchange` doubles as an independent axiom probe.
 
-TwoCell pastes one cell and is the reference for the conventions. CellBatch
-pastes many cells with TwoCell's conventions, over a finite module's compiled
-tables or over matrix stacks. Every check here, exhaustive or sampled, runs
-on it in blocks of `crossed.BLOCK` cases in case order, so its memory stays
-bounded and its witnesses are the ones a case-by-case loop finds first.
+TwoCell pastes one membership-checked cell and is the scalar reference.
+CellBatch pastes many cells, over a finite module's compiled tables or over
+matrix stacks; both take the pasting conventions from one base class. Every
+check here, exhaustive or sampled, runs on CellBatch in blocks of
+`crossed.BLOCK` cases in case order, so its memory stays bounded and its
+witnesses are the ones a case-by-case loop finds first.
 """
 
 from functools import partial
@@ -22,15 +23,14 @@ from .crossed import (EXHAUSTIVE_INTERCHANGE_BUDGET, _failures, _index_blocks,
 import numpy as np
 
 
-class TwoCell:
-    """Pair (g, h): a 2-arrow from g to t(h) g."""
+class _Cells:
+    """The pasting conventions TwoCell and CellBatch share, written once.
+
+    Results are built with `type(self)`, so one cell gives a cell and a batch
+    gives a batch.
+    """
 
     __slots__ = ("cm", "g", "h")
-
-    def __init__(self, cm, g, h):
-        self.cm = cm
-        self.g = cm.G.renormalize(cm.G._check(g))
-        self.h = cm.H.renormalize(cm.H._check(h))
 
     @classmethod
     def identity(cls, cm, g):
@@ -43,6 +43,37 @@ class TwoCell:
     @property
     def target(self):
         return self.cm.G.mul(self.cm.t(self.h), self.g)
+
+    def horizontal(self, other):
+        """Side-by-side pasting: (g1, h1) then (g2, h2) gives
+        (g1 g2, h1 * alpha(g1)(h2))."""
+        if other.cm is not self.cm:
+            raise CompositionError("cells live over different crossed modules")
+        cm = self.cm
+        return type(self)(cm, cm.G.mul(self.g, other.g),
+                          cm.H.mul(self.h, cm.alpha(self.g, other.h)))
+
+    def vertical_inverse(self):
+        return type(self)(self.cm, self.target, self.cm.H.inv(self.h))
+
+    def whisker_left(self, g0):
+        """Pre-compose with the identity cell on g0."""
+        return self.identity(self.cm, g0).horizontal(self)
+
+    def whisker_right(self, g0):
+        """Post-compose with the identity cell on g0."""
+        return self.horizontal(self.identity(self.cm, g0))
+
+
+class TwoCell(_Cells):
+    """Pair (g, h): a 2-arrow from g to t(h) g."""
+
+    __slots__ = ()
+
+    def __init__(self, cm, g, h):
+        self.cm = cm
+        self.g = cm.G.renormalize(cm.G._check(g))
+        self.h = cm.H.renormalize(cm.H._check(h))
 
     def vertical(self, other, tol=None):
         """Paste `other` on top: defined when other.source == self.target.
@@ -59,34 +90,16 @@ class TwoCell:
                                    target=self.cm.G.label(self.target))
         return TwoCell(self.cm, self.g, self.cm.H.mul(other.h, self.h))
 
-    def horizontal(self, other):
-        """Side-by-side pasting: (g1, h1) then (g2, h2) gives
-        (g1 g2, h1 * alpha(g1)(h2))."""
-        if other.cm is not self.cm:
-            raise CompositionError("cells live over different crossed modules")
-        cm = self.cm
-        return TwoCell(cm, cm.G.mul(self.g, other.g),
-                       cm.H.mul(self.h, cm.alpha(self.g, other.h)))
-
-    def vertical_inverse(self):
-        cm = self.cm
-        return TwoCell(cm, self.target, cm.H.inv(self.h))
-
     def horizontal_inverse(self):
         cm = self.cm
         gi = cm.G.inv(self.g)
         return TwoCell(cm, gi, cm.alpha(gi, cm.H.inv(self.h)))
 
-    def whisker_left(self, g0):
-        """Pre-compose with the identity cell on g0."""
-        return TwoCell.identity(self.cm, g0).horizontal(self)
-
-    def whisker_right(self, g0):
-        """Post-compose with the identity cell on g0."""
-        return self.horizontal(TwoCell.identity(self.cm, g0))
-
-    def eq(self, other):
-        return self.cm.G.eq(self.g, other.g) and self.cm.H.eq(self.h, other.h)
+    def eq(self, other, tol=None):
+        cm = self.cm
+        if tol is None:
+            return cm.G.eq(self.g, other.g) and cm.H.eq(self.h, other.h)
+        return cm.G.eq(self.g, other.g, tol) and cm.H.eq(self.h, other.h, tol)
 
     def label(self):
         return f"({self.cm.G.label(self.g)}, {self.cm.H.label(self.h)})"
@@ -95,7 +108,7 @@ class TwoCell:
         return f"<TwoCell {self.label()}>"
 
 
-class CellBatch:
+class CellBatch(_Cells):
     """Many 2-cells (g, h) at once, one case per position along a leading axis.
 
     `cm` is a finite module's `compiled()` form, with g and h index arrays,
@@ -105,32 +118,22 @@ class CellBatch:
     CompositionError for the first case whose 1-arrows do not match.
     """
 
-    __slots__ = ("cm", "g", "h")
+    __slots__ = ()
 
     def __init__(self, cm, g, h):
         self.cm = cm
         self.g = np.asarray(g)
         self.h = np.asarray(h)
 
-    @classmethod
-    def identity(cls, cm, g):
-        return cls(cm, g, cm.H.identity)
-
-    @property
-    def source(self):
-        return self.g
-
-    @property
-    def target(self):
-        return self.cm.G.mul(self.cm.t(self.h), self.g)
-
     def vertical(self, other, tol=None):
-        """Paste `other` on top where other.source == self.target (see TwoCell)."""
+        """Paste `other` on top: defined where other.source == self.target.
+
+        `tol` is accepted for TwoCell's signature; arrows match within `G.eq`.
+        """
         if other.cm is not self.cm:
             raise CompositionError("cells live over different crossed modules")
         G = self.cm.G
-        matches = np.asarray(G.eq(other.source, self.target) if tol is None
-                             else G.eq(other.source, self.target, tol))
+        matches = np.asarray(G.eq(other.source, self.target))
         bad = np.flatnonzero(~matches)
         if bad.size:
             source, target = other.source, self.target
@@ -141,32 +144,21 @@ class CellBatch:
                                    source=G.label(source), target=G.label(target))
         return CellBatch(self.cm, self.g, self.cm.H.mul(other.h, self.h))
 
-    def horizontal(self, other):
-        """Side-by-side pasting: (g1, h1) then (g2, h2) gives
-        (g1 g2, h1 * alpha(g1)(h2))."""
-        if other.cm is not self.cm:
-            raise CompositionError("cells live over different crossed modules")
-        cm = self.cm
-        return CellBatch(cm, cm.G.mul(self.g, other.g),
-                         cm.H.mul(self.h, cm.alpha(self.g, other.h)))
+    def eq(self, other, tol=None):
+        """Where the two batches hold the same cell: a bool per case.
 
-    def vertical_inverse(self):
-        return CellBatch(self.cm, self.target, self.cm.H.inv(self.h))
-
-    def whisker_left(self, g0):
-        """Pre-compose with the identity cells on g0."""
-        return CellBatch.identity(self.cm, g0).horizontal(self)
-
-    def whisker_right(self, g0):
-        """Post-compose with the identity cells on g0."""
-        return self.horizontal(CellBatch.identity(self.cm, g0))
-
-    def eq(self, other):
-        """Where the two batches hold the same cell: a bool per case."""
+        `tol` is accepted for TwoCell's signature; cells compare within `eq`.
+        """
         return self.cm.G.eq(self.g, other.g) & self.cm.H.eq(self.h, other.h)
 
+    def label(self, case):
+        """TwoCell's label of the cell at position `case` of the case axis."""
+        g, h = (group.label(x[case] if x.ndim > np.ndim(group.identity) else x)
+                for group, x in ((self.cm.G, self.g), (self.cm.H, self.h)))
+        return f"({g}, {h})"
+
     def __repr__(self):
-        return f"<CellBatch {self.cm.name}>"
+        return f"<CellBatch {self.cm.name} shape={np.shape(self.eq(self))}>"
 
 
 def _interchange_sides(cell, cm, g1, g2, h1, h2, h3, h4):
@@ -250,7 +242,10 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
     noncommuting witness pair when they do not: over every pair of a finite
     H, or over `samples` random pairs.
     """
-    if (cm.G.order != 1) if cm.G.kind == "finite" else not cm.G.trivial:
+    if cm.G.kind == "finite":
+        if cm.G.order != 1:
+            raise GroupDomainError("probe needs a trivial 1-arrow group")
+    elif not cm.G.trivial:
         raise GroupDomainError("probe needs a trivial 1-arrow group")
     H = cm.H
     rep = ValidationReport(f"eckmann-hilton: {cm.name}")
@@ -269,6 +264,7 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
         vert, horiz = _eckmann_hilton_sides(TwoCell, cm, *first)
         witness = {**_witness(cm.G, H, "h1 h2", first),
                    "vertical": vert.label(), "horizontal": horiz.label()}
-    rep.add("pastings-agree", first is None, witness=witness,
+    commutes = witness is None
+    rep.add("pastings-agree", commutes, witness=witness,
             detail="vertical (1, h2 h1) vs horizontal (1, h1 h2)")
     return rep

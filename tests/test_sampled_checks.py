@@ -140,6 +140,14 @@ def scaled_t_u1():
                          t=lambda h: 2 * h, alpha=lambda g, h: U1().conj(g, h))
 
 
+def phase_scaled_t_u1():
+    """t leaves U1 by a factor that grows with the phase of h, and not at all
+    for a phase <= 0: the defect, and whether there is one, differ by case."""
+    return CrossedModule("PHASE_SCALED_T(U1)", U1(), U1(),
+                         t=lambda h: h * (1 + np.maximum(np.angle(h), 0)),
+                         alpha=lambda g, h: U1().conj(g, h))
+
+
 MODULES = {
     "CONJ(SU2)": lambda: crossed_module("CONJ(SU2)"),
     "CONJ(U1)": lambda: crossed_module("CONJ(U1)"),
@@ -232,6 +240,10 @@ def test_cell_batch_on_stacks_follows_two_cell():
         for got, want in zip(results, expected):
             assert got.g[k].tobytes() == want.g.tobytes()
             assert got.h[k].tobytes() == want.h.tobytes()
+        assert a.label(k) == s.label()
+        # a single element shared by every case labels as itself
+        assert CellBatch.identity(cm, g1).label(k) == TwoCell.identity(cm, g1[k]).label()
+    assert repr(a) == "<CellBatch AUT(SU2) shape=(20,)>"
 
 
 def test_cell_batch_on_stacks_names_the_first_mismatch():
@@ -261,3 +273,26 @@ def test_matrix_eq_on_stacks_keeps_the_norm_bits():
     # every matrix's own distance as the tolerance: a last-bit difference shows
     for tol in [np.linalg.norm(x - y) for x, y in zip(a, b)]:
         assert G.eq(a, b, tol).tolist() == [bool(G.eq(x, y, tol)) for x, y in zip(a, b)]
+
+
+def test_a_case_dependent_defect_raises_where_the_scalar_loop_raises():
+    # The batch applies each operation to every case before the next one, so
+    # when the first raising case fails at a later operation than another
+    # case, the batch names that other case's defect. The error type and the
+    # point of failure (a run that raises) stay those of the scalar loop.
+    cm = phase_scaled_t_u1()
+    differ = []
+    for seed, samples in itertools.product(SEEDS, [1, 5, 60]):
+        got = _outcome(lambda: check_interchange(cm, mode="sampled",
+                                                 samples=samples, seed=seed))
+        want = _outcome(lambda: scalar_interchange(cm, samples, seed))
+        assert type(got) is type(want)
+        if isinstance(got, tuple):
+            assert got[0] == want[0] == "GroupDomainError"
+            assert got[1].startswith("matrix is not in U1 (defect ")
+        if got != want:
+            differ.append((seed, samples))
+        assert _outcome(lambda: validate_crossed_module(cm, mode="sampled", samples=samples,
+                                                        seed=seed)) \
+            == _outcome(lambda: scalar_validate(cm, samples, seed))
+    assert differ == [(7, 60)]

@@ -75,9 +75,9 @@ def test_inverses_cancel():
     cm2 = crossed_module("CONJ(SU2)")
     c = TwoCell(cm2, cm2.G.random(rng), cm2.H.random(rng))
     v = c.vertical(c.vertical_inverse())
-    assert v.eq(TwoCell.identity(cm2, c.source))
+    assert v.eq(TwoCell.identity(cm2, c.source), 1e-9)
     hz = c.horizontal(c.horizontal_inverse())
-    assert hz.eq(TwoCell.identity(cm2, cm2.G.identity))
+    assert hz.eq(TwoCell.identity(cm2, cm2.G.identity), 1e-9)
 
 
 def test_whiskering_is_horizontal_with_identity():
@@ -269,6 +269,7 @@ def test_cell_batch_follows_two_cell_conventions():
                     s.vertical_inverse(), s.whisker_left(t.g), s.whisker_right(t.g)]
         for got, want in zip(results, expected):
             assert (got.g[k], got.h[k]) == (want.g, want.h)
+        assert a.label(k) == s.label()
 
 
 def test_cell_batch_vertical_names_the_first_mismatch():
