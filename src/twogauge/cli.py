@@ -9,6 +9,7 @@ stderr where it cannot break that.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -239,11 +240,16 @@ def _refuse(message):
     return 2
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process: parse_args keeps no state between runs."""
+    return build_parser()
+
+
 def run(argv=None):
     started = time.perf_counter()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -84,6 +84,8 @@ class CrossedModule:
         return self._dt is not None
 
     def dt(self, x):
+        """The boundary map on the algebras; like `dalpha` and `act_algebra`
+        it also takes (N, n, n) stacks, with the bits of the single call."""
         if self._dt is None:
             raise GroupDomainError(f"{self.name} has no differential data")
         return self._dt(x)
@@ -397,12 +399,15 @@ def _aut_su2_module():
         q = Rotation.from_matrix(np.asarray(R, dtype=float)).as_quat()
         return _su2_from_quaternion(q)
 
+    # dt and dt_inv also take (N, n, n) stacks, matrix by matrix
     def dt(x):
-        a = np.array([1j * np.trace(s @ x) for s in _SIGMA]).real
-        return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+        a = np.array([1j * np.trace(s @ x, 0, -2, -1) for s in _SIGMA]).real
+        z = np.zeros_like(a[0])
+        R = np.array([[z, -a[2], a[1]], [a[2], z, -a[0]], [-a[1], a[0], z]])
+        return np.moveaxis(R, (0, 1), (-2, -1))
 
     def dt_inv(y):
-        a = np.array([y[2, 1], y[0, 2], y[1, 0]])
+        a = [y[..., i, j, None, None] for i, j in ((2, 1), (0, 2), (1, 0))]
         return -0.5j * (a[0] * _SIGMA[0] + a[1] * _SIGMA[1] + a[2] * _SIGMA[2])
 
     def act(g, x):
@@ -430,8 +435,8 @@ def _gerbe_matrix_module():
         "GERBE(U1)", G, H,
         t=lambda h: G.identity,
         alpha=lambda g, h: h,
-        dt=lambda x: np.zeros((1, 1)),
-        dalpha=lambda y, x: np.zeros((1, 1), dtype=complex),
+        dt=lambda x: np.zeros(np.shape(x)),
+        dalpha=lambda y, x: np.zeros(np.shape(x), dtype=complex),
         act_algebra=lambda g, x: x,
         dalpha_group=lambda y, h: np.zeros((1, 1), dtype=complex),
     )

@@ -18,7 +18,11 @@ only obtainable numerically (gauge-transformed connections, pushforwards).
 values: a FormField runs each coefficient once over all points (see
 `expr.ArrayExpr`) and accumulates in the same order as `at`, components in
 dict order and zero coefficients skipped, so every value has the bits of
-the single-point call. A PointwiseForm calls `at` point by point.
+the single-point call. A PointwiseForm built on a point function calls it
+point by point. A StackedForm is built on a function of whole point
+stacks, as gauge transforms, Maurer-Cartan forms (see `maps`), sums and
+action wedges are; its `at` evaluates a stack of one point. `forms_close`
+samples each direction tuple with one `at_points` call per form.
 """
 
 from itertools import combinations
@@ -30,6 +34,7 @@ from .expr import (
     Num, add_, compile_expr, differentiate, max_var_index, mul_, neg_, num,
     parse, to_text,
 )
+from .groups import frobenius_norms
 
 MAX_DEGREE = 3
 
@@ -379,7 +384,7 @@ class PointwiseForm:
 
     @classmethod
     def from_field(cls, field):
-        return cls(field.algebra, field.degree, field.dim, field.at)
+        return StackedForm(field.algebra, field.degree, field.dim, field.at_points)
 
     def at(self, point, *vectors):
         if len(vectors) != self.degree:
@@ -396,33 +401,46 @@ class PointwiseForm:
     def __add__(self, other):
         if other.degree != self.degree or other.dim != self.dim:
             raise GeometryError("can only add forms of matching degree and dim")
-        return PointwiseForm(self.algebra, self.degree, self.dim,
-                             lambda p, *vs: self.at(p, *vs) + other.at(p, *vs))
+        return StackedForm(self.algebra, self.degree, self.dim,
+                           lambda p, *vs: self.at_points(p, *vs) + other.at_points(p, *vs))
 
     def __neg__(self):
-        return PointwiseForm(self.algebra, self.degree, self.dim,
-                             lambda p, *vs: -self.at(p, *vs))
+        return StackedForm(self.algebra, self.degree, self.dim,
+                           lambda p, *vs: -self.at_points(p, *vs))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __repr__(self):
-        return f"<PointwiseForm deg={self.degree} dim={self.dim}>"
+        return f"<{type(self).__name__} deg={self.degree} dim={self.dim}>"
+
+
+class StackedForm(PointwiseForm):
+    """Form given on point stacks: fn(points, *vectors) -> (N, n, n) values,
+    each with the bits it would get alone."""
+
+    def at(self, point, *vectors):
+        return self.at_points(np.asarray(point, dtype=float)[None],
+                              *(np.asarray(v, dtype=float)[None] for v in vectors))[0]
+
+    def at_points(self, points, *vectors):
+        points, vecs = _point_arrays(self, points, vectors)
+        return self._fn(points, *vecs)
 
 
 def action_wedge_pointwise(cm, A, omega):
     """Numeric counterpart of `action_wedge` through the module's dalpha."""
     if omega.degree == 1:
         def fn(p, u, v):
-            return (cm.dalpha(A.at(p, u), omega.at(p, v))
-                    - cm.dalpha(A.at(p, v), omega.at(p, u)))
-        return PointwiseForm(cm.H.algebra, 2, omega.dim, fn)
+            return (cm.dalpha(A.at_points(p, u), omega.at_points(p, v))
+                    - cm.dalpha(A.at_points(p, v), omega.at_points(p, u)))
+        return StackedForm(cm.H.algebra, 2, omega.dim, fn)
     if omega.degree == 2:
         def fn3(p, u, v, w):
-            return (cm.dalpha(A.at(p, u), omega.at(p, v, w))
-                    - cm.dalpha(A.at(p, v), omega.at(p, u, w))
-                    + cm.dalpha(A.at(p, w), omega.at(p, u, v)))
-        return PointwiseForm(cm.H.algebra, 3, omega.dim, fn3)
+            return (cm.dalpha(A.at_points(p, u), omega.at_points(p, v, w))
+                    - cm.dalpha(A.at_points(p, v), omega.at_points(p, u, w))
+                    + cm.dalpha(A.at_points(p, w), omega.at_points(p, u, v)))
+        return StackedForm(cm.H.algebra, 3, omega.dim, fn3)
     raise GeometryError("action wedge implemented for degree-1 and degree-2 targets")
 
 
@@ -431,7 +449,12 @@ def forms_close(f1, f2, points, tol):
     if f1.degree != f2.degree or f1.dim != f2.dim:
         raise GeometryError("cannot compare forms of different degree or dim")
     worst = 0.0
-    for p in points:
-        for vs in combinations(np.eye(f1.dim), f1.degree):
-            worst = max(worst, float(np.linalg.norm(f1.at(p, *vs) - f2.at(p, *vs))))
+    if len(points) == 0:
+        return worst, worst <= tol
+    points = np.asarray(points, dtype=float)
+    for vs in combinations(np.eye(f1.dim), f1.degree):
+        vecs = [np.broadcast_to(v, points.shape) for v in vs]
+        diff = f1.at_points(points, *vecs) - f2.at_points(points, *vecs)
+        for n in frobenius_norms(diff):  # max() as the point loop took it: a NaN never wins
+            worst = max(worst, float(n))
     return worst, worst <= tol

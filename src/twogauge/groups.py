@@ -342,17 +342,22 @@ class LieAlgebra:
         return f"<LieAlgebra {self.name} dim={self.dim}>"
 
 
+# the projectors act on the last two axes, so a stack of matrices projects
+# matrix by matrix with the bits of the single call
+
 def _proj_skew_hermitian(X):
-    return (X - X.conj().T) / 2
+    return (X - X.conj().swapaxes(-1, -2)) / 2
 
 
 def _proj_su(X):
-    Y = (X - X.conj().T) / 2
-    return Y - (np.trace(Y) / X.shape[0]) * np.eye(X.shape[0])
+    Y = (X - X.conj().swapaxes(-1, -2)) / 2
+    n = X.shape[-1]
+    return Y - (np.trace(Y, 0, -2, -1)[..., None, None] / n) * np.eye(n)
 
 
 def _proj_antisymmetric(X):
-    return np.real(X - X.T) / 2 if np.iscomplexobj(X) else (X - X.T) / 2
+    Xt = X.swapaxes(-1, -2)
+    return np.real(X - Xt) / 2 if np.iscomplexobj(X) else (X - Xt) / 2
 
 
 def u1_algebra():
@@ -382,7 +387,7 @@ def gl_algebra(n):
 
 
 def trivial_algebra():
-    return LieAlgebra("0", [], 1, float, lambda X: np.zeros((1, 1)))
+    return LieAlgebra("0", [], 1, float, lambda X: np.zeros(X.shape))
 
 
 class MatrixGroup:
@@ -540,12 +545,16 @@ class MatrixGroup:
         return a.shape == b.shape and np.linalg.norm(a - b) <= tol
 
     def exp(self, x):
+        """exp of an algebra element, or of each matrix of an (N, n, n) stack
+        with the bits it would get alone (one scipy expm call per matrix)."""
         if self.algebra.dim == 0:
-            return self.identity
+            return np.broadcast_to(self.identity, np.shape(x)[:-2] + (1, 1)).copy()
         x = np.asarray(x, dtype=self.dtype)
         if self.n == 1:  # what scipy's expm returns for 1x1 matrices
             return self.renormalize(np.exp(x))
         import scipy.linalg  # loaded on first use: most runs need no scipy
+        if x.ndim == 3:
+            return self.renormalize(np.array([scipy.linalg.expm(m) for m in x]))
         return self.renormalize(scipy.linalg.expm(x))
 
     def log(self, g):

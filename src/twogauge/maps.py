@@ -5,12 +5,22 @@ coefficients. Its derivative combines the exact symbolic derivative of the
 exponent with the Frechet derivative of the matrix exponential, so no finite
 differencing enters the gauge-transformation laws. NumericalMap exists as an
 independent central-difference route for cross-checking.
+
+`at` and `jac` take one point. `at_points`, `inv_points` and `jac_points`
+take an (N, dim) stack of points (and of directions) and return (N, n, n)
+stacks, each matrix with the bits of the single-point call. An ExpParamMap
+computes a stack's exponents with one `FormField.at_points`, g with one
+stacked `exp` and dg along each direction stack with one `expm_frechet` per
+point. It keeps these values for the last point stack only, so the forms
+built on one map (a gauge transform and its Maurer-Cartan form, evaluated
+along several directions) share them, and its memory stays that of one
+stack. The other maps evaluate stacks point by point.
 """
 
 import numpy as np
 
 from .errors import GeometryError
-from .forms import FormField, PointwiseForm
+from .forms import FormField, StackedForm
 
 
 class GroupMap:
@@ -26,6 +36,18 @@ class GroupMap:
     def jac(self, point, direction):
         """Directional derivative of `at` along `direction` (a raw matrix)."""
         raise NotImplementedError
+
+    def at_points(self, points):
+        """`at` at each row of an (N, dim) stack of points."""
+        return np.array([self.at(p) for p in points])
+
+    def inv_points(self, points):
+        """The group inverse of each matrix of `at_points`."""
+        return self.group.inv(self.at_points(points))
+
+    def jac_points(self, points, directions):
+        """`jac` at each row of points along the matching row of directions."""
+        return np.array([self.jac(p, d) for p, d in zip(points, directions)])
 
     def inverse(self):
         return InverseMap(self)
@@ -57,6 +79,7 @@ class ExpParamMap(GroupMap):
         super().__init__(group, exponent.dim)
         self.exponent = exponent
         self._dexponent = exponent.d()
+        self._last = None  # values of the last point stack, see _stack
 
     @classmethod
     def from_exprs(cls, group, dim, texts):
@@ -75,6 +98,38 @@ class ExpParamMap(GroupMap):
         from scipy.linalg import expm_frechet  # loaded on first use
         _, L = expm_frechet(X, dX)
         return L
+
+    def _stack(self, points):
+        """(exponents, g, g^-1, {direction bytes: dg}) of a point stack,
+        computed once: a new stack replaces the last one's values."""
+        points = np.asarray(points, dtype=float)
+        key = (points.shape, points.tobytes())
+        if self._last is None or self._last[0] != key:
+            X = self.exponent.at_points(points)
+            g = self.group.exp(X)
+            values = (X, g, self.group.inv(g), {})
+            for v in values[:3]:
+                v.flags.writeable = False
+            self._last = (key, values)
+        return self._last[1]
+
+    def at_points(self, points):
+        return self._stack(points)[1]
+
+    def inv_points(self, points):
+        return self._stack(points)[2]
+
+    def jac_points(self, points, directions):
+        X, _, _, dgs = self._stack(points)
+        directions = np.asarray(directions, dtype=float)
+        key = directions.tobytes()
+        if key not in dgs:
+            from scipy.linalg import expm_frechet  # loaded on first use
+            dX = self._dexponent.at_points(points, directions)
+            dg = np.array([expm_frechet(x, dx)[1] for x, dx in zip(X, dX)])
+            dg.flags.writeable = False
+            dgs[key] = dg
+        return dgs[key]
 
 
 class InverseMap(GroupMap):
@@ -129,21 +184,19 @@ class NumericalMap(GroupMap):
 
 def maurer_cartan(gmap):
     """The flat connection carried by a group map: value g d(g^-1) = -(dg) g^-1."""
-    group = gmap.group
+    algebra = gmap.group.algebra
 
-    def fn(point, v):
-        g = gmap.at(point)
-        return group.algebra.project(-gmap.jac(point, v) @ group.inv(g))
+    def fn(points, v):
+        return algebra.project(-gmap.jac_points(points, v) @ gmap.inv_points(points))
 
-    return PointwiseForm(group.algebra, 1, gmap.dim, fn)
+    return StackedForm(algebra, 1, gmap.dim, fn)
 
 
 def right_log_derivative(gmap):
-    """(dg) g^-1 as a pointwise 1-form (the negative of `maurer_cartan`)."""
-    group = gmap.group
+    """(dg) g^-1 as a 1-form on point stacks (the negative of `maurer_cartan`)."""
+    algebra = gmap.group.algebra
 
-    def fn(point, v):
-        g = gmap.at(point)
-        return group.algebra.project(gmap.jac(point, v) @ group.inv(g))
+    def fn(points, v):
+        return algebra.project(gmap.jac_points(points, v) @ gmap.inv_points(points))
 
-    return PointwiseForm(group.algebra, 1, gmap.dim, fn)
+    return StackedForm(algebra, 1, gmap.dim, fn)

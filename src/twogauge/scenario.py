@@ -132,6 +132,36 @@ def _check_type(errors, what, value, kind):
     return False
 
 
+def _is_label(value):
+    """A chart label: a JSON scalar that is not a boolean, so never taken for 0 or 1."""
+    return not isinstance(value, (bool, list, dict))
+
+
+def _check_nerve(errors, spec):
+    """Whether an inline nerve is well formed: charts and every overlap under
+    doubles, triples and quads are lists of labels. If not, each problem goes
+    to errors, named by its key and JSON value."""
+    if "charts" not in spec:
+        errors.append("nerve needs a charts list")
+        return False
+    found = len(errors)
+
+    def labels(what, value):
+        if not (isinstance(value, list) and all(_is_label(c) for c in value)):
+            errors.append(f"nerve {what} must be a list of chart labels, "
+                          f"got {json.dumps(value)}")
+
+    labels("charts", spec["charts"])
+    for key in ("doubles", "triples", "quads"):
+        overlaps = spec.get(key, [])
+        if not isinstance(overlaps, list):
+            errors.append(f"nerve {key} must be a list of overlaps, got {json.dumps(overlaps)}")
+            continue
+        for i, overlap in enumerate(overlaps):
+            labels(f"{key}[{i}]", overlap)
+    return len(errors) == found
+
+
 def _check_expressions(errors, what, value, kind=dict):
     """Whether a JSON value is an object (or a list) of expression strings."""
     if not _check_type(errors, what, value, kind):
@@ -241,14 +271,14 @@ def _resolve(doc, name):
     if "nerve" in doc:
         spec = doc["nerve"]
         try:
-            if isinstance(spec, dict):
+            if not isinstance(spec, dict):
+                scn.nerve = nerve_fixture(spec)
+            elif _check_nerve(errors, spec):
                 scn.nerve = CoverNerve(spec["charts"],
                                        doubles=[tuple(d) for d in spec.get("doubles", [])],
                                        triples=[tuple(t) for t in spec.get("triples", [])],
                                        quads=[tuple(q) for q in spec.get("quads", [])])
-            else:
-                scn.nerve = nerve_fixture(spec)
-        except (ConfigError, KeyError, TypeError) as exc:
+        except ConfigError as exc:
             errors.append(f"nerve: {exc}")
 
     if "cocycle" in doc and module_ok and scn.nerve is not None:

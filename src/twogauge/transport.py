@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError
 from .forms import (
-    FormField, PointwiseForm, action_wedge_pointwise, curvature,
+    FormField, StackedForm, action_wedge_pointwise, curvature,
     fake_curvature_form, forms_close, square_wedge, three_curvature,
 )
 from .geometry import Path
@@ -76,18 +76,18 @@ class LocalConnection:
         return fake_curvature_form(self.cm, self.A, self.B)
 
     def fake_curvature_at(self, point, u, v):
-        """Pointwise F_A(u,v) + dt(B(u,v)), dA by central differences."""
+        """F_A(u,v) + dt(B(u,v)), dA by central differences, at one point or
+        at each row of (N, dim) stacks of points and vectors."""
         h = 1e-5
-        p = np.asarray(point, dtype=float)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        dAu = (np.asarray(self.A.at(tuple(p + h * u), v))
-               - np.asarray(self.A.at(tuple(p - h * u), v))) / (2 * h)
-        dAv = (np.asarray(self.A.at(tuple(p + h * v), u))
-               - np.asarray(self.A.at(tuple(p - h * v), u))) / (2 * h)
-        Au, Av = self.A.at(tuple(p), u), self.A.at(tuple(p), v)
+        p, u, v = (np.asarray(a, dtype=float) for a in (point, u, v))
+        if p.ndim == 1:
+            return self.fake_curvature_at(p[None], u[None], v[None])[0]
+        A = self.A.at_points
+        dAu = (A(p + h * u, v) - A(p - h * u, v)) / (2 * h)
+        dAv = (A(p + h * v, u) - A(p - h * v, u)) / (2 * h)
+        Au, Av = A(p, u), A(p, v)
         F = dAu - dAv + (Au @ Av - Av @ Au)
-        return F + self.cm.dt(self.B.at(tuple(p), u, v))
+        return F + self.cm.dt(self.B.at_points(p, u, v))
 
 
 def fake_flat_connection(cm, A):
@@ -172,11 +172,8 @@ def fake_residual_on_bigon(conn, bigon):
     points = bigon.value(s, t).reshape(-1, dim)
     u = bigon.d_s(s, t).reshape(-1, dim)
     v = bigon.d_t(s, t).reshape(-1, dim)
-    if conn.is_symbolic:
-        norms = frobenius_norms(conn.fake_curvature().at_points(points, u, v))
-    else:
-        norms = [np.linalg.norm(conn.fake_curvature_at(p, a, b))
-                 for p, a, b in zip(points, u, v)]
+    norms = frobenius_norms(conn.fake_curvature().at_points(points, u, v) if conn.is_symbolic
+                            else conn.fake_curvature_at(points, u, v))
     worst = 0.0
     for n in norms:  # max() as the point loop took it: a NaN never wins
         worst = max(worst, float(n))
@@ -309,7 +306,10 @@ def transform_connection(cm, conn, gmap, a_form):
     """Chart change: A' = g A g^-1 + g d(g^-1) - dt(a); B' = act(g) B + k.
 
     The overlap curvature k is built against the transformed A', matching
-    how the two charts are compared in `check_transition_laws`.
+    how the two charts are compared in `check_transition_laws`. A' and B'
+    are StackedForms: g, g^-1 and dg come from gmap's stacked methods, so an
+    ExpParamMap computes them once per point stack and direction for every
+    form built on it (see `maps`).
     """
     if a_form.degree != 1:
         raise GeometryError("the shift form has degree 1")
@@ -318,18 +318,18 @@ def transform_connection(cm, conn, gmap, a_form):
     mc = maurer_cartan(gmap)
 
     def A_fn(p, v):
-        g = gmap.at(p)
-        return (g @ conn.A.at(p, v) @ cm.G.inv(g) + mc.at(p, v)
-                - cm.dt(a_form.at(p, v)))
+        return (gmap.at_points(p) @ conn.A.at_points(p, v) @ gmap.inv_points(p)
+                + mc.at_points(p, v) - cm.dt(a_form.at_points(p, v)))
 
-    A_new = PointwiseForm(cm.G.algebra, 1, conn.dim, A_fn)
-    k_free = PointwiseForm.from_field(a_form.d() + square_wedge(a_form))
-    k_full = k_free + action_wedge_pointwise(cm, A_new, a_form)
+    A_new = StackedForm(cm.G.algebra, 1, conn.dim, A_fn)
+    k_free = a_form.d() + square_wedge(a_form)
+    k_act = action_wedge_pointwise(cm, A_new, a_form)
 
     def B_fn(p, u, v):
-        return cm.act_algebra(gmap.at(p), conn.B.at(p, u, v)) + k_full.at(p, u, v)
+        return cm.act_algebra(gmap.at_points(p), conn.B.at_points(p, u, v)) \
+            + (k_free.at_points(p, u, v) + k_act.at_points(p, u, v))
 
-    B_new = PointwiseForm(cm.H.algebra, 2, conn.dim, B_fn)
+    B_new = StackedForm(cm.H.algebra, 2, conn.dim, B_fn)
     return LocalConnection(cm, A_new, B_new)
 
 
@@ -345,9 +345,9 @@ def check_transition_laws(cm, left, right, gmap, a_form, points, tol=1e-9):
         rep.skip("connection-law", NO_SAMPLES)
         rep.skip("surface-law", NO_SAMPLES)
         return rep
-    worst1, ok1 = forms_close(_as_pointwise(left.A), transformed.A, points, tol)
+    worst1, ok1 = forms_close(left.A, transformed.A, points, tol)
     rep.add("connection-law", ok1, residual=worst1, tolerance=tol)
-    worst2, ok2 = forms_close(_as_pointwise(left.B), transformed.B, points, tol)
+    worst2, ok2 = forms_close(left.B, transformed.B, points, tol)
     rep.add("surface-law", ok2, residual=worst2, tolerance=tol)
     return rep
 
@@ -356,10 +356,6 @@ def check_transition_laws_plain(cm, left, right, gmap, points, tol=1e-9):
     """1-bundle specialization: zero shift form, so B' is just the pushforward."""
     zero_a = FormField.zero(cm.H.algebra, 1, left.dim)
     return check_transition_laws(cm, left, right, gmap, zero_a, points, tol)
-
-
-def _as_pointwise(form):
-    return form if isinstance(form, PointwiseForm) else PointwiseForm.from_field(form)
 
 
 def check_triple_overlap(cm, a_ij, a_jk, a_ik, g_ij, hmap, A_i, points, tol=1e-9):

@@ -2,24 +2,31 @@
 
 The oracles below are the row-by-row sweep and the per-node path loop that
 transport used before rows were swept together: scalar geometry, `at` per
-point, one `_rk4` per row. Every comparison is bitwise.
+point, one `_rk4` per row. The gauge transform, Maurer-Cartan form, action
+wedge and transition-law check have their per-point closures here too, as
+they were before forms took point stacks. Every comparison is bitwise.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import twogauge.transport as transport
+from twogauge import cli
 from twogauge.crossed import crossed_module
 from twogauge.errors import EvalError
 from twogauge.expr import evaluate, parse
-from twogauge.forms import FormField
+from twogauge.forms import FormField, PointwiseForm, square_wedge
 from twogauge.geometry import (
     BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Reparam, shipped_bigon, shipped_path,
 )
+from twogauge.groups import _SIGMA
 from twogauge.scenario import load_scenario
+from twogauge.report import NO_SAMPLES, ValidationReport
 from twogauge.transport import (
-    LocalConnection, SurfaceResult, _rk4, fake_flat_connection, fake_residual_on_bigon,
-    path_holonomy, surface_holonomy, transform_connection,
+    LocalConnection, SurfaceResult, _rk4, check_transition_laws, fake_flat_connection,
+    fake_residual_on_bigon, path_holonomy, surface_holonomy, transform_connection,
 )
 from twogauge.twocells import TwoCell
 from twogauge.maps import ExpParamMap
@@ -72,6 +79,20 @@ BIGONS = _bigons()
 
 # ------------------------------------------------------------------ oracles
 
+def scalar_fake_curvature_at(conn, point, u, v):
+    h = 1e-5
+    p = np.asarray(point, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    dAu = (np.asarray(conn.A.at(tuple(p + h * u), v))
+           - np.asarray(conn.A.at(tuple(p - h * u), v))) / (2 * h)
+    dAv = (np.asarray(conn.A.at(tuple(p + h * v), u))
+           - np.asarray(conn.A.at(tuple(p - h * v), u))) / (2 * h)
+    Au, Av = conn.A.at(tuple(p), u), conn.A.at(tuple(p), v)
+    F = dAu - dAv + (Au @ Av - Av @ Au)
+    return F + conn.cm.dt(conn.B.at(tuple(p), u, v))
+
+
 def scalar_fake_residual(conn, bigon, samples=9):
     worst = 0.0
     fake = conn.fake_curvature() if conn.is_symbolic else None
@@ -80,7 +101,7 @@ def scalar_fake_residual(conn, bigon, samples=9):
             p = bigon.value(s, t)
             u, v = bigon.d_s(s, t), bigon.d_t(s, t)
             val = fake.at(tuple(p), u, v) if fake is not None \
-                else conn.fake_curvature_at(p, u, v)
+                else scalar_fake_curvature_at(conn, p, u, v)
             worst = max(worst, float(np.linalg.norm(val)))
     return worst
 
@@ -191,16 +212,21 @@ def test_grid_128_spans_more_than_one_block():
     assert rows * points_per_row > transport.MAX_BLOCK_POINTS
 
 
-def test_pointwise_connection_matches_the_row_loop():
-    # a gauge transform has numerical components only: forms are sampled
-    # point by point and the fake gate uses fake_curvature_at
+def test_pointwise_connection_matches_the_row_loop(monkeypatch):
+    # a gauge transform has numerical components only: the fake gate takes
+    # central differences; the row loop runs the per-point transform closures
     cm = crossed_module("CONJ(SU2)")
     gmap = ExpParamMap.from_exprs(cm.G, 2, ["0.3 * x1", "0.2 * x2", "0.1 * x1 * x2"])
     a_form = FormField.from_config(cm.H.algebra, 1, 2, {"1,1": "0.2 * x2"})
     conn = transform_connection(cm, CONNECTIONS["su2_charts"], gmap, a_form)
     assert not conn.is_symbolic
-    assert_same_surface(surface_holonomy(conn, BIGONS["unit-square"], grid=2),
-                        scalar_surface_holonomy(conn, BIGONS["unit-square"], 2))
+    want = scalar_surface_holonomy(scalar_transform(cm, CONNECTIONS["su2_charts"], gmap, a_form),
+                                   BIGONS["unit-square"], 2)
+    assert_same_surface(surface_holonomy(conn, BIGONS["unit-square"], grid=2), want)
+    # 45 sample points in blocks of at most 20: each block evaluates the
+    # transform on new point stacks of the same map
+    monkeypatch.setattr(transport, "MAX_BLOCK_POINTS", 20)
+    assert_same_surface(surface_holonomy(conn, BIGONS["unit-square"], grid=2), want)
 
 
 @pytest.mark.parametrize("name", sorted(CONNECTIONS))
@@ -246,3 +272,289 @@ def test_reversed_and_reparametrized_paths_match_the_node_loop():
                  shipped_path("pi-detour").reparametrize(Reparam.power_of_sitting(2))):
         assert _bits(path_holonomy(conn.cm, conn.A, path, steps=64)) == \
             _bits(scalar_path_holonomy(conn.cm.G, conn.A, path, 64))
+
+
+# ------------------------------------------------------ gauge transforms
+# the per-point closures of the transform and of the transition-law check
+
+def scalar_maurer_cartan(gmap):
+    group = gmap.group
+
+    def fn(point, v):
+        g = gmap.at(point)
+        return group.algebra.project(-gmap.jac(point, v) @ group.inv(g))
+
+    return PointwiseForm(group.algebra, 1, gmap.dim, fn)
+
+
+def scalar_action_wedge(cm, A, omega):
+    def fn(p, u, v):
+        return (cm.dalpha(A.at(p, u), omega.at(p, v))
+                - cm.dalpha(A.at(p, v), omega.at(p, u)))
+    return PointwiseForm(cm.H.algebra, 2, omega.dim, fn)
+
+
+def scalar_transform(cm, conn, gmap, a_form):
+    mc = scalar_maurer_cartan(gmap)
+
+    def A_fn(p, v):
+        g = gmap.at(p)
+        return (g @ conn.A.at(p, v) @ cm.G.inv(g) + mc.at(p, v)
+                - cm.dt(a_form.at(p, v)))
+
+    A_new = PointwiseForm(cm.G.algebra, 1, conn.dim, A_fn)
+    k_free = a_form.d() + square_wedge(a_form)
+    k_act = scalar_action_wedge(cm, A_new, a_form)
+
+    def B_fn(p, u, v):
+        return cm.act_algebra(gmap.at(p), conn.B.at(p, u, v)) + (
+            k_free.at(p, u, v) + k_act.at(p, u, v))
+
+    B_new = PointwiseForm(cm.H.algebra, 2, conn.dim, B_fn)
+    return LocalConnection(cm, A_new, B_new)
+
+
+def scalar_forms_close(f1, f2, points, tol):
+    worst = 0.0
+    for p in points:
+        for vs in combinations(np.eye(f1.dim), f1.degree):
+            worst = max(worst, float(np.linalg.norm(f1.at(p, *vs) - f2.at(p, *vs))))
+    return worst, worst <= tol
+
+
+def scalar_transition_laws(cm, left, right, gmap, a_form, points, tol=1e-9):
+    transformed = scalar_transform(cm, right, gmap, a_form)
+    rep = ValidationReport("transition laws")
+    if len(points) == 0:
+        rep.skip("connection-law", NO_SAMPLES)
+        rep.skip("surface-law", NO_SAMPLES)
+        return rep
+    for name, f1, f2 in (("connection-law", left.A, transformed.A),
+                         ("surface-law", left.B, transformed.B)):
+        worst, ok = scalar_forms_close(f1, f2, points, tol)
+        rep.add(name, ok, residual=worst, tolerance=tol)
+    return rep
+
+
+def assert_same_report(got, want):
+    assert got.to_dict() == want.to_dict()
+    assert [_bits(c.residual) for c in got.checks] == [_bits(c.residual) for c in want.checks]
+
+
+def _both_checks(cm, right, gmap, a_form, points, check_map=None, check_a=None, left=None):
+    """The library's check of the library's left chart, and the oracle's
+    check of the oracle's left chart (or of both against a given left)."""
+    check_map, check_a = check_map or gmap, check_a or a_form
+    got = check_transition_laws(cm, left or transform_connection(cm, right, gmap, a_form),
+                                right, check_map, check_a, points)
+    want = scalar_transition_laws(cm, left or scalar_transform(cm, right, gmap, a_form),
+                                  right, check_map, check_a, points)
+    return got, want
+
+
+@pytest.mark.parametrize("samples", [0, 1, 5, 20])
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("name", ["su2_charts.scn", "transitions_perturbed.scn"])
+def test_shipped_transitions_match_the_point_loop(name, seed, samples):
+    scn = load_scenario(name)
+    right = LocalConnection(scn.module, scn.forms["A"], scn.forms["B"])
+    a_checked = scn.a_form if scn.perturb is None else scn.a_form.scaled(1.0 + scn.perturb)
+    points = cli._chart_points(scn, seed, n=samples, lo=0.1, hi=0.9)
+    left = transform_connection(scn.module, right, scn.gmap, scn.a_form)
+    got = check_transition_laws(scn.module, left, right, scn.gmap, a_checked, points,
+                                tol=scn.tolerances["transition"])
+    want = scalar_transition_laws(scn.module, scalar_transform(scn.module, right, scn.gmap,
+                                                               scn.a_form),
+                                  right, scn.gmap, a_checked, points,
+                                  tol=scn.tolerances["transition"])
+    assert_same_report(got, want)
+
+
+# criterion 6: five points, and shift and gauge maps bumped by 0.01
+CRITERION_6_POINTS = [np.array([0.15, 0.35]), np.array([0.5, 0.6]), np.array([0.85, 0.2]),
+                      np.array([0.3, 0.8]), np.array([0.7, 0.45])]
+
+
+def test_bumped_shift_and_gauge_maps_match_the_point_loop():
+    scn = load_scenario("su2_charts.scn")
+    cm = scn.module
+    right = LocalConnection(cm, scn.forms["A"], scn.forms["B"])
+    a_bumped = FormField.from_config(cm.H.algebra, 1, 2,
+                                     {"1,1": "0.2 * x2 + 0.01", "2,2": "0.1 * x1"})
+    # the bumped g is a map of its own: the left chart shares no stack with it
+    g_bumped = ExpParamMap.from_exprs(cm.G, 2, ["0.3 * x1", "0.2 * x2", "0.1 * x1 * x2 + 0.01"])
+    for check_map, check_a in ((None, a_bumped), (g_bumped, None)):
+        got, want = _both_checks(cm, right, scn.gmap, scn.a_form, CRITERION_6_POINTS,
+                                 check_map, check_a)
+        assert not got.passed
+        assert_same_report(got, want)
+
+
+def test_a_pointwise_left_chart_matches_the_point_loop():
+    scn = load_scenario("su2_charts.scn")
+    cm = scn.module
+    right = LocalConnection(cm, scn.forms["A"], scn.forms["B"])
+    left = scalar_transform(cm, right, scn.gmap, scn.a_form)
+    assert isinstance(left.A, PointwiseForm) and isinstance(left.B, PointwiseForm)
+    for a_form in (scn.a_form, scn.a_form.scaled(1.01)):
+        assert_same_report(*_both_checks(cm, right, scn.gmap, a_form, CRITERION_6_POINTS,
+                                         left=left))
+
+
+MATRIX_MODULES = {
+    # (connection, gauge map exponents, shift form)
+    "CONJ(U1)": (CONNECTIONS["CONJ(U1)"], ["0.4 * x1 - x2 * x2"], {"1,1": "0.3 * x2"}),
+    "CONJ(SU2)": (CONNECTIONS["su2_charts"], ["0.3 * x1", "0.2 * x2", "0.1 * x1 * x2"],
+                  {"1,1": "0.2 * x2", "2,2": "0.1 * x1", "3,1": "x1 * x2"}),
+    "AUT(SU2)": (CONNECTIONS["AUT(SU2)"], ["sin(x1)", "0.5 * x2", "x1 * x2"],
+                 {"1,1": "0.2 * x2", "3,2": "cos(x1)"}),
+    "GERBE(U1)": (CONNECTIONS["abelian_square"], [], {"1,1": "x2", "1,2": "0.5 * x1 * x1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_MODULES))
+def test_every_matrix_module_transforms_like_the_point_loop(name):
+    conn, exps, shift = MATRIX_MODULES[name]
+    cm = conn.cm
+    assert cm.name == name
+    gmap = ExpParamMap.from_exprs(cm.G, 2, exps)
+    a_form = FormField.from_config(cm.H.algebra, 1, 2, shift)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 2))
+    u, v = np.random.default_rng(4).normal(size=(2, 12, 2))
+    got = transform_connection(cm, conn, gmap, a_form)
+    want = scalar_transform(cm, conn, gmap, a_form)
+    assert _bits(got.A.at_points(points, u)) == \
+        _bits(np.array([want.A.at(tuple(p), x) for p, x in zip(points, u)]))
+    assert _bits(got.B.at_points(points, u, v)) == \
+        _bits(np.array([want.B.at(tuple(p), x, y) for p, x, y in zip(points, u, v)]))
+    for a_checked in (a_form, a_form.scaled(1.01)):
+        assert_same_report(*_both_checks(cm, conn, gmap, a_checked, points))
+
+
+def test_division_by_zero_in_an_exponent_reports_the_scalar_error():
+    # 1 / (x1 - 0.5) has no value at the third point
+    scn = load_scenario("su2_charts.scn")
+    cm = scn.module
+    right = LocalConnection(cm, scn.forms["A"], scn.forms["B"])
+    gmap = ExpParamMap.from_exprs(cm.G, 2, ["1 / (x1 - 0.5)", "0.2 * x2", "0"])
+    points = [np.array([0.1, 0.2]), np.array([0.3, 0.4]), np.array([0.5, 0.6])]
+    errors = []
+    for run in (lambda: check_transition_laws(
+                    cm, transform_connection(cm, right, gmap, scn.a_form), right, gmap,
+                    scn.a_form, points),
+                lambda: scalar_transition_laws(
+                    cm, scalar_transform(cm, right, gmap, scn.a_form), right, gmap,
+                    scn.a_form, points)):
+        with pytest.raises(EvalError) as got:
+            run()
+        errors.append((str(got.value), got.value.subexpression))
+    assert errors[0] == errors[1] == ("division by zero", "1 / (x1 - 0.5)")
+
+
+# the projectors as they were before they took stacks: .T is wrong there
+def _old_proj_su(X):
+    Y = (X - X.conj().T) / 2
+    return Y - (np.trace(Y) / X.shape[0]) * np.eye(X.shape[0])
+
+
+def _old_proj_skew_hermitian(X):
+    return (X - X.conj().T) / 2
+
+
+def _old_proj_antisymmetric(X):
+    return np.real(X - X.T) / 2 if np.iscomplexobj(X) else (X - X.T) / 2
+
+
+def _old_aut_dt(x):
+    a = np.array([1j * np.trace(s @ x) for s in _SIGMA]).real
+    return np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+
+
+def _old_aut_dalpha(y, x):
+    a = np.array([y[2, 1], y[0, 2], y[1, 0]])
+    yh = -0.5j * (a[0] * _SIGMA[0] + a[1] * _SIGMA[1] + a[2] * _SIGMA[2])
+    return yh @ x - x @ yh
+
+
+OLD_PROJECTORS = {"su(2)": _old_proj_su, "u(1)": _old_proj_skew_hermitian,
+                  "so(3)": _old_proj_antisymmetric}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_MODULES))
+def test_differentials_take_stacks_with_the_single_call_bits(name):
+    cm = crossed_module(name)
+    G, H = cm.G, cm.H
+    rng = np.random.default_rng(11)
+    n = 16
+
+    def matrices(algebra):
+        shape = (n, algebra.n, algebra.n)
+        raw = rng.normal(size=shape) + (1j * rng.normal(size=shape)
+                                        if algebra.dtype is complex else 0.0)
+        return raw, np.array([algebra.random(rng) for _ in range(n)])
+
+    gx, y = matrices(G.algebra)
+    hx, x = matrices(H.algebra)
+    g = np.array([G.random(rng) for _ in range(n)])
+    for algebra, raw in ((G.algebra, gx), (H.algebra, hx)):
+        stacked = algebra.project(raw)
+        assert _bits(stacked) == _bits(np.array([algebra.project(m) for m in raw]))
+        if algebra.name in OLD_PROJECTORS:
+            old = OLD_PROJECTORS[algebra.name]
+            assert _bits(stacked) == _bits(np.array([old(m.astype(algebra.dtype))
+                                                     for m in raw]))
+    for fn, args in ((cm.dt, (x,)), (cm.dalpha, (y, x)), (cm.act_algebra, (g, x)),
+                     (G.exp, (y,))):
+        assert _bits(fn(*args)) == _bits(np.array([fn(*row) for row in zip(*args)])), fn
+    if name == "AUT(SU2)":
+        assert _bits(cm.dt(x)) == _bits(np.array([_old_aut_dt(m) for m in x]))
+        assert _bits(cm.dalpha(y, x)) == _bits(np.array([_old_aut_dalpha(*r)
+                                                         for r in zip(y, x)]))
+
+
+# ------------------------------------------------ counts and memory
+
+def _counting(monkeypatch):
+    import scipy.linalg
+    counts = {"expm": 0, "expm_frechet": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(scipy.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["su2_charts.scn", "transitions_perturbed.scn"])
+def test_a_transitions_run_exponentiates_once_per_point(name, monkeypatch, capsys):
+    # g and g^-1 once per sample point, dg once per point and direction
+    scn = load_scenario(name)
+    counts = _counting(monkeypatch)
+    cli.run(["transitions", "--scenario", name])
+    capsys.readouterr()
+    assert counts == {"expm": scn.samples, "expm_frechet": scn.samples * scn.dim}
+
+
+def test_a_map_keeps_the_values_of_its_last_point_stack_only():
+    gmap = ExpParamMap.from_exprs(crossed_module("CONJ(SU2)").G, 2,
+                                  ["sin(x1)", "x1 * x2", "0.3"])
+    first, second = np.random.default_rng(5).uniform(-1, 1, size=(2, 7, 2))
+    second = second[:5]
+    for points in (first, second):
+        g = gmap.at_points(points)
+        dg = gmap.jac_points(points, np.broadcast_to([1.0, 0.0], points.shape))
+        assert _bits(g) == _bits(np.array([gmap.at(p) for p in points]))
+        assert _bits(dg) == _bits(np.array([gmap.jac(p, [1.0, 0.0]) for p in points]))
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, (tuple, list)):
+            return [a for v in value for a in arrays(v)]
+        if isinstance(value, dict):
+            return [a for v in value.values() for a in arrays(v)]
+        return []
+
+    held = arrays(list(vars(gmap).values()))
+    assert held and all(len(a) == 5 for a in held)
+    assert any(a is g for a in held) and any(a is dg for a in held)

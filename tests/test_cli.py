@@ -388,6 +388,33 @@ def test_malformed_scenario_json_exits_two_with_one_line(case, tmp_path, capsys)
     assert "Traceback" not in captured.err
 
 
+# inline nerves: JSON true stood for the chart 1, and a double given as true
+# was reported with Python's own TypeError text
+INLINE_NERVES = {
+    "bool-in-double": ({"doubles": [[0, True], [1, 2], [0, 2]], "triples": [[0, 1, 2]]},
+                       "nerve doubles[0] must be a list of chart labels, got [0, true]"),
+    "double-given-as-true": ({"doubles": [True, [1, 2], [0, 2]]},
+                             "nerve doubles[0] must be a list of chart labels, got true"),
+    "bool-chart": ({"charts": [0, False, 2], "doubles": [[0, 2]]},
+                   "nerve charts must be a list of chart labels, got [0, false, 2]"),
+    "nested-label": ({"triples": [[0, 1, [2]]]},
+                     "nerve triples[0] must be a list of chart labels, got [0, 1, [2]]"),
+    "doubles-number": ({"doubles": 3}, "nerve doubles must be a list of overlaps, got 3"),
+    "no-charts": ({"charts": None}, "nerve charts must be a list of chart labels, got null"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INLINE_NERVES))
+def test_malformed_inline_nerve_is_named_by_key_and_value(case, tmp_path, capsys):
+    changes, message = INLINE_NERVES[case]
+    path = _write(tmp_path, "nerve.scn", {"crossed_module": "GERBE(Z2)",
+                                          "nerve": {"charts": [0, 1, 2], **changes}})
+    code = cli.run(["classify", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"twogauge: configuration error: {message}\n"
+
+
 def test_inline_alpha_leaving_h_exits_two(tmp_path, capsys):
     swap = [[0, 1], [1, 0]]
     path = _write(tmp_path, "leaves.scn", {"crossed_module": {
@@ -475,3 +502,29 @@ def test_scipy_loads_only_where_a_run_needs_it():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[0, 0, 1, 0, 0, 0] False", "True"]
+
+
+# a usage error, then runs whose options differ: each as a fresh process gives it
+PARSER_REUSE = [
+    ["validate", "--scenario", "abelian.scn", "--bogus"],
+    ["transitions", "--scenario", "su2_charts.scn", "--samples", "3", "--format", "text"],
+    ["transitions"],
+    ["transitions", "--scenario", "transitions_perturbed.scn", "--samples", "2"],
+]
+
+
+def _without_wall(err):
+    return [line for line in err.splitlines() if not line.startswith("[wall]")]
+
+
+def test_the_parser_built_once_answers_as_fresh_processes_do(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv in PARSER_REUSE:
+        fresh = subprocess.run([sys.executable, "-m", "twogauge.cli", *argv],
+                               capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": str(src)})
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, _without_wall(captured.err)) == \
+            (fresh.returncode, fresh.stdout, _without_wall(fresh.stderr)), argv
+    assert cli._parser() is cli._parser()

@@ -57,6 +57,10 @@ CONTRACT_GAPS = {
         "transitions_perturbed.scn", tolerances={"transition": True},
         transition={**SCENARIOS["transitions_perturbed.scn"]["transition"],
                     "perturb": True})),
+    # JSON true was taken for the chart 1
+    "nerve-bool-chart": ("classify", {
+        "crossed_module": "GERBE(Z2)",
+        "nerve": {"charts": [0, 1, 2], "doubles": [[0, True], [1, 2], [0, 2]]}}),
     # an order fitted through one point, with a RankWarning on stderr
     "grids-one-size": ("converge", _with("su2_charts.scn", grids=[2])),
     "grids-repeated-size": ("converge", _with("su2_charts.scn", grids=[4, 4])),
@@ -266,10 +270,23 @@ def inline_cases(draw):
     return [command, "--scenario", "{scenario}", "--samples", "4"], doc
 
 
+def _holds_bool(value):
+    if isinstance(value, dict):
+        return any(_holds_bool(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=inline_cases())
 @example(case=(["validate", "--scenario", "{scenario}"],
                {"crossed_module": {"G": {"table": [[0, 1.9], [True, 0]]},
                                    "H": {"table": [[0]]}, "t": [0], "alpha": [[0], [0]]}}))
+@example(case=_gap("nerve-bool-chart"))
 def test_inline_modules_and_nerves_get_a_defined_answer(case):
-    _assert_contract(*_run(*case))
+    code, out, err, caught = _run(*case)
+    _assert_contract(code, out, err, caught)
+    # a boolean is never a chart label
+    if isinstance(case[1].get("nerve"), dict) and _holds_bool(case[1]["nerve"]):
+        assert code == 2, err
