@@ -48,7 +48,7 @@ FIRST_ORDER_BOUND = 10.0
 
 class CrossedModule:
     def __init__(self, name, G, H, t, alpha, *, dt=None, dalpha=None,
-                 act_algebra=None, dalpha_group=None, dt_inverse=None):
+                 act_algebra=None, dalpha_group=None):
         self.name = name
         self.G = G
         self.H = H
@@ -58,7 +58,6 @@ class CrossedModule:
         self._dalpha = dalpha
         self._act_algebra = act_algebra
         self._dalpha_group = dalpha_group
-        self._dt_inverse = dt_inverse
         self._compiled = None
 
     def t(self, h):
@@ -126,7 +125,10 @@ class CrossedModule:
         return self._act_algebra(g, x)
 
     def dalpha_group(self, y, h):
-        """d/de alpha(exp(e y))(h) h^-1 at e = 0, an H-algebra value."""
+        """d/de alpha(exp(e y))(h) h^-1 at e = 0, an H-algebra value.
+
+        On every shipped matrix module y and h may also be (N, n, n) stacks,
+        taken pairwise with the bits of the single call."""
         if self._dalpha_group is not None:
             return self._dalpha_group(y, h)
         if self._dalpha is None:
@@ -368,7 +370,6 @@ def _conj_matrix_module(name, group_factory):
         # matrix M.inv returns, without checking g again after its caller
         act_algebra=lambda g, x: g @ x @ g.conj().swapaxes(-1, -2),
         dalpha_group=lambda y, h: M.algebra.project(y - h @ y @ M.inv(h)),
-        dt_inverse=lambda y: y,
     )
 
 
@@ -423,8 +424,7 @@ def _aut_su2_module():
         dalpha=lambda y, x: (lambda yh: yh @ x - x @ yh)(dt_inv(y)),
         act_algebra=act,
         dalpha_group=lambda y, h: (lambda yh: H.algebra.project(
-            yh - h @ yh @ h.conj().T))(dt_inv(y)),
-        dt_inverse=dt_inv,
+            yh - h @ yh @ h.conj().swapaxes(-1, -2)))(dt_inv(y)),
     )
 
 
@@ -438,7 +438,7 @@ def _gerbe_matrix_module():
         dt=lambda x: np.zeros(np.shape(x)),
         dalpha=lambda y, x: np.zeros(np.shape(x), dtype=complex),
         act_algebra=lambda g, x: x,
-        dalpha_group=lambda y, h: np.zeros((1, 1), dtype=complex),
+        dalpha_group=lambda y, h: np.zeros(np.shape(h), dtype=complex),
     )
 
 

@@ -275,6 +275,15 @@ def frobenius_norms(stack):
     return np.sqrt(sq)
 
 
+def max_norm(stack):
+    """The largest `frobenius_norms` of a stack, 0.0 for an empty one.
+
+    A NaN norm never wins, as in a loop of max(worst, norm) from 0.0: a
+    residual is a number even where a form has no value at some points.
+    """
+    return float(np.fmax.reduce(frobenius_norms(stack), initial=0.0))
+
+
 class LieAlgebra:
     """Real Lie algebra of matrices with a fixed basis and projection."""
 

@@ -6,21 +6,26 @@ exponent with the Frechet derivative of the matrix exponential, so no finite
 differencing enters the gauge-transformation laws. NumericalMap exists as an
 independent central-difference route for cross-checking.
 
-`at` and `jac` take one point. `at_points`, `inv_points` and `jac_points`
+A map is given on point stacks: `at_points`, `inv_points` and `jac_points`
 take an (N, dim) stack of points (and of directions) and return (N, n, n)
-stacks, each matrix with the bits of the single-point call. An ExpParamMap
-computes a stack's exponents with one `FormField.at_points`, g with one
-stacked `exp` and dg along each direction stack with one `expm_frechet` per
-point. It keeps these values for the last point stack only, so the forms
-built on one map (a gauge transform and its Maurer-Cartan form, evaluated
-along several directions) share them, and its memory stays that of one
-stack. The other maps evaluate stacks point by point.
+stacks. `at` and `jac` are their stack of one. An ExpParamMap computes a
+stack's exponents with one `FormField.at_points`, g with one stacked `exp`
+and dg along each direction stack with one `expm_frechet` per point, each
+matrix with the bits of the single-matrix call. It keeps these values for
+the last point stack only, so the forms built on one map (a gauge transform
+and its Maurer-Cartan form, evaluated along several directions) share them,
+and its memory stays that of one stack. A ConstantMap broadcasts its value;
+a NumericalMap calls its point function once per point and differences
+whole stacks.
 """
 
 import numpy as np
 
 from .errors import GeometryError
 from .forms import FormField, StackedForm
+
+# central-difference step of NumericalMap
+NUMERICAL_STEP = 1e-6
 
 
 class GroupMap:
@@ -30,30 +35,27 @@ class GroupMap:
         self.group = group
         self.dim = int(dim)
 
-    def at(self, point):
-        raise NotImplementedError
-
-    def jac(self, point, direction):
-        """Directional derivative of `at` along `direction` (a raw matrix)."""
-        raise NotImplementedError
-
     def at_points(self, points):
-        """`at` at each row of an (N, dim) stack of points."""
-        return np.array([self.at(p) for p in points])
+        """g at each row of an (N, dim) stack of points."""
+        raise NotImplementedError
+
+    def jac_points(self, points, directions):
+        """Directional derivative of g (a raw matrix) at each row of points
+        along the matching row of directions."""
+        raise NotImplementedError
 
     def inv_points(self, points):
         """The group inverse of each matrix of `at_points`."""
         return self.group.inv(self.at_points(points))
 
-    def jac_points(self, points, directions):
-        """`jac` at each row of points along the matching row of directions."""
-        return np.array([self.jac(p, d) for p, d in zip(points, directions)])
+    def at(self, point):
+        """g at one point: `at_points` on a stack of one."""
+        return self.at_points(np.asarray(point, dtype=float)[None])[0]
 
-    def inverse(self):
-        return InverseMap(self)
-
-    def product(self, other):
-        return ProductMap(self, other)
+    def jac(self, point, direction):
+        """dg at one point along one direction: `jac_points` on a stack of one."""
+        return self.jac_points(np.asarray(point, dtype=float)[None],
+                               np.asarray(direction, dtype=float)[None])[0]
 
 
 class ConstantMap(GroupMap):
@@ -61,11 +63,11 @@ class ConstantMap(GroupMap):
         super().__init__(group, dim)
         self.value = group.renormalize(group._check(value))
 
-    def at(self, point):
-        return self.value
+    def at_points(self, points):
+        return np.broadcast_to(self.value, (len(points),) + self.value.shape)
 
-    def jac(self, point, direction):
-        return np.zeros_like(self.value)
+    def jac_points(self, points, directions):
+        return np.zeros((len(points),) + self.value.shape, dtype=self.value.dtype)
 
 
 class ExpParamMap(GroupMap):
@@ -88,16 +90,6 @@ class ExpParamMap(GroupMap):
             raise GeometryError(f"need {group.algebra.dim} coefficient expressions")
         cfg = {f"{k + 1}": t for k, t in enumerate(texts)}
         return cls(group, FormField.from_config(group.algebra, 0, dim, cfg))
-
-    def at(self, point):
-        return self.group.exp(self.exponent.at(point))
-
-    def jac(self, point, direction):
-        X = self.exponent.at(point)
-        dX = self._dexponent.at(point, np.asarray(direction, dtype=float))
-        from scipy.linalg import expm_frechet  # loaded on first use
-        _, L = expm_frechet(X, dX)
-        return L
 
     def _stack(self, points):
         """(exponents, g, g^-1, {direction bytes: dg}) of a point stack,
@@ -132,54 +124,22 @@ class ExpParamMap(GroupMap):
         return dgs[key]
 
 
-class InverseMap(GroupMap):
-    def __init__(self, base):
-        super().__init__(base.group, base.dim)
-        self.base = base
-
-    def at(self, point):
-        return self.group.inv(self.base.at(point))
-
-    def jac(self, point, direction):
-        gi = self.at(point)
-        return -gi @ self.base.jac(point, direction) @ gi
-
-
-class ProductMap(GroupMap):
-    def __init__(self, left, right):
-        if left.group is not right.group and left.group.name != right.group.name:
-            raise GeometryError("cannot multiply maps into different groups")
-        if left.dim != right.dim:
-            raise GeometryError("maps have different domain dimensions")
-        super().__init__(left.group, left.dim)
-        self.left = left
-        self.right = right
-
-    def at(self, point):
-        return self.group.renormalize(self.left.at(point) @ self.right.at(point))
-
-    def jac(self, point, direction):
-        return (self.left.jac(point, direction) @ self.right.at(point)
-                + self.left.at(point) @ self.right.jac(point, direction))
-
-
 class NumericalMap(GroupMap):
-    """Wraps a plain callable; derivatives by central differences (step h)."""
+    """Wraps a point function fn(tuple) -> matrix; derivatives by central
+    differences of step NUMERICAL_STEP."""
 
-    def __init__(self, group, fn, dim, h=1e-6):
+    def __init__(self, group, fn, dim):
         super().__init__(group, dim)
         self._fn = fn
-        self.h = float(h)
 
-    def at(self, point):
-        return self._fn(tuple(point))
+    def at_points(self, points):
+        return np.array([self._fn(tuple(p)) for p in np.asarray(points, dtype=float)])
 
-    def jac(self, point, direction):
-        p = np.asarray(point, dtype=float)
-        d = np.asarray(direction, dtype=float)
-        fp = self._fn(tuple(p + self.h * d))
-        fm = self._fn(tuple(p - self.h * d))
-        return (fp - fm) / (2 * self.h)
+    def jac_points(self, points, directions):
+        p = np.asarray(points, dtype=float)
+        d = np.asarray(directions, dtype=float)
+        h = NUMERICAL_STEP
+        return (self.at_points(p + h * d) - self.at_points(p - h * d)) / (2 * h)
 
 
 def maurer_cartan(gmap):

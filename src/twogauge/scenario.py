@@ -132,23 +132,20 @@ def _check_type(errors, what, value, kind):
     return False
 
 
-def _is_label(value):
-    """A chart label: a JSON scalar that is not a boolean, so never taken for 0 or 1."""
-    return not isinstance(value, (bool, list, dict))
-
-
 def _check_nerve(errors, spec):
     """Whether an inline nerve is well formed: charts and every overlap under
-    doubles, triples and quads are lists of labels. If not, each problem goes
-    to errors, named by its key and JSON value."""
+    doubles, triples and quads are lists of chart labels, which are JSON
+    integers as in the cocycle keys (`_overlap_key`), so neither true nor 1.0
+    stands for the chart 1. If not, each problem goes to errors, named by its
+    key and JSON value."""
     if "charts" not in spec:
         errors.append("nerve needs a charts list")
         return False
     found = len(errors)
 
     def labels(what, value):
-        if not (isinstance(value, list) and all(_is_label(c) for c in value)):
-            errors.append(f"nerve {what} must be a list of chart labels, "
+        if not (isinstance(value, list) and all(is_integer(c) for c in value)):
+            errors.append(f"nerve {what} must be a list of integer chart labels, "
                           f"got {json.dumps(value)}")
 
     labels("charts", spec["charts"])

@@ -3,8 +3,10 @@
 The oracles below are the row-by-row sweep and the per-node path loop that
 transport used before rows were swept together: scalar geometry, `at` per
 point, one `_rk4` per row. The gauge transform, Maurer-Cartan form, action
-wedge and transition-law check have their per-point closures here too, as
-they were before forms took point stacks. Every comparison is bitwise.
+wedge, transition-law and triple-overlap checks and `max_abs_on_grid` have
+their per-point loops here too, as they were before forms took point
+stacks, and so do the one-point formulas of an ExpParamMap. Every
+comparison is bitwise.
 """
 
 from itertools import combinations
@@ -21,15 +23,16 @@ from twogauge.forms import FormField, PointwiseForm, square_wedge
 from twogauge.geometry import (
     BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Reparam, shipped_bigon, shipped_path,
 )
-from twogauge.groups import _SIGMA
+from twogauge.groups import _SIGMA, su2_algebra
 from twogauge.scenario import load_scenario
 from twogauge.report import NO_SAMPLES, ValidationReport
 from twogauge.transport import (
-    LocalConnection, SurfaceResult, _rk4, check_transition_laws, fake_flat_connection,
-    fake_residual_on_bigon, path_holonomy, surface_holonomy, transform_connection,
+    LocalConnection, SurfaceResult, _rk4, check_transition_laws, check_triple_overlap,
+    fake_flat_connection, fake_residual_on_bigon, path_holonomy, surface_holonomy,
+    transform_connection,
 )
 from twogauge.twocells import TwoCell
-from twogauge.maps import ExpParamMap
+from twogauge.maps import ConstantMap, ExpParamMap, NumericalMap, right_log_derivative
 
 SU2_FIELD = {"1,1": "x2", "2,2": "sin(x1)", "3,1": "x1 * x2"}
 
@@ -336,6 +339,33 @@ def scalar_transition_laws(cm, left, right, gmap, a_form, points, tol=1e-9):
     return rep
 
 
+def scalar_triple_overlap(cm, a_ij, a_jk, a_ik, g_ij, hmap, A_i, points, tol=1e-9):
+    rldh = right_log_derivative(hmap)
+    rep = ValidationReport("triple overlap law")
+    worst = 0.0
+    for p in points:
+        h = hmap.at(p)
+        hi = cm.H.inv(h)
+        for v in np.eye(len(p)):
+            lhs = (np.asarray(a_ij.at(p, v))
+                   + cm.act_algebra(g_ij.at(p), a_jk.at(p, v)))
+            rhs = (h @ np.asarray(a_ik.at(p, v)) @ hi
+                   + rldh.at(p, v)
+                   + cm.dalpha_group(A_i.at(p, v), h))
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    rep.add("shift-cocycle", worst <= tol, residual=worst, tolerance=tol)
+    return rep
+
+
+def scalar_max_abs_on_grid(form, points):
+    worst = 0.0
+    tuples = list(combinations(np.eye(form.dim), form.degree))
+    for p in points:
+        for vs in tuples:
+            worst = max(worst, float(np.linalg.norm(form.at(p, *vs))))
+    return worst
+
+
 def assert_same_report(got, want):
     assert got.to_dict() == want.to_dict()
     assert [_bits(c.residual) for c in got.checks] == [_bits(c.residual) for c in want.checks]
@@ -451,6 +481,67 @@ def test_division_by_zero_in_an_exponent_reports_the_scalar_error():
     assert errors[0] == errors[1] == ("division by zero", "1 / (x1 - 0.5)")
 
 
+TRIPLE_MODULES = {
+    # (connection, g_ij exponents, h exponents, a_ij, a_jk, a_ik)
+    "CONJ(U1)": (CONNECTIONS["CONJ(U1)"], ["0.4 * x1 - x2 * x2"], ["0.3 * x1 * x2"],
+                 {"1,1": "0.3 * x2"}, {"1,2": "x1"}, {"1,1": "0.5", "1,2": "x2 * x1"}),
+    "CONJ(SU2)": (CONNECTIONS["su2_charts"], ["0.3 * x1", "0.2 * x2", "0.1 * x1 * x2"],
+                  ["0.2 * x2", "0.1 * x1", "0"], {"1,2": "x1", "2,1": "0.4 * x2"},
+                  {"3,2": "0.3 * x1", "1,1": "0.1"}, {"2,1": "x2 * x2", "3,2": "0.2"}),
+    "AUT(SU2)": (CONNECTIONS["AUT(SU2)"], ["sin(x1)", "0.5 * x2", "x1 * x2"],
+                 ["0.2", "x1 * x2", "cos(x2)"], {"1,1": "0.2 * x2", "3,2": "cos(x1)"},
+                 {"2,2": "x2"}, {"1,2": "x1 - x2"}),
+}
+
+
+def _h_maps(H, exps):
+    exp_map = ExpParamMap.from_exprs(H, 2, exps)
+    return {"exp": exp_map,
+            "constant": ConstantMap(H, exp_map.at((0.3, -0.2)), 2),
+            # its own ExpParamMap: the numerical map's points never evict
+            # the stacks of the map it is compared with
+            "numerical": NumericalMap(H, ExpParamMap.from_exprs(H, 2, exps).at, 2)}
+
+
+@pytest.mark.parametrize("h_kind", ["exp", "constant", "numerical"])
+@pytest.mark.parametrize("name", sorted(TRIPLE_MODULES))
+def test_triple_overlap_matches_the_point_loop(name, h_kind):
+    conn, g_exps, h_exps, a_ij, a_jk, a_ik = TRIPLE_MODULES[name]
+    cm = conn.cm
+    assert cm.name == name
+    g_ij = ExpParamMap.from_exprs(cm.G, 2, g_exps)
+    hmap = _h_maps(cm.H, h_exps)[h_kind]
+    a_ij, a_jk, a_ik = (FormField.from_config(cm.H.algebra, 1, 2, a) for a in (a_ij, a_jk, a_ik))
+    # a_ik as a point function: the form behind it, one point at a time
+    a_ik = PointwiseForm(cm.H.algebra, 1, 2, a_ik.at)
+    points = np.random.default_rng(6).uniform(-1.0, 1.0, size=(12, 2))
+    for pts in (points[:0], points[:1], points):
+        args = (cm, a_ij, a_jk, a_ik, g_ij, hmap, conn.A, pts)
+        got, want = check_triple_overlap(*args), scalar_triple_overlap(*args)
+        assert_same_report(got, want)
+        assert len(pts) == 0 or got.max_residual > 1e-3
+
+
+GRID_FORMS = [
+    (0, {"1": "x1 * x2", "3": "exp(x3)"}),
+    (1, {"1,1": "x2", "2,3": "sin(x1) * x3", "3,2": "x1 ^ 2"}),
+    (2, {"1,12": "x3", "2,13": "x1 * x2", "3,23": "tanh(x2)"}),
+    (3, {"1,123": "x1 + x2 * x3", "2,123": "cos(x3)"}),
+    # NaN at the points with x1 = 0, where 1e999 * x1 is inf * 0
+    (1, {"1,1": "tanh(1e999 * x1) * x2", "2,3": "x3"}),
+]
+
+
+@pytest.mark.parametrize("degree, components", GRID_FORMS)
+def test_max_abs_on_grid_matches_the_point_loop(degree, components):
+    form = FormField.from_config(su2_algebra(), degree, 3, components)
+    points = np.random.default_rng(8).uniform(-1.0, 1.0, size=(20, 3))
+    points[[3, 11], 0] = 0.0
+    for pts in (points[:0], points[:1], points[3:4], points):
+        assert _bits(form.max_abs_on_grid(pts)) == _bits(scalar_max_abs_on_grid(form, pts))
+        assert _bits(form.max_abs_on_grid(list(pts))) == _bits(form.max_abs_on_grid(pts))
+
+
 # the projectors as they were before they took stacks: .T is wrong there
 def _old_proj_su(X):
     Y = (X - X.conj().T) / 2
@@ -535,6 +626,33 @@ def test_a_transitions_run_exponentiates_once_per_point(name, monkeypatch, capsy
     assert counts == {"expm": scn.samples, "expm_frechet": scn.samples * scn.dim}
 
 
+# an ExpParamMap's one-point formulas, as they were before maps took stacks
+
+def scalar_exp_map_at(gmap, point):
+    return gmap.group.exp(gmap.exponent.at(point))
+
+
+def scalar_exp_map_jac(gmap, point, direction):
+    from scipy.linalg import expm_frechet
+    X = gmap.exponent.at(point)
+    dX = gmap.exponent.d().at(point, np.asarray(direction, dtype=float))
+    return expm_frechet(X, dX)[1]
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_MODULES))
+def test_exp_maps_match_the_one_point_formulas(name):
+    conn, exps, _ = MATRIX_MODULES[name]
+    gmap = ExpParamMap.from_exprs(conn.cm.G, 2, exps)
+    points, dirs = np.random.default_rng(10).uniform(-1.0, 1.0, size=(2, 9, 2))
+    assert _bits(gmap.at_points(points)) == \
+        _bits(np.array([scalar_exp_map_at(gmap, p) for p in points]))
+    assert _bits(gmap.jac_points(points, dirs)) == \
+        _bits(np.array([scalar_exp_map_jac(gmap, p, d) for p, d in zip(points, dirs)]))
+    for p, d in zip(points[:3], dirs[:3]):
+        assert _bits(gmap.at(tuple(p))) == _bits(scalar_exp_map_at(gmap, p))
+        assert _bits(gmap.jac(tuple(p), d)) == _bits(scalar_exp_map_jac(gmap, p, d))
+
+
 def test_a_map_keeps_the_values_of_its_last_point_stack_only():
     gmap = ExpParamMap.from_exprs(crossed_module("CONJ(SU2)").G, 2,
                                   ["sin(x1)", "x1 * x2", "0.3"])
@@ -543,8 +661,9 @@ def test_a_map_keeps_the_values_of_its_last_point_stack_only():
     for points in (first, second):
         g = gmap.at_points(points)
         dg = gmap.jac_points(points, np.broadcast_to([1.0, 0.0], points.shape))
-        assert _bits(g) == _bits(np.array([gmap.at(p) for p in points]))
-        assert _bits(dg) == _bits(np.array([gmap.jac(p, [1.0, 0.0]) for p in points]))
+        assert _bits(g) == _bits(np.array([scalar_exp_map_at(gmap, p) for p in points]))
+        assert _bits(dg) == _bits(np.array([scalar_exp_map_jac(gmap, p, [1.0, 0.0])
+                                            for p in points]))
 
     def arrays(value):
         if isinstance(value, np.ndarray):

@@ -388,19 +388,21 @@ def test_malformed_scenario_json_exits_two_with_one_line(case, tmp_path, capsys)
     assert "Traceback" not in captured.err
 
 
-# inline nerves: JSON true stood for the chart 1, and a double given as true
-# was reported with Python's own TypeError text
+# inline nerves: JSON true and 1.0 stood for the chart 1, and a double given
+# as true was reported with Python's own TypeError text
+LABELS = "must be a list of integer chart labels, got"
 INLINE_NERVES = {
     "bool-in-double": ({"doubles": [[0, True], [1, 2], [0, 2]], "triples": [[0, 1, 2]]},
-                       "nerve doubles[0] must be a list of chart labels, got [0, true]"),
+                       f"nerve doubles[0] {LABELS} [0, true]"),
     "double-given-as-true": ({"doubles": [True, [1, 2], [0, 2]]},
-                             "nerve doubles[0] must be a list of chart labels, got true"),
+                             f"nerve doubles[0] {LABELS} true"),
     "bool-chart": ({"charts": [0, False, 2], "doubles": [[0, 2]]},
-                   "nerve charts must be a list of chart labels, got [0, false, 2]"),
-    "nested-label": ({"triples": [[0, 1, [2]]]},
-                     "nerve triples[0] must be a list of chart labels, got [0, 1, [2]]"),
+                   f"nerve charts {LABELS} [0, false, 2]"),
+    "nested-label": ({"triples": [[0, 1, [2]]]}, f"nerve triples[0] {LABELS} [0, 1, [2]]"),
+    "float-label": ({"doubles": [[0, 1.0], [1, 2], [0, 2]]},
+                    f"nerve doubles[0] {LABELS} [0, 1.0]"),
     "doubles-number": ({"doubles": 3}, "nerve doubles must be a list of overlaps, got 3"),
-    "no-charts": ({"charts": None}, "nerve charts must be a list of chart labels, got null"),
+    "no-charts": ({"charts": None}, f"nerve charts {LABELS} null"),
 }
 
 

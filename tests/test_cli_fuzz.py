@@ -24,6 +24,7 @@ from twogauge import cli
 from twogauge.cech import NERVE_FIXTURES, nerve
 from twogauge.crossed import crossed_module, shipped_finite_names, shipped_matrix_names
 from twogauge.geometry import BIGON_FIXTURES, PATH_FIXTURES
+from twogauge.groups import is_integer
 from twogauge.scenario import _KNOWN_KEYS, find_scenario, shipped_scenarios
 
 
@@ -57,10 +58,13 @@ CONTRACT_GAPS = {
         "transitions_perturbed.scn", tolerances={"transition": True},
         transition={**SCENARIOS["transitions_perturbed.scn"]["transition"],
                     "perturb": True})),
-    # JSON true was taken for the chart 1
+    # JSON true, and 1.0, were taken for the chart 1
     "nerve-bool-chart": ("classify", {
         "crossed_module": "GERBE(Z2)",
         "nerve": {"charts": [0, 1, 2], "doubles": [[0, True], [1, 2], [0, 2]]}}),
+    "nerve-float-chart": ("classify", {
+        "crossed_module": "GERBE(Z2)",
+        "nerve": {"charts": [0, 1, 2], "doubles": [[0, 1.0], [1, 2], [0, 2]]}}),
     # an order fitted through one point, with a RankWarning on stderr
     "grids-one-size": ("converge", _with("su2_charts.scn", grids=[2])),
     "grids-repeated-size": ("converge", _with("su2_charts.scn", grids=[4, 4])),
@@ -270,12 +274,12 @@ def inline_cases(draw):
     return [command, "--scenario", "{scenario}", "--samples", "4"], doc
 
 
-def _holds_bool(value):
+def _holds_non_integer(value):
     if isinstance(value, dict):
-        return any(_holds_bool(v) for v in value.values())
+        return any(_holds_non_integer(v) for v in value.values())
     if isinstance(value, list):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+        return any(_holds_non_integer(v) for v in value)
+    return not is_integer(value)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,9 +288,10 @@ def _holds_bool(value):
                {"crossed_module": {"G": {"table": [[0, 1.9], [True, 0]]},
                                    "H": {"table": [[0]]}, "t": [0], "alpha": [[0], [0]]}}))
 @example(case=_gap("nerve-bool-chart"))
+@example(case=_gap("nerve-float-chart"))
 def test_inline_modules_and_nerves_get_a_defined_answer(case):
     code, out, err, caught = _run(*case)
     _assert_contract(code, out, err, caught)
-    # a boolean is never a chart label
-    if isinstance(case[1].get("nerve"), dict) and _holds_bool(case[1]["nerve"]):
+    # chart labels are integers: a boolean, float or string is never one
+    if isinstance(case[1].get("nerve"), dict) and _holds_non_integer(case[1]["nerve"]):
         assert code == 2, err

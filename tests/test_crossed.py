@@ -84,9 +84,10 @@ def test_aut_su2_dt_matrix_and_inverse():
     assert M.shape == (3, 3)
     # shipped bases are aligned: dt carries e_k^su2 to e_k^so3
     assert np.allclose(M, np.eye(3), atol=1e-12)
+    # dalpha(y) is the bracket with the preimage of y under dt
     rng = np.random.default_rng(3)
-    y = cm.G.algebra.random(rng)
-    assert np.linalg.norm(cm.dt(cm._dt_inverse(y)) - y) < 1e-12
+    x1, x2 = cm.H.algebra.random(rng), cm.H.algebra.random(rng)
+    assert np.linalg.norm(cm.dalpha(cm.dt(x1), x2) - (x1 @ x2 - x2 @ x1)) < 1e-12
 
 
 def test_dalpha_group_matches_finite_difference():
@@ -172,6 +173,21 @@ def test_act_algebra_on_stacks_has_the_single_call_bits(name):
     got = cm.act_algebra(g, x)
     want = np.stack([cm.act_algebra(a, b) for a, b in zip(g, x)])
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", shipped_matrix_names())
+def test_dalpha_group_on_stacks_has_the_single_call_bits(name):
+    # a stack of 2 matrices of size 2 is where a transpose of all axes
+    # still broadcasts, to wrong values
+    cm = crossed_module(name)
+    rng = np.random.default_rng(12)
+    for n in (2, 5):
+        y = np.stack([cm.G.algebra.random(rng) for _ in range(n)])
+        h = np.stack([cm.H.random(rng) for _ in range(n)])
+        got = cm.dalpha_group(y, h)
+        want = np.stack([cm.dalpha_group(a, b) for a, b in zip(y, h)])
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("spec", ["GERBE(Z99999999999)", "AUT(Z101)", "GERBE(Z0)",

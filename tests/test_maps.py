@@ -44,30 +44,6 @@ def test_so3_exp_map_derivative():
             assert np.linalg.norm(g.jac(p, v) - twin.jac(p, v)) < 1e-8
 
 
-def test_inverse_and_product_derivatives():
-    g = su2_map()
-    gi = g.inverse()
-    twin = numeric_twin(gi)
-    for p in POINTS[:2]:
-        for v in DIRS[:2]:
-            assert np.linalg.norm(gi.jac(p, v) - twin.jac(p, v)) < 1e-8
-    h = ExpParamMap.from_exprs(SU2(), 2, ["x2", "0", "x1"])
-    prod = g.product(h)
-    twin = numeric_twin(prod)
-    for p in POINTS[:2]:
-        for v in DIRS[:2]:
-            assert np.linalg.norm(prod.jac(p, v) - twin.jac(p, v)) < 1e-8
-
-
-def test_product_with_inverse_is_constant_identity():
-    g = su2_map()
-    idm = g.product(g.inverse())
-    for p in POINTS:
-        assert np.linalg.norm(idm.at(p) - np.eye(2)) < 1e-12
-        for v in DIRS[:2]:
-            assert np.linalg.norm(idm.jac(p, v)) < 1e-8
-
-
 def test_maurer_cartan_values_and_flatness():
     g = su2_map()
     A = maurer_cartan(g)
@@ -108,7 +84,3 @@ def test_constant_map():
 def test_constructor_validation():
     with pytest.raises(GeometryError):
         ExpParamMap.from_exprs(SU2(), 2, ["x1", "x2"])
-    g = su2_map()
-    h = ExpParamMap.from_exprs(SO3(), 2, ["x1", "0", "0"])
-    with pytest.raises(GeometryError):
-        g.product(h)
