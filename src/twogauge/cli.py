@@ -9,8 +9,10 @@ stderr where it cannot break that.
 """
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import time
 
@@ -234,6 +236,15 @@ def _emit(doc, args):
         sys.stdout.write(text)
 
 
+def _missing_output_dir(args):
+    """The error opening an output path would raise, as an OSError, when the
+    directory it names does not exist; None when every such directory does."""
+    for path in (args.out, getattr(args, "csv", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            return FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return None
+
+
 def _refuse(message):
     """Print one stderr line and return exit code 2."""
     print("twogauge: " + " ".join(message.splitlines()), file=sys.stderr)
@@ -262,6 +273,9 @@ def run(argv=None):
         seed = args.seed if args.seed is not None else scn.seed
         grid = args.grid if args.grid is not None else scn.grid
         samples = args.samples if args.samples is not None else scn.samples
+        missing = _missing_output_dir(args)
+        if missing:
+            return _refuse(f"cannot write output: {missing}")
         # a NaN that reaches a product warns on stderr at each site; the
         # membership checks turn it into the one-line refusal below
         with np.errstate(invalid="ignore"):

@@ -10,15 +10,20 @@ with its Lie algebra and a fixed, documented basis:
     so(3): Lk with (Lk) v = e_k x v       (cross-product generators)
     gl(n): elementary matrices E_ij, row-major
 
-exp is scaling-and-squaring Pade (scipy expm; np.exp on 1x1 matrices, as in
-scipy); log eigen-checks the argument and refuses cut-locus points with the
-offending eigenvalue in the error. Both import scipy when first needed, so a
-process that never takes an exp of a matrix or a log never loads it.
+exp is scaling-and-squaring Pade (scipy expm, one call per matrix or stack;
+np.exp on 1x1 matrices, as in scipy); log eigen-checks the argument and
+refuses cut-locus points with the offending eigenvalue in the error, then
+takes scipy logm per matrix (np.log on complex 1x1 matrices, as in scipy).
+Both import scipy when first needed, so a process that never takes an exp
+or a log of a matrix larger than 1x1 never loads it.
 Group products renormalize by polar projection when the membership drift
-exceeds TAU_GRP / 10. `defect`, `renormalize`, `project` and `inv` also take
-a stack of matrices along a leading axis; each matrix gets the same bits and
-the same reprojection decision as it would alone. A stack's membership check
-is the exact `defect` of every matrix, with no cheaper estimate in front.
+exceeds TAU_GRP / 10. `defect`, `renormalize`, `project`, `inv`, `exp` and
+`log` also take a stack of matrices along a leading axis; each matrix gets
+the same bits and the same reprojection decision as it would alone. A
+stack's membership check is the exact `defect` of every matrix, with no
+cheaper estimate in front. `random_stacks` draws many random tuples of
+elements as one stack per group, with the draws and bits of the tuple loop
+over `random`.
 """
 
 import itertools
@@ -325,8 +330,9 @@ class LieAlgebra:
         return self._dual @ flat
 
     def from_coords(self, c):
+        """The element with coordinates c, or one element per row of a (N, dim) stack."""
         if self.dim == 0:
-            return self.zero()
+            return np.zeros(np.shape(c)[:-1] + (self.n, self.n), dtype=self.dtype)
         return np.tensordot(np.asarray(c, dtype=float), self._stack, axes=1)
 
     def random(self, rng, scale=0.6):
@@ -555,39 +561,47 @@ class MatrixGroup:
 
     def exp(self, x):
         """exp of an algebra element, or of each matrix of an (N, n, n) stack
-        with the bits it would get alone (one scipy expm call per matrix)."""
+        with the bits it would get alone (one scipy expm call per stack)."""
         if self.algebra.dim == 0:
             return np.broadcast_to(self.identity, np.shape(x)[:-2] + (1, 1)).copy()
         x = np.asarray(x, dtype=self.dtype)
         if self.n == 1:  # what scipy's expm returns for 1x1 matrices
             return self.renormalize(np.exp(x))
         import scipy.linalg  # loaded on first use: most runs need no scipy
-        if x.ndim == 3:
-            return self.renormalize(np.array([scipy.linalg.expm(m) for m in x]))
         return self.renormalize(scipy.linalg.expm(x))
 
     def log(self, g):
-        """Principal logarithm; refuses arguments at the cut locus.
+        """Principal logarithm, or that of each matrix of an (N, n, n) stack;
+        refuses arguments at the cut locus.
 
         For the compact families the cut locus is exactly where an eigenvalue
-        reaches the negative real axis; the offending eigenvalue is reported.
+        reaches the negative real axis; the offending eigenvalue (of the first
+        such matrix of a stack) is reported. A complex 1x1 log is np.log, the
+        bits scipy's logm gives it; larger ones take one logm per matrix.
         """
         g = self._check(g)
         if self.algebra.dim == 0:
-            return self.algebra.zero()
-        w = np.linalg.eigvals(g)
-        if self.unitary or self.dtype is float:
-            angles = np.abs(np.angle(w))
-            k = int(np.argmax(angles))
-            if angles[k] >= np.pi - 1e-8:
+            return np.zeros(g.shape, dtype=self.algebra.dtype)
+        matrices = g.reshape(-1, self.n, self.n)
+        w = np.linalg.eigvals(matrices)
+        compact = self.unitary or self.dtype is float
+        refused = (np.abs(np.angle(w)).max(axis=1) >= np.pi - 1e-8 if compact
+                   else (np.abs(w) < 1e-12).any(axis=1))
+        if refused.any():
+            # the matrix's own eigenvalues: a stack's are complex if any one's are
+            w = np.linalg.eigvals(matrices[np.argmax(refused)])
+            if compact:
+                k = int(np.argmax(np.abs(np.angle(w))))
                 raise LogRangeError(
                     f"log at cut locus of {self.name}: eigenvalue {w[k]:.6g} "
                     "has phase at pi", eigenvalue=w[k])
+            raise LogRangeError("log of a singular matrix", eigenvalue=w[np.argmin(np.abs(w))])
+        if self.n == 1 and self.dtype is complex:
+            X = np.log(g)
         else:
-            if np.any(np.abs(w) < 1e-12):
-                raise LogRangeError("log of a singular matrix", eigenvalue=w[np.argmin(np.abs(w))])
-        import scipy.linalg
-        X = scipy.linalg.logm(g)
+            import scipy.linalg
+            X = (scipy.linalg.logm(g) if g.ndim == 2
+                 else np.array([scipy.linalg.logm(m) for m in g]).reshape(g.shape))
         return self.algebra.project(X)
 
     def random(self, rng):
@@ -628,3 +642,43 @@ def GL(n):
 def TRIVIAL():
     return MatrixGroup("TRIVIAL", 1, trivial_algebra(), dtype=float, trivial=True)
 
+
+# ------------------------------------------------------------ stacked sampling
+
+def random_algebra_stacks(algebras, rng, samples, scale):
+    """`samples` random tuples of algebra elements, one (samples, n, n) stack
+    per algebra, with the draws and bits of the tuple loop
+
+        [tuple(a.random(rng, scale) for a in algebras) for _ in range(samples)]
+
+    One rng.normal call draws every coordinate (the tuple loop's stream,
+    row by row), `frobenius_norms` gives np.linalg.norm's bits for the clip,
+    and `from_coords` maps a whole stack of coordinates at once.
+    """
+    dims = [a.dim for a in algebras]
+    coords = rng.normal(size=(samples, sum(dims))) * scale
+    stacks = []
+    for a, c in zip(algebras, np.split(coords, np.cumsum(dims)[:-1], axis=1)):
+        norms = frobenius_norms(c)
+        stacks.append(a.from_coords(c / np.where(norms > 1.0, norms, 1.0)[:, None]))
+    return stacks
+
+
+def random_stacks(groups, rng, samples):
+    """`samples` random tuples of group elements, one stack per group, with
+    the draws and bits of the tuple loop
+
+        [tuple(g.random(rng) for g in groups) for _ in range(samples)]
+
+    Each matrix group exponentiates its column with one stacked `exp`, at
+    `MatrixGroup.random`'s scale 0.6. A finite group draws integers and GL(n)
+    rejects near-singular draws, so a tuple with either runs that loop itself
+    and stacks its columns.
+    """
+    if any(g.kind == "finite" or g.invertible_only for g in groups):
+        cases = [tuple(g.random(rng) for g in groups) for _ in range(samples)]
+        return tuple(np.array([case[k] for case in cases], dtype=np.asarray(g.identity).dtype)
+                     .reshape((samples,) + np.shape(g.identity))
+                     for k, g in enumerate(groups))
+    xs = random_algebra_stacks([g.algebra for g in groups], rng, samples, 0.6)
+    return tuple(g.exp(x) for g, x in zip(groups, xs))

@@ -18,7 +18,7 @@ from functools import partial
 from .errors import CompositionError, GroupDomainError
 from .report import NO_SAMPLES, ValidationReport
 from .crossed import (EXHAUSTIVE_INTERCHANGE_BUDGET, _failures, _index_blocks,
-                      _stacked_blocks, _witness)
+                      _random_blocks, _witness)
 
 import numpy as np
 
@@ -207,9 +207,7 @@ def check_interchange(cm, mode="auto", samples=200, seed=42):
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         total = samples
-        blocks = _stacked_blocks((G.random(rng), G.random(rng), H.random(rng),
-                                  H.random(rng), H.random(rng), H.random(rng))
-                                 for _ in range(samples))
+        blocks = _random_blocks((G, G, H, H, H, H), rng, samples)
     mod = cm.compiled() if cm.is_finite else cm
     bad, first = _failures(partial(_interchange_holds, mod), blocks)
     worst = None if first is None else _witness(G, H, "g1 g2 h1 h2 h3 h4", first)
@@ -257,7 +255,7 @@ def eckmann_hilton_probe(cm, samples=100, seed=42):
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         mod = cm
-        blocks = _stacked_blocks((H.random(rng), H.random(rng)) for _ in range(samples))
+        blocks = _random_blocks((H, H), rng, samples)
     _, first = _failures(partial(_eckmann_hilton_holds, mod), blocks)
     witness = None
     if first is not None:

@@ -296,6 +296,33 @@ def test_unwritable_out_is_refused_without_a_file(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command, flag, scenario", [
+    ("validate", "--out", "abelian.scn"),
+    ("converge", "--out", "su2_charts.scn"),
+    ("converge", "--csv", "su2_charts.scn"),
+])
+def test_a_missing_output_directory_is_refused_before_the_run(command, flag, scenario,
+                                                               tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setitem(cli._HANDLERS, command, lambda *args: calls.append(args))
+    target = tmp_path / "missing" / "output"
+    code = cli.run([command, "--scenario", scenario, flag, str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (2, "", [])
+    # the line the write itself would have raised
+    with pytest.raises(OSError) as exc:
+        open(target, "w")
+    assert captured.err == f"twogauge: cannot write output: {exc.value}\n"
+    assert not target.exists()
+
+
+def test_an_output_file_name_without_a_directory_writes_here(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["validate", "--scenario", "abelian.scn", "--out", "report.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads((tmp_path / "report.json").read_text())["command"] == "validate"
+
+
 def test_classify_refuses_an_invalid_module(tmp_path, capsys):
     path = _write(tmp_path, "broken.scn", {"crossed_module": "PEIFFER_BROKEN(S3)",
                                            "nerve": "tetrahedron"})
@@ -490,7 +517,10 @@ COLD_RUNS = textwrap.dedent("""
                    "--grid", "8"),
              # U(1) samples: a 1x1 exp needs no scipy
              quiet("interchange", "--scenario", "abelian.scn"),
-             quiet("interchange", "--scenario", "abelian_square.scn")]
+             quiet("interchange", "--scenario", "abelian_square.scn"),
+             # and a 1x1 log is np.log
+             quiet("validate", "--scenario", "abelian.scn"),
+             quiet("validate", "--scenario", "abelian_square.scn")]
     print(codes, "scipy" in sys.modules)
     quiet("validate", "--scenario", "su2_charts.scn")  # samples SU(2) by exp
     print("scipy.linalg" in sys.modules)
@@ -503,7 +533,7 @@ def test_scipy_loads_only_where_a_run_needs_it():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 1, 0, 0, 0] False", "True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 1, 0, 0, 0, 0, 0] False", "True"]
 
 
 # a usage error, then runs whose options differ: each as a fresh process gives it

@@ -1,9 +1,12 @@
-"""Sampled axiom, interchange and Eckmann-Hilton checks against per-case loops.
+"""Sampled axiom, interchange, Eckmann-Hilton and differential checks against
+per-case loops.
 
 The oracles below are the loops the sampled checks ran before they were
-batched: the same random draws, then one scalar predicate or one TwoCell
-diagram per case, compared with each group's `eq` at its default tolerance.
-Every comparison is of whole reports, or of the error a run raises.
+batched: the same random draws, one tuple at a time, then one scalar
+predicate, one TwoCell diagram or one residual per case, compared with each
+group's `eq` at its default tolerance. Every comparison of checks is of
+whole reports, or of the error a run raises; the stacked draws, exp and log
+they rest on are compared bit for bit.
 """
 
 import itertools
@@ -11,10 +14,11 @@ import itertools
 import numpy as np
 import pytest
 
-from twogauge.crossed import (CrossedModule, crossed_module, peiffer_violating_fixture,
+from twogauge.crossed import (FIRST_ORDER_BOUND, CrossedModule, crossed_module,
+                              differential_consistency, peiffer_violating_fixture,
                               validate_crossed_module)
-from twogauge.errors import CompositionError, GroupDomainError, TwoGaugeError
-from twogauge.groups import SU2, TRIVIAL, U1
+from twogauge.errors import CompositionError, GroupDomainError, LogRangeError, TwoGaugeError
+from twogauge.groups import GL, SO3, SU2, TRIVIAL, U1, FiniteGroup, random_stacks
 from twogauge.report import NO_SAMPLES, ValidationReport
 from twogauge.twocells import (CellBatch, TwoCell, _eckmann_hilton_sides,
                                _interchange_sides, check_interchange, eckmann_hilton_probe)
@@ -296,3 +300,160 @@ def test_a_case_dependent_defect_raises_where_the_scalar_loop_raises():
                                                         seed=seed)) \
             == _outcome(lambda: scalar_validate(cm, samples, seed))
     assert differ == [(7, 60)]
+
+
+# ------------------------------------------------ stacked draws, exp and log
+
+def _bits(stack):
+    stack = np.asarray(stack)
+    return stack.dtype, stack.shape, stack.tobytes()
+
+
+GROUPS = {"TRIVIAL": TRIVIAL, "U1": U1, "SU2": SU2, "SO3": SO3, "GL2": lambda: GL(2),
+          "S3": lambda: FiniteGroup.symmetric(3), "Z5": lambda: FiniteGroup.cyclic(5)}
+PATTERNS = [("TRIVIAL",), ("U1",), ("SU2",), ("SO3",), ("SU2", "SU2", "U1"),
+            ("TRIVIAL", "SO3", "SU2", "SU2"), ("U1", "TRIVIAL", "U1"),
+            ("SO3", "SO3", "SU2", "SU2", "SU2", "SU2"),
+            # a finite group or GL(n) anywhere: the tuple loop
+            ("S3", "Z5", "Z5"), ("SU2", "S3"), ("GL2",), ("TRIVIAL", "GL2", "SO3")]
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids="-".join)
+def test_random_stacks_have_the_draws_and_bits_of_the_tuple_loop(pattern):
+    groups = [GROUPS[name]() for name in pattern]
+    for seed, samples in itertools.product(SEEDS, SAMPLES):
+        stacked, looped = _rng(seed), _rng(seed)
+        got = random_stacks(groups, stacked, samples)
+        want = [tuple(g.random(looped) for g in groups) for _ in range(samples)]
+        assert len(got) == len(groups)
+        for k, g in enumerate(groups):
+            column = np.array([case[k] for case in want]) if samples else \
+                np.zeros((0,) + np.shape(g.identity), dtype=np.asarray(g.identity).dtype)
+            assert _bits(got[k]) == _bits(column), (seed, samples, k)
+        # the next draw is the same: both consumed the same stream
+        assert stacked.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["SU2", "SO3"])
+def test_stacked_exp_has_the_per_matrix_expm_bits(name):
+    import scipy.linalg
+    G = GROUPS[name]()
+    rng = np.random.default_rng(9)
+    # norms from 1e-8 to 30: every Pade degree and scaling expm picks, mixed in one stack
+    x = np.array([G.algebra.random(rng, 1.0) * s
+                  for s in np.geomspace(1e-8, 30.0, 40)[rng.permutation(40)]])
+    assert _bits(G.exp(x)) == _bits(np.array([G.renormalize(scipy.linalg.expm(m)) for m in x]))
+    assert _bits(G.exp(x)) == _bits(np.array([G.exp(m) for m in x]))
+
+
+def test_u1_log_has_the_logm_bits():
+    import scipy.linalg
+    G = U1()
+    rng = np.random.default_rng(11)
+    # random phases, then ones next to the cut locus at +-pi, next to 0 and exact
+    phases = np.concatenate([rng.uniform(-np.pi, np.pi, 300),
+                             np.pi - np.geomspace(2e-8, 1e-2, 12),
+                             -np.pi + np.geomspace(2e-8, 1e-2, 12),
+                             [0.0, -0.0, 1e-300, -1e-300, 1e-16, np.pi / 2, -np.pi / 2]])
+    stack = np.exp(1j * phases)[:, None, None]
+    want = np.array([G.algebra.project(scipy.linalg.logm(g)) for g in stack])
+    assert _bits([G.log(g) for g in stack]) == _bits(want)
+    assert _bits(G.log(stack)) == _bits(want)
+    # the refusal at the cut locus; a stack names its first refused matrix
+    for phase in (np.pi, -np.pi, np.pi - 5e-9):
+        g = np.array([[np.exp(1j * phase)]])
+        with pytest.raises(LogRangeError, match="cut locus of U1") as alone:
+            G.log(g)
+        with pytest.raises(LogRangeError) as stacked:
+            G.log(np.stack([stack[0], g, np.conj(g)]))
+        assert (str(stacked.value), stacked.value.eigenvalue) \
+            == (str(alone.value), alone.value.eigenvalue)
+
+
+@pytest.mark.parametrize("name", ["SU2", "SO3"])
+def test_stacked_log_names_the_first_refused_matrix(name):
+    G = GROUPS[name]()
+    rng = np.random.default_rng(12)
+    good = np.array([G.random(rng) for _ in range(4)])
+    assert _bits(G.log(good)) == _bits(np.array([G.log(g) for g in good]))
+    # a half turn (eigenvalue -1) at positions 2 and 3 of the stack
+    half_turn = np.diag([-1.0, -1.0] + [1.0] * (G.n - 2)).astype(G.dtype)
+    bad = np.concatenate([good[:2], [half_turn, half_turn], good[2:]])
+    with pytest.raises(LogRangeError) as alone:
+        G.log(half_turn)
+    with pytest.raises(LogRangeError) as stacked:
+        G.log(bad)
+    assert (str(stacked.value), stacked.value.eigenvalue) \
+        == (str(alone.value), alone.value.eigenvalue)
+
+
+def scalar_differential_consistency(cm, samples, seed, eps=1e-3):
+    """differential_consistency, one sample at a time."""
+    rng = _rng(seed)
+    rep = ValidationReport(f"differential consistency: {cm.name}")
+    if samples < 1:
+        rep.skip("dt-first-order", NO_SAMPLES)
+        rep.skip("dalpha-first-order", NO_SAMPLES)
+        return rep
+    G, H = cm.G, cm.H
+    worst_t = 0.0
+    worst_a = 0.0
+    for _ in range(samples):
+        x = H.algebra.random(rng, scale=0.5)
+        y = G.algebra.random(rng, scale=0.5)
+        r_t = np.linalg.norm(cm.t(H.exp(eps * x)) - G.exp(eps * cm.dt(x)))
+        worst_t = max(worst_t, r_t / eps ** 2)
+        h = H.exp(x)
+        lhs = H.log(cm.alpha(G.exp(eps * y), h))
+        r_a = np.linalg.norm(lhs - (x + eps * cm.dalpha(y, x)))
+        worst_a = max(worst_a, r_a / eps ** 2)
+    rep.add("dt-first-order", worst_t <= FIRST_ORDER_BOUND, residual=worst_t,
+            tolerance=FIRST_ORDER_BOUND)
+    rep.add("dalpha-first-order", worst_a <= FIRST_ORDER_BOUND, residual=worst_a,
+            tolerance=FIRST_ORDER_BOUND)
+    return rep
+
+
+def _rewired(name, label, **maps):
+    """A shipped matrix module with some of t, alpha and dalpha replaced."""
+    base = crossed_module(name)
+    parts = {"t": base.t, "alpha": base.alpha, "dt": base.dt, "dalpha": base.dalpha, **maps}
+    return CrossedModule(f"{label}({name})", base.G, base.H, **parts)
+
+
+DIFFERENTIAL_MODULES = {
+    **{name: (lambda name=name: crossed_module(name))
+       for name in ("CONJ(U1)", "CONJ(SU2)", "AUT(SU2)", "GERBE(U1)")},
+    # alpha lands on -1, the cut locus of the log: LogRangeError
+    "HALF_TURN(SU2)": lambda: _rewired("CONJ(SU2)", "HALF_TURN",
+                                       alpha=lambda g, h: -np.broadcast_to(np.eye(2), h.shape)),
+    # alpha leaves U1 for a positive phase only: the defect differs by sample
+    "PHASE_SCALED(U1)": lambda: _rewired("CONJ(U1)", "PHASE_SCALED",
+                                         alpha=lambda g, h: h * (1 + np.maximum(np.angle(h), 0))),
+    # a residual that is NaN for some samples and large for the others
+    "NAN_DALPHA(U1)": lambda: _rewired("CONJ(U1)", "NAN_DALPHA",
+                                       dalpha=lambda y, x: y @ x - x @ y + np.log(x.imag)),
+    "NAN_T(U1)": lambda: _rewired("GERBE(U1)", "NAN_T",
+                                  t=lambda h: np.sqrt(np.angle(h))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_MODULES))
+def test_differential_consistency_equals_the_sample_loop(name):
+    cm = DIFFERENTIAL_MODULES[name]()
+    outcomes = set()
+    with np.errstate(invalid="ignore"):
+        for seed, samples in itertools.product(SEEDS, SAMPLES + [20]):
+            got = _outcome(lambda: differential_consistency(cm, samples=samples, seed=seed))
+            want = _outcome(lambda: scalar_differential_consistency(cm, samples, seed))
+            assert got == want, (seed, samples)
+            if isinstance(got, dict):
+                residuals = [c.get("residual") for c in got["checks"]]
+                outcomes.add("PASS" if got["verdict"] == "PASS" else "FAIL")
+                assert all(r is None or np.isfinite(r) for r in residuals)
+            else:
+                outcomes.add(got[0])
+    expected = {"HALF_TURN(SU2)": {"LogRangeError"}, "PHASE_SCALED(U1)": {"GroupDomainError"},
+                "NAN_DALPHA(U1)": {"FAIL"}, "NAN_T(U1)": {"FAIL"}}.get(name, {"PASS"})
+    # samples 0 skip every check, a verdict of PASS
+    assert outcomes - {"PASS"} == expected - {"PASS"}

@@ -7,6 +7,7 @@ from twogauge.errors import ConfigError, GeometryError
 from twogauge.forms import FormField, PointwiseForm
 from twogauge.geometry import Bigon, Path, Reparam, shipped_bigon, shipped_path
 from twogauge.maps import ConstantMap, ExpParamMap, NumericalMap
+from twogauge.report import NO_SAMPLES, SKIPPED
 from twogauge.scenario import scenario_from_dict
 from twogauge.transport import (
     LocalConnection, check_transition_laws, check_transition_laws_plain,
@@ -406,3 +407,18 @@ def test_boundary_of_three_curvature_vanishes_when_fake_flat():
     rep_bad = kernel_check(LocalConnection(SU2, A3, spoiled), pts)
     assert not rep_bad.passed
     assert rep_bad.max_residual > 1e-3
+
+
+def test_no_sample_points_skip_the_triple_overlap_and_kernel_checks():
+    # zero points evaluate zero cases: SKIPPED, as check_transition_laws reports
+    g_ij, a_jk, a_ik, hmap = _triple_data()
+    A3 = FormField.from_config(SU2.G.algebra, 1, 3, {"1,1": "x2 * x3", "2,2": "sin(x1)"})
+    conn = fake_flat_connection(SU2, A3)
+    for points in (sample_points(2)[:0], np.asarray(sample_points(2))[:0]):
+        rep = check_triple_overlap(SU2, a_jk, a_jk, a_ik, g_ij, hmap, FIELD_A, points)
+        assert [(c.name, c.verdict, c.detail, c.residual) for c in rep.checks] \
+            == [("shift-cocycle", SKIPPED, NO_SAMPLES, None)]
+    for points in (sample_points(3)[:0], np.asarray(sample_points(3))[:0]):
+        rep = kernel_check(conn, points)
+        assert [(c.name, c.verdict, c.detail, c.residual) for c in rep.checks] \
+            == [("dt-of-3-curvature", SKIPPED, NO_SAMPLES, None)]

@@ -17,7 +17,13 @@ a change touched, run the tool against both checkouts and diff:
     diff before.txt after.txt
 
 `--src` picks the source tree to import twogauge from; the default is the
-`src/` directory next to this script.
+`src/` directory next to this script. `--seed N` runs every scenario at
+seed N instead of its own seed (it is passed to each run as `--seed N`), so
+a change to how the sampled checks draw can be compared at more than the
+shipped seeds:
+
+    python3 tools/report_digests.py --src ../parent/src --seed 301 > before.txt
+    python3 tools/report_digests.py --seed 301 > after.txt
 
     python3 tools/report_digests.py --repeat 5
 
@@ -61,32 +67,33 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def shipped_runs(cli, scenarios):
-    """(command, scenario, exit code, stdout, stderr) of every shipped run."""
+def shipped_runs(cli, scenarios, options=()):
+    """(command, scenario, exit code, stdout, stderr) of every shipped run;
+    `options` are appended to each run's arguments."""
     for command in cli.COMMANDS:
         for scenario in scenarios:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run([command, "--scenario", scenario])
+                code = cli.run([command, "--scenario", scenario, *options])
             yield command, scenario, code, out.getvalue(), err.getvalue()
 
 
-def digest_lines(cli, scenarios):
+def digest_lines(cli, scenarios, options=()):
     lines = []
-    for command, scenario, code, out, err in shipped_runs(cli, scenarios):
+    for command, scenario, code, out, err in shipped_runs(cli, scenarios, options):
         kept = "".join(line for line in err.splitlines(True)
                        if not line.startswith("[wall]"))
         lines.append(f"{command} {scenario} {code} {_sha(out)} {_sha(kept)}")
     return sorted(lines)
 
 
-def wall_lines(cli, scenarios, repeats):
+def wall_lines(cli, scenarios, repeats, options=()):
     """Median over repeats of each subcommand's summed [wall] seconds."""
     totals = {command: [] for command in cli.COMMANDS}
     for _ in range(repeats):
         sums = dict.fromkeys(cli.COMMANDS, 0.0)
         timed = dict.fromkeys(cli.COMMANDS, 0)
-        for command, _scenario, _code, _out, err in shipped_runs(cli, scenarios):
+        for command, _scenario, _code, _out, err in shipped_runs(cli, scenarios, options):
             for line in err.splitlines():
                 if line.startswith("[wall] "):
                     sums[command] += float(line.split()[1].rstrip("s"))
@@ -98,7 +105,7 @@ def wall_lines(cli, scenarios, repeats):
             for command in cli.COMMANDS]
 
 
-def cold_lines(src, commands, scenarios, repeats):
+def cold_lines(src, commands, scenarios, repeats, options=()):
     """Median over repeats of each subcommand's summed fresh-process seconds."""
     env = {**os.environ, "PYTHONPATH": src}
     totals = {command: [] for command in commands}
@@ -108,7 +115,7 @@ def cold_lines(src, commands, scenarios, repeats):
             for scenario in scenarios:
                 started = time.perf_counter()
                 subprocess.run([sys.executable, "-m", "twogauge.cli", command,
-                                "--scenario", scenario], env=env, timeout=600,
+                                "--scenario", scenario, *options], env=env, timeout=600,
                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
                 total += time.perf_counter() - started
             totals[command].append(total)
@@ -147,6 +154,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="source tree holding the twogauge package")
+    parser.add_argument("--seed", type=int, default=None, metavar="N",
+                        help="run every scenario at seed N instead of its own")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--repeat", type=int, default=None, metavar="N",
                       help="print median [wall] per subcommand over N repeats")
@@ -159,6 +168,9 @@ def main(argv=None):
     for name in ("repeat", "cold"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             parser.error(f"--{name} must be a positive integer")
+    if args.census and args.seed is not None:
+        parser.error("--seed does not apply to --census: a census draws no samples")
+    options = () if args.seed is None else ("--seed", str(args.seed))
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     from twogauge import cli
@@ -168,11 +180,11 @@ def main(argv=None):
     if args.census:
         lines = census_lines()
     elif args.cold is not None:
-        lines = cold_lines(src, cli.COMMANDS, scenarios, args.cold)
+        lines = cold_lines(src, cli.COMMANDS, scenarios, args.cold, options)
     elif args.repeat is not None:
-        lines = wall_lines(cli, scenarios, args.repeat)
+        lines = wall_lines(cli, scenarios, args.repeat, options)
     else:
-        lines = digest_lines(cli, scenarios)
+        lines = digest_lines(cli, scenarios, options)
     for line in lines:
         print(line)
 
