@@ -45,7 +45,8 @@ class CoverNerve:
 
     Degenerate overlaps such as (i, i) or (i, i, j) are allowed; they are
     what the unit laws quantify over. Every face of a declared overlap must
-    itself be declared.
+    itself be declared, and each overlap is declared once: a repeat would be
+    a second, independent unknown of the census for the same overlap.
     """
 
     def __init__(self, charts, doubles=(), triples=(), quads=(), samples=None):
@@ -60,11 +61,15 @@ class CoverNerve:
         problems = []
         known = set(self.charts)
         for group, width in ((self.doubles, 2), (self.triples, 3), (self.quads, 4)):
+            seen = set()
             for ov in group:
                 if len(ov) != width:
                     problems.append(f"overlap {ov} has the wrong arity")
                 elif not set(ov) <= known:
                     problems.append(f"overlap {ov} names unknown charts")
+                elif ov in seen:
+                    problems.append(f"overlap {ov} is declared more than once")
+                seen.add(ov)
         dset, tset = set(self.doubles), set(self.triples)
         for t in self.triples:
             for edge in _faces(t):

@@ -1,14 +1,13 @@
 """Concrete groups: finite multiplication tables and matrix families.
 
 Finite groups live on index sets {0..n-1} with a Cayley table validated on
-construction (associativity, identity, inverses). Matrix groups are the named
-families U1, SU2, SO3, GL(n) and the one-element TRIVIAL group, each paired
-with its Lie algebra and a fixed, documented basis:
+construction (associativity, identity, inverses). Matrix groups are the
+connected compact families U1, SU2, SO3 and the one-element TRIVIAL group,
+each given by its Lie algebra with a fixed, documented basis:
 
     u(1):  e1 = [[1j]]
     su(2): ek = -i/2 * sigma_k            (k = 1, 2, 3)
     so(3): Lk with (Lk) v = e_k x v       (cross-product generators)
-    gl(n): elementary matrices E_ij, row-major
 
 exp is scaling-and-squaring Pade (scipy expm, one call per matrix or stack;
 np.exp on 1x1 matrices, as in scipy); log eigen-checks the argument and
@@ -391,35 +390,31 @@ def so3_algebra():
     return LieAlgebra("so(3)", [L1, L2, L3], 3, float, _proj_antisymmetric)
 
 
-def gl_algebra(n):
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            basis.append(E)
-    return LieAlgebra(f"gl({n})", basis, n, float, lambda X: np.real(X))
-
-
 def trivial_algebra():
     return LieAlgebra("0", [], 1, float, lambda X: np.zeros(X.shape))
 
 
 class MatrixGroup:
-    """A named matrix group with membership test, polar projection, exp and log."""
+    """A connected compact matrix group, given by its Lie algebra, with
+    membership test, polar projection, exp and log.
+
+    Its elements are the unitary (real: orthogonal) n x n matrices of the
+    algebra's size and field, of determinant 1 when the algebra is traceless
+    (on a connected group det = exp(trace)); a zero algebra gives the
+    one-element group. `n`, `dtype`, `special` and `trivial` are derived from
+    the algebra once, as plain attributes: the transport loops read `trivial`
+    at every step.
+    """
 
     kind = "matrix"
 
-    def __init__(self, name, n, algebra, *, dtype=complex, unitary=False,
-                 special=False, invertible_only=False, trivial=False):
+    def __init__(self, name, algebra):
         self.name = name
-        self.n = n
         self.algebra = algebra
-        self.dtype = dtype
-        self.unitary = unitary
-        self.special = special
-        self.invertible_only = invertible_only
-        self.trivial = trivial
+        self.n = algebra.n
+        self.dtype = algebra.dtype
+        self.trivial = algebra.dim == 0
+        self.special = all(np.trace(b) == 0 for b in algebra.basis)
 
     @property
     def identity(self):
@@ -449,15 +444,9 @@ class MatrixGroup:
         # checks call this thousands of times a run
         if self.trivial:
             return float(np.linalg.norm(g - np.eye(self.n)))
-        d = 0.0
-        if self.unitary:
-            d = float(np.linalg.norm(g.conj().T @ g - np.eye(self.n)))
-            if self.special:
-                d = max(d, float(abs(np.linalg.det(g) - 1.0)))
-        elif self.invertible_only:
-            d = 0.0 if abs(np.linalg.det(g)) > 1e-12 else np.inf
-        if self.dtype is float:
-            d = max(d, float(np.linalg.norm(np.asarray(g).imag)))
+        d = float(np.linalg.norm(g.conj().T @ g - np.eye(self.n)))
+        if self.special:
+            d = max(d, float(abs(np.linalg.det(g) - 1.0)))
         return d
 
     def _stack_defect(self, g):
@@ -466,18 +455,11 @@ class MatrixGroup:
         eye = np.eye(self.n)
         if self.trivial:
             return frobenius_norms(g - eye)
-        d = np.zeros(len(g))
-        if self.unitary:
-            d = frobenius_norms(g.conj().swapaxes(-1, -2) @ g - eye)
-            if self.special:
-                off = np.linalg.det(g) - 1.0
-                off = np.hypot(off.real, off.imag) if np.iscomplexobj(off) else np.abs(off)
-                d = np.where(off > d, off, d)
-        elif self.invertible_only:
-            d = np.where(np.abs(np.linalg.det(g)) > 1e-12, 0.0, np.inf)
-        if self.dtype is float:
-            im = frobenius_norms(np.asarray(g).imag)
-            d = np.where(im > d, im, d)
+        d = frobenius_norms(g.conj().swapaxes(-1, -2) @ g - eye)
+        if self.special:
+            off = np.linalg.det(g) - 1.0
+            off = np.hypot(off.real, off.imag) if np.iscomplexobj(off) else np.abs(off)
+            d = np.where(off > d, off, d)
         return d
 
     def contains(self, g, tol=TAU_GRP):
@@ -507,8 +489,6 @@ class MatrixGroup:
         g = self._cast(g)
         if self.trivial:
             return np.eye(self.n) if g.ndim < 3 else np.broadcast_to(np.eye(self.n), g.shape).copy()
-        if self.invertible_only:
-            return g
         u, _, vh = np.linalg.svd(g)
         q = u @ vh
         if self.special:
@@ -524,7 +504,7 @@ class MatrixGroup:
         return q
 
     def renormalize(self, g):
-        if self.invertible_only or self.trivial:
+        if self.trivial:
             return g
         d = self.defect(g)
         if isinstance(d, np.ndarray):
@@ -541,12 +521,7 @@ class MatrixGroup:
         return self.renormalize(self._check(a) @ self._check(b))
 
     def inv(self, a):
-        a = self._check(a)
-        if self.unitary:
-            return a.conj().swapaxes(-1, -2)
-        if self.trivial:
-            return a
-        return np.linalg.inv(a)
+        return self._check(a).conj().swapaxes(-1, -2)
 
     def conj(self, g, h):
         return self.renormalize(self._check(g) @ self._check(h) @ self.inv(g))
@@ -562,7 +537,7 @@ class MatrixGroup:
     def exp(self, x):
         """exp of an algebra element, or of each matrix of an (N, n, n) stack
         with the bits it would get alone (one scipy expm call per stack)."""
-        if self.algebra.dim == 0:
+        if self.trivial:
             return np.broadcast_to(self.identity, np.shape(x)[:-2] + (1, 1)).copy()
         x = np.asarray(x, dtype=self.dtype)
         if self.n == 1:  # what scipy's expm returns for 1x1 matrices
@@ -574,28 +549,22 @@ class MatrixGroup:
         """Principal logarithm, or that of each matrix of an (N, n, n) stack;
         refuses arguments at the cut locus.
 
-        For the compact families the cut locus is exactly where an eigenvalue
-        reaches the negative real axis; the offending eigenvalue (of the first
-        such matrix of a stack) is reported. A complex 1x1 log is np.log, the
-        bits scipy's logm gives it; larger ones take one logm per matrix.
+        The cut locus is exactly where an eigenvalue reaches the negative real
+        axis; the offending eigenvalue (of the first such matrix of a stack) is
+        reported. A complex 1x1 log is np.log, the bits scipy's logm gives it;
+        larger ones take one logm per matrix.
         """
         g = self._check(g)
-        if self.algebra.dim == 0:
-            return np.zeros(g.shape, dtype=self.algebra.dtype)
+        if self.trivial:
+            return np.zeros(g.shape, dtype=self.dtype)
         matrices = g.reshape(-1, self.n, self.n)
-        w = np.linalg.eigvals(matrices)
-        compact = self.unitary or self.dtype is float
-        refused = (np.abs(np.angle(w)).max(axis=1) >= np.pi - 1e-8 if compact
-                   else (np.abs(w) < 1e-12).any(axis=1))
+        refused = np.abs(np.angle(np.linalg.eigvals(matrices))).max(axis=1) >= np.pi - 1e-8
         if refused.any():
             # the matrix's own eigenvalues: a stack's are complex if any one's are
             w = np.linalg.eigvals(matrices[np.argmax(refused)])
-            if compact:
-                k = int(np.argmax(np.abs(np.angle(w))))
-                raise LogRangeError(
-                    f"log at cut locus of {self.name}: eigenvalue {w[k]:.6g} "
-                    "has phase at pi", eigenvalue=w[k])
-            raise LogRangeError("log of a singular matrix", eigenvalue=w[np.argmin(np.abs(w))])
+            k = int(np.argmax(np.abs(np.angle(w))))
+            raise LogRangeError(f"log at cut locus of {self.name}: eigenvalue {w[k]:.6g} "
+                                "has phase at pi", eigenvalue=w[k])
         if self.n == 1 and self.dtype is complex:
             X = np.log(g)
         else:
@@ -605,15 +574,9 @@ class MatrixGroup:
         return self.algebra.project(X)
 
     def random(self, rng):
-        """A random element: exp of a random algebra element of scale 0.6
-        (GL(n): the identity plus noise, kept away from singular)."""
+        """A random element: exp of a random algebra element of scale 0.6."""
         if self.trivial:
             return self.identity
-        if self.invertible_only:
-            g = np.eye(self.n) + 0.3 * rng.normal(size=(self.n, self.n))
-            while abs(np.linalg.det(g)) < 1e-3:
-                g = np.eye(self.n) + 0.3 * rng.normal(size=(self.n, self.n))
-            return g
         return self.exp(self.algebra.random(rng, 0.6))
 
     def label(self, g):
@@ -624,23 +587,19 @@ class MatrixGroup:
 
 
 def U1():
-    return MatrixGroup("U1", 1, u1_algebra(), unitary=True)
+    return MatrixGroup("U1", u1_algebra())
 
 
 def SU2():
-    return MatrixGroup("SU2", 2, su2_algebra(), unitary=True, special=True)
+    return MatrixGroup("SU2", su2_algebra())
 
 
 def SO3():
-    return MatrixGroup("SO3", 3, so3_algebra(), dtype=float, unitary=True, special=True)
-
-
-def GL(n):
-    return MatrixGroup(f"GL{n}", n, gl_algebra(n), dtype=float, invertible_only=True)
+    return MatrixGroup("SO3", so3_algebra())
 
 
 def TRIVIAL():
-    return MatrixGroup("TRIVIAL", 1, trivial_algebra(), dtype=float, trivial=True)
+    return MatrixGroup("TRIVIAL", trivial_algebra())
 
 
 # ------------------------------------------------------------ stacked sampling
@@ -671,11 +630,10 @@ def random_stacks(groups, rng, samples):
         [tuple(g.random(rng) for g in groups) for _ in range(samples)]
 
     Each matrix group exponentiates its column with one stacked `exp`, at
-    `MatrixGroup.random`'s scale 0.6. A finite group draws integers and GL(n)
-    rejects near-singular draws, so a tuple with either runs that loop itself
-    and stacks its columns.
+    `MatrixGroup.random`'s scale 0.6. A finite group draws integers, so a
+    tuple with one runs that loop itself and stacks its columns.
     """
-    if any(g.kind == "finite" or g.invertible_only for g in groups):
+    if any(g.kind == "finite" for g in groups):
         cases = [tuple(g.random(rng) for g in groups) for _ in range(samples)]
         return tuple(np.array([case[k] for case in cases], dtype=np.asarray(g.identity).dtype)
                      .reshape((samples,) + np.shape(g.identity))

@@ -31,11 +31,11 @@ from .forms import FormField
 from .geometry import shipped_bigon, shipped_path
 from .maps import ExpParamMap
 from .transport import DEFAULT_GRID, DEFAULT_STEPS, TAU_FAKE, grids_errors
-from .groups import TAU_GRP, is_integer
+from .groups import is_integer
 
 DEFAULT_SAMPLES = 40
-DEFAULT_TOLERANCES = {"group": TAU_GRP, "fake": TAU_FAKE,
-                      "surface": 1e-4, "transition": 1e-9, "holonomy": 1e-6}
+DEFAULT_TOLERANCES = {"fake": TAU_FAKE, "surface": 1e-4, "transition": 1e-9,
+                      "holonomy": 1e-6}
 _KNOWN_KEYS = {"description", "crossed_module", "dim", "forms", "path",
                "bigon", "transition", "nerve", "cocycle", "grid", "samples",
                "steps", "seed", "grids", "tolerances"}
@@ -43,6 +43,20 @@ _KNOWN_KEYS = {"description", "crossed_module", "dim", "forms", "path",
 
 def _overlap_key(text):
     return tuple(int(part) for part in str(text).split(","))
+
+
+def _keyed_values(errors, part, values, parse):
+    """The cocycle values of one part keyed by `parse` of each JSON key; two
+    keys that parse alike (such as "0,1" and "+0,1") go to errors, named."""
+    out, first = {}, {}
+    for key, value in values.items():
+        parsed = parse(key)
+        if parsed in first:
+            errors.append(f"cocycle {part} keys {json.dumps(first[parsed])} and "
+                          f"{json.dumps(key)} both name {parsed}")
+        first.setdefault(parsed, key)
+        out[parsed] = value
+    return out
 
 
 class Scenario:
@@ -287,10 +301,12 @@ def _resolve(doc, name):
                 and all(_check_type(errors, f"cocycle {part}", spec.get(part, {}), dict)
                         for part in ("g", "h", "k")):
             try:
-                g = {_overlap_key(k): v for k, v in spec.get("g", {}).items()}
-                h = {_overlap_key(k): v for k, v in spec.get("h", {}).items()}
-                k = {int(c): v for c, v in spec.get("k", {}).items()}
-                scn.cocycle = GluingCocycle(scn.module, scn.nerve, g, h, k)
+                found = len(errors)
+                g = _keyed_values(errors, "g", spec.get("g", {}), _overlap_key)
+                h = _keyed_values(errors, "h", spec.get("h", {}), _overlap_key)
+                k = _keyed_values(errors, "k", spec.get("k", {}), int)
+                if len(errors) == found:
+                    scn.cocycle = GluingCocycle(scn.module, scn.nerve, g, h, k)
             except (ConfigError, ValueError) as exc:
                 errors.append(f"cocycle: {exc}")
     elif "cocycle" in doc and "nerve" not in doc:

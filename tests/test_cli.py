@@ -20,6 +20,7 @@ import pytest
 from twogauge import cli
 from twogauge.errors import ConfigError
 from twogauge.scenario import (
+    DEFAULT_TOLERANCES,
     find_scenario,
     load_scenario,
     scenario_from_dict,
@@ -199,6 +200,35 @@ def test_every_residual_travels_with_its_tolerance(capsys):
     for check in doc["report"]["checks"]:
         if check.get("residual") is not None:
             assert check.get("tolerance") is not None, check["name"]
+
+
+# a shipped run whose report holds each tolerance a scenario may override
+TOLERANCE_READERS = {"fake": "holonomy-surface", "surface": "holonomy-surface",
+                     "transition": "transitions", "holonomy": "holonomy-path"}
+
+
+def _tolerances(argv, capsys):
+    cli.run(argv)
+    return [check.get("tolerance") for check in json.loads(capsys.readouterr().out)
+            ["report"]["checks"]]
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULT_TOLERANCES))
+def test_every_tolerance_key_reaches_a_report(key, tmp_path, capsys):
+    command = TOLERANCE_READERS[key]
+    before = _tolerances([command, "--scenario", "su2_charts.scn"], capsys)
+    path = _write(tmp_path, "tol.scn", _shipped_doc("su2_charts.scn", tolerances={key: 0.375}))
+    after = _tolerances([command, "--scenario", path], capsys)
+    assert DEFAULT_TOLERANCES[key] in before and 0.375 not in before
+    assert [0.375 if t == DEFAULT_TOLERANCES[key] else t for t in before] == after
+
+
+def test_a_tolerance_nothing_reads_is_unknown(tmp_path, capsys):
+    path = _write(tmp_path, "tol.scn", _shipped_doc("abelian.scn", tolerances={"group": 1e-9}))
+    assert cli.run(["validate", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "twogauge: configuration error: unknown tolerance 'group'\n"
 
 
 def test_wall_time_stays_on_stderr(capsys):
@@ -430,6 +460,11 @@ INLINE_NERVES = {
                     f"nerve doubles[0] {LABELS} [0, 1.0]"),
     "doubles-number": ({"doubles": 3}, "nerve doubles must be a list of overlaps, got 3"),
     "no-charts": ({"charts": None}, f"nerve charts {LABELS} null"),
+    # a repeated overlap was a second census unknown, and classify blamed the module
+    "repeated-double": ({"doubles": [[0, 1], [1, 2], [0, 2], [0, 1]], "triples": [[0, 1, 2]]},
+                        "nerve: overlap (0, 1) is declared more than once"),
+    "repeated-triple": ({"doubles": [[0, 1], [1, 2], [0, 2]], "triples": [[0, 1, 2], [0, 1, 2]]},
+                        "nerve: overlap (0, 1, 2) is declared more than once"),
 }
 
 
@@ -439,6 +474,28 @@ def test_malformed_inline_nerve_is_named_by_key_and_value(case, tmp_path, capsys
     path = _write(tmp_path, "nerve.scn", {"crossed_module": "GERBE(Z2)",
                                           "nerve": {"charts": [0, 1, 2], **changes}})
     code = cli.run(["classify", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"twogauge: configuration error: {message}\n"
+
+
+# cocycle keys that parse to one overlap: only the last value was kept
+S3_COCYCLE = _shipped_doc("s3_cocycle.scn")["cocycle"]
+COLLIDING_KEYS = {
+    "spaces": ({"h": {**S3_COCYCLE["h"], "0, 2, 3": 5}},
+               'cocycle h keys "0,2,3" and "0, 2, 3" both name (0, 2, 3)'),
+    "plus-sign": ({"g": {**S3_COCYCLE["g"], "+0,1": 1}},
+                  'cocycle g keys "0,1" and "+0,1" both name (0, 1)'),
+    "leading-zero": ({"k": {"0": 0, "00": 1}}, 'cocycle k keys "0" and "00" both name 0'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLIDING_KEYS))
+def test_cocycle_keys_naming_one_overlap_exit_two(case, tmp_path, capsys):
+    changes, message = COLLIDING_KEYS[case]
+    path = _write(tmp_path, "keys.scn",
+                  _shipped_doc("s3_cocycle.scn", cocycle={**S3_COCYCLE, **changes}))
+    code = cli.run(["cocycle", "--scenario", path])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"twogauge: configuration error: {message}\n"

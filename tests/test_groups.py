@@ -5,7 +5,7 @@ import pytest
 
 from twogauge.errors import GroupDomainError, LogRangeError
 from twogauge.groups import (
-    GL, SO3, SU2, TRIVIAL, U1, FiniteGroup, automorphism_group, automorphisms,
+    SO3, SU2, TRIVIAL, U1, FiniteGroup, automorphism_group, automorphisms,
     frobenius_norms,
 )
 
@@ -169,8 +169,7 @@ def test_algebra_bases_and_structure_constants():
     assert np.allclose(so3.coords(so3.from_coords(c)), c)
 
 
-@pytest.mark.parametrize("group", [U1, SU2, SO3, lambda: GL(2)],
-                         ids=["u1", "su2", "so3", "gl2"])
+@pytest.mark.parametrize("group", [U1, SU2, SO3], ids=["u1", "su2", "so3"])
 def test_basis_elements_have_exact_unit_coords(group):
     # a pseudo-inverse gives 0.9999999999999998 here, which leaks into the
     # structure constants and dt matrices and leaves ulp-sized fake curvature
@@ -181,16 +180,25 @@ def test_basis_elements_have_exact_unit_coords(group):
     assert np.array_equal(f, np.round(f))
 
 
-def test_trivial_and_gl():
+def test_trivial_group():
     t = TRIVIAL()
     assert t.contains(np.eye(1))
     assert not t.contains(2 * np.eye(1))
     assert t.algebra.dim == 0
-    gl2 = GL(2)
-    rng = np.random.default_rng(1)
-    g = gl2.random(rng)
-    assert gl2.contains(g)
-    assert np.allclose(gl2.mul(g, gl2.inv(g)), np.eye(2), atol=1e-10)
+
+
+# each family's size, field, det = 1 condition and one-element-ness, written out
+FAMILY_FLAGS = {"U1": (1, complex, False, False), "SU2": (2, complex, True, False),
+            "SO3": (3, float, True, False), "TRIVIAL": (1, float, False, True)}
+
+
+@pytest.mark.parametrize("factory", [U1, SU2, SO3, TRIVIAL], ids=lambda f: f.__name__)
+def test_flags_derived_from_the_algebra_are_each_familys_own(factory):
+    G = factory()
+    n, dtype, special, trivial = FAMILY_FLAGS[G.name]
+    assert (G.n, G.dtype, G.trivial) == (n, dtype, trivial)
+    # TRIVIAL's algebra is traceless vacuously; its own branches run first
+    assert G.special == (special or trivial)
 
 
 # ------------------------------------------------------------------- stacks
@@ -210,7 +218,7 @@ def _drifted_stack(G, n=600, seed=3):
     return base + noise
 
 
-@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL, lambda: GL(2)])
+@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL])
 def test_stacked_group_operations_have_the_per_matrix_bits(factory):
     G = factory()
     g = _drifted_stack(G)
@@ -249,7 +257,7 @@ def test_stacked_membership_check_decides_like_the_exact_defect(factory):
                 G.inv(g)
 
 
-@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL, lambda: GL(2)])
+@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL])
 def test_nan_matrix_fails_the_membership_check(factory):
     # every comparison with NaN is False, so `defect > bound` would let it in
     G = factory()

@@ -18,7 +18,7 @@ from twogauge.crossed import (FIRST_ORDER_BOUND, CrossedModule, crossed_module,
                               differential_consistency, peiffer_violating_fixture,
                               validate_crossed_module)
 from twogauge.errors import CompositionError, GroupDomainError, LogRangeError, TwoGaugeError
-from twogauge.groups import GL, SO3, SU2, TRIVIAL, U1, FiniteGroup, random_stacks
+from twogauge.groups import SO3, SU2, TRIVIAL, U1, FiniteGroup, random_stacks
 from twogauge.report import NO_SAMPLES, ValidationReport
 from twogauge.twocells import (CellBatch, TwoCell, _eckmann_hilton_sides,
                                _interchange_sides, check_interchange, eckmann_hilton_probe)
@@ -309,13 +309,13 @@ def _bits(stack):
     return stack.dtype, stack.shape, stack.tobytes()
 
 
-GROUPS = {"TRIVIAL": TRIVIAL, "U1": U1, "SU2": SU2, "SO3": SO3, "GL2": lambda: GL(2),
+GROUPS = {"TRIVIAL": TRIVIAL, "U1": U1, "SU2": SU2, "SO3": SO3,
           "S3": lambda: FiniteGroup.symmetric(3), "Z5": lambda: FiniteGroup.cyclic(5)}
 PATTERNS = [("TRIVIAL",), ("U1",), ("SU2",), ("SO3",), ("SU2", "SU2", "U1"),
             ("TRIVIAL", "SO3", "SU2", "SU2"), ("U1", "TRIVIAL", "U1"),
             ("SO3", "SO3", "SU2", "SU2", "SU2", "SU2"),
-            # a finite group or GL(n) anywhere: the tuple loop
-            ("S3", "Z5", "Z5"), ("SU2", "S3"), ("GL2",), ("TRIVIAL", "GL2", "SO3")]
+            # a finite group anywhere: the tuple loop
+            ("S3", "Z5", "Z5"), ("SU2", "S3")]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids="-".join)
