@@ -88,8 +88,8 @@ class CoverNerve:
 
     @property
     def is_strict(self):
-        """True when no overlap repeats a chart label."""
-        return all(len(set(ov)) == len(ov)
+        """True when every overlap lists distinct charts in increasing order."""
+        return all(list(ov) == sorted(set(ov))
                    for ov in self.doubles + self.triples + self.quads)
 
     def __repr__(self):
@@ -585,7 +585,11 @@ def classify_finite(cm, nerve):
     if not cm.is_finite:
         raise ConfigError("classification needs a finite crossed module")
     if not nerve.is_strict:
-        raise ConfigError("classification expects strictly increasing overlaps")
+        # (j, i) would be an unknown of its own, with no law tying it to (i, j)
+        reversed_ = [ov for ov in nerve.doubles + nerve.triples + nerve.quads
+                     if len(set(ov)) == len(ov) and list(ov) != sorted(ov)]
+        raise ConfigError("classification expects strictly increasing overlaps"
+                          + (f", got {reversed_[0]}" if reversed_ else ""))
     G, H = cm.G, cm.H
     doubles = sorted(nerve.doubles)
     triples = sorted(nerve.triples)

@@ -16,22 +16,33 @@ takes scipy logm per matrix (np.log on complex 1x1 matrices, as in scipy).
 Both import scipy when first needed, so a process that never takes an exp
 or a log of a matrix larger than 1x1 never loads it.
 Group products renormalize by polar projection when the membership drift
-exceeds TAU_GRP / 10. `defect`, `renormalize`, `project`, `inv`, `exp` and
-`log` also take a stack of matrices along a leading axis; each matrix gets
-the same bits and the same reprojection decision as it would alone. A
-stack's membership check is the exact `defect` of every matrix, with no
-cheaper estimate in front. `random_stacks` draws many random tuples of
-elements as one stack per group, with the draws and bits of the tuple loop
-over `random`.
+exceeds TAU_GRP / 10, and operands are refused when it is not within 1e-6.
+Both tests read only a decision, which `MatrixGroup._defect_against` makes
+without the exact `defect` where it can: a cheap value, summed in Python
+arithmetic (elementwise numpy for a stack), decides outside a relative band
+of 1e-3 around the bound, and the exact `defect` decides inside it and
+wherever the cheap value is not finite. Near either bound the two values
+differ by a few ulps, about 1e-15, a hundredth of the band's 1e-13 at
+1e-10, so every decision and every output bit is the exact defect's.
+`defect`, `renormalize`, `project`, `inv`, `exp` and `log` also take a
+stack of matrices along a leading axis; each matrix gets the same bits and
+the same decisions as it would alone. `random_stacks` draws many random
+tuples of elements as one stack per group, with the draws and bits of the
+tuple loop over `random`.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import GroupDomainError, LogRangeError
 
 TAU_GRP = 1e-9
+
+# the exact defect decides a membership test wherever the cheap value lies
+# within this relative distance of the bound (MatrixGroup._defect_against)
+_BAND = 1e-3
 
 _SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -120,9 +131,13 @@ class FiniteGroup:
 
     def contains(self, a):
         """Whether `a` is an element index; a bool is not one."""
+        if type(a) is int:  # the common case, ahead of is_integer's isinstance tests
+            return 0 <= a < self.order
         return is_integer(a) and 0 <= int(a) < self.order
 
     def _check(self, a):
+        if type(a) is int and 0 <= a < self.order:
+            return a
         if not self.contains(a):
             raise GroupDomainError(f"{a!r} is not an element of {self.name}")
         return int(a)
@@ -462,6 +477,98 @@ class MatrixGroup:
             d = np.where(off > d, off, d)
         return d
 
+    def _defect_against(self, g, bound):
+        """`defect(g)` compared with `bound`: a float for one matrix, an array
+        for a (N, n, n) stack, which is either the exact defect or a cheaper
+        value that lies on the same side of `bound` (`>` and `<=` alike, NaN
+        included).
+
+        The cheap value is ||g^H g - I||_F, and max with |det g - 1| for a
+        special group, summed entry by entry: in Python arithmetic on
+        `g.tolist()` for one matrix (the 2x2 case unrolled), in elementwise
+        numpy for a stack. It covers n = 1, 2 and 3; other groups, and a
+        matrix of another shape, take the exact defect. The exact defect
+        decides wherever the cheap value is not finite or lies within a
+        relative band of _BAND = 1e-3 around `bound`.
+
+        Why that keeps every decision of the exact defect: a defect near
+        either bound in use (1e-10 in `renormalize`, 1e-6 in `_check`) forces
+        every column of g to have norm within about 1e-6 of 1. There, both
+        computations round the same squared entries in a different order,
+        and they differ by a few ulps, about 1e-15 absolute. At 1e-10 the band
+        is 1e-13 wide, about 100x that difference, so every decision, and
+        every output bit, is the exact defect's. A cheap value that is finite
+        needs finite entries, so it cannot stand for a NaN defect.
+        """
+        g = self._cast(g)
+        n = self.n
+        if self.trivial or n > 3:
+            return self.defect(g)
+        if g.shape == (n, n):
+            d = self._cheap_defect(g.tolist())
+            # NaN fails both tests, inf the second
+            if abs(d - bound) > _BAND * bound and d < math.inf:
+                return d
+            return self.defect(g)
+        if g.ndim != 3 or g.shape[1:] != (n, n):
+            return self.defect(g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = self._cheap_stack_defect(g)
+            far = np.abs(d - bound) > _BAND * bound
+        far &= d < np.inf
+        if not far.all():
+            near = np.flatnonzero(~far)
+            d[near] = self._stack_defect(g[near])
+        return d
+
+    def _cheap_defect(self, rows):
+        """`_defect_against`'s cheap value for one matrix given as nested lists."""
+        # squares as z * conj(z): ** and complex abs raise on overflow
+        if self.n == 2:
+            (a, b), (c, d) = rows
+            ac, cc = a.conjugate(), c.conjugate()
+            x = (a * ac + c * cc).real - 1.0
+            y = (b * b.conjugate() + d * d.conjugate()).real - 1.0
+            z = ac * b + cc * d
+            sq = x * x + y * y + 2.0 * (z * z.conjugate()).real
+            if self.special:
+                w = a * d - b * c - 1.0
+                sq = max(sq, (w * w.conjugate()).real)
+            return math.sqrt(sq)
+        cols = list(zip(*rows))
+        sq = 0.0
+        for i, u in enumerate(cols):
+            x = sum(e * e.conjugate() for e in u).real - 1.0
+            sq += x * x
+            for v in cols[i + 1:]:
+                z = sum(p.conjugate() * q for p, q in zip(u, v))
+                sq += 2.0 * (z * z.conjugate()).real
+        if self.special:  # n = 3 here: a special 1x1 group is trivial
+            (a, b, c), (d, e, f), (p, q, r) = rows
+            w = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p) - 1.0
+            sq = max(sq, (w * w.conjugate()).real)
+        return math.sqrt(sq)
+
+    def _cheap_stack_defect(self, g):
+        """`_defect_against`'s cheap value for each matrix of a (N, n, n) stack."""
+        n = self.n
+        gc = g.conj()
+        m = -np.eye(n)
+        for k in range(n):  # row k's terms of g^H g
+            m = m + gc[:, k, :, None] * g[:, k, None, :]
+        flat = m.reshape(-1, n * n)
+        if np.iscomplexobj(flat):
+            flat = flat.view(float)
+        d = np.sqrt((flat * flat).sum(axis=1))
+        if self.special:
+            if n == 2:
+                det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+            else:
+                (a, b, c), (d_, e, f), (p, q, r) = (g[:, i].T for i in range(3))
+                det = a * (e * r - f * q) - b * (d_ * r - f * p) + c * (d_ * q - e * p)
+            d = np.maximum(d, np.abs(det - 1.0))
+        return d
+
     def contains(self, g, tol=TAU_GRP):
         g = np.asarray(g)
         if g.shape != (self.n, self.n):
@@ -469,20 +576,27 @@ class MatrixGroup:
         return self.defect(g) <= tol
 
     def _check(self, g):
-        """g itself, after checking that it (or each matrix of a stack) is in the group."""
+        """g itself, after checking that it (or each matrix of a stack) is in the group.
+
+        A matrix is in when its defect is within 1e-6, as decided by
+        `_defect_against` with the exact defect's answer; a refusal names the
+        exact defect of the (first) refused matrix.
+        """
         g = self._cast(g)
         stack = g.shape != (self.n, self.n)
         if stack and (g.ndim != 3 or g.shape[1:] != (self.n, self.n)):
             raise GroupDomainError(
                 f"expected {self.n}x{self.n} matrix for {self.name}, got shape {g.shape}")
-        d = self.defect(g)
+        d = self._defect_against(g, 1e-6)
         # `not d <= bound` and not `d > bound`: a NaN defect must fail
         if stack:
-            bad = d[~(d <= 1e-6)]
-            d = bad[0] if len(bad) else 0.0
-        if not d <= 1e-6:
-            raise GroupDomainError(f"matrix is not in {self.name} (defect {d:.2e})")
-        return g
+            bad = np.flatnonzero(~(d <= 1e-6))
+            if not len(bad):
+                return g
+            g = g[bad[0]]
+        elif d <= 1e-6:
+            return g
+        raise GroupDomainError(f"matrix is not in {self.name} (defect {self.defect(g):.2e})")
 
     def project(self, g):
         """Nearest group element (polar projection; det-corrected for special groups)."""
@@ -504,9 +618,14 @@ class MatrixGroup:
         return q
 
     def renormalize(self, g):
+        """g, or its `project`ion where its defect exceeds TAU_GRP / 10 (each
+        matrix of a stack on its own): the projection method, which leaves a
+        step alone while its drift is within tolerance. `_defect_against`
+        decides, with the exact defect's answer and mostly without its cost.
+        """
         if self.trivial:
             return g
-        d = self.defect(g)
+        d = self._defect_against(g, TAU_GRP / 10)
         if isinstance(d, np.ndarray):
             redo = np.flatnonzero(d > TAU_GRP / 10)
             if len(redo):

@@ -536,6 +536,24 @@ def test_classification_rejects_bad_inputs():
         classify_finite(S3, nerve("pair-with-units"))
 
 
+def test_classification_refuses_a_reversed_overlap_by_name():
+    # (1, 0) beside (0, 1) would be an unknown of its own, with no inverse law
+    reversed_double = CoverNerve([0, 1, 2], doubles=[(0, 1), (1, 2), (0, 2), (1, 0)],
+                                 triples=[(0, 1, 2)])
+    reversed_triple = CoverNerve([0, 1, 2], doubles=[(0, 1), (1, 2), (0, 2), (2, 1)],
+                                 triples=[(0, 2, 1)])
+    for nv, named in ((reversed_double, "(1, 0)"), (reversed_triple, "(2, 1)")):
+        assert not nv.is_strict
+        with pytest.raises(ConfigError) as exc:
+            classify_finite(FLIP, nv)
+        assert str(exc.value) == \
+            f"classification expects strictly increasing overlaps, got {named}"
+    # a degenerate overlap keeps the refusal that the census digests hold
+    with pytest.raises(ConfigError) as exc:
+        classify_finite(FLIP, nerve("pair-with-units"))
+    assert str(exc.value) == "classification expects strictly increasing overlaps"
+
+
 def test_census_is_deterministic():
     a = classify_finite(FLIP, nerve("sphere"))
     b = classify_finite(FLIP, nerve("sphere"))

@@ -70,6 +70,12 @@ CONTRACT_GAPS = {
         "crossed_module": "FLIP(Z3)",
         "nerve": {"charts": [0, 1, 2], "doubles": [[0, 1], [1, 2], [0, 2], [0, 1]],
                   "triples": [[0, 1, 2]]}}),
+    # (1, 0) beside (0, 1) was a second census unknown with no inverse law:
+    # "24 cocycles in 2 classes" at exit 0, where the nerve without it has 12 in 1
+    "nerve-reversed-double": ("classify", {
+        "crossed_module": "FLIP(Z3)",
+        "nerve": {"charts": [0, 1, 2], "doubles": [[0, 1], [1, 2], [0, 2], [1, 0]],
+                  "triples": [[0, 1, 2]]}}),
     # an order fitted through one point, with a RankWarning on stderr
     "grids-one-size": ("converge", _with("su2_charts.scn", grids=[2])),
     "grids-repeated-size": ("converge", _with("su2_charts.scn", grids=[4, 4])),

@@ -1,11 +1,13 @@
 """Group kernel: table validation, permutation oracle, exp/log contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from twogauge.errors import GroupDomainError, LogRangeError
 from twogauge.groups import (
-    SO3, SU2, TRIVIAL, U1, FiniteGroup, automorphism_group, automorphisms,
+    SO3, SU2, TAU_GRP, TRIVIAL, U1, FiniteGroup, automorphism_group, automorphisms,
     frobenius_norms,
 )
 
@@ -63,6 +65,24 @@ def test_finite_membership_errors():
         z3.mul(0, 5)
     with pytest.raises(GroupDomainError):
         z3.inv(-1)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.bool_(False), 1.0, 2.5,
+                                   np.float64(1), 3, -1, np.int64(3), 2 ** 70, "1", None])
+def test_finite_refusals_keep_their_text(value):
+    # a plain in-range int takes a fast path; nothing else does
+    z3 = FiniteGroup.cyclic(3)
+    assert not z3.contains(value)
+    with pytest.raises(GroupDomainError) as caught:
+        z3.inv(value)
+    assert str(caught.value) == f"{value!r} is not an element of Z3"
+
+
+def test_finite_elements_come_back_as_plain_ints():
+    z3 = FiniteGroup.cyclic(3)
+    for value in (0, 2, np.int64(2), np.intp(1)):
+        assert z3.contains(value)
+        assert type(z3.renormalize(value)) is int and z3.renormalize(value) == value
 
 
 def test_automorphisms_s3():
@@ -350,3 +370,145 @@ def test_u1_exp_has_the_scipy_bits():
     for _ in range(200):
         x = G.algebra.random(rng, 0.6) * rng.uniform(0.1, 10.0)
         assert G.exp(x).tobytes() == G.renormalize(expm(x)).tobytes()
+
+
+# ------------------------------------------------- the membership decisions
+# renormalize reprojects when the defect exceeds TAU_GRP / 10 and _check
+# refuses one that is not within 1e-6; both decide from a cheap value where it
+# lies well away from the bound, and from the exact `defect` elsewhere
+
+BOUNDS = [TAU_GRP / 10, 1e-6]
+# well outside the guard band around a bound, and well inside it
+FAR, NEAR = (1 - 1e-2, 1 + 1e-2), (1 - 1e-5, 1 + 1e-5)
+
+
+def _at_defect(G, g, target):
+    """(1 + e) g for a member g, with e such that the exact defect is about
+    `target`: ||(1 + e)^2 g^H g - I||_F is sqrt(n) (2e + e^2), which outweighs
+    |det - 1| = (1 + e)^n - 1 for n = 2 and 3."""
+    c = target / math.sqrt(G.n)
+    return (1 + c / (1 + math.sqrt(1 + c))) * g
+
+
+def _probes(G, bound, seed=21):
+    """Members, matrices at the bound times each factor of FAR and NEAR, many
+    at the bound itself, and matrices with a NaN or an infinite entry."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for factor, count in [(None, 6)] + [(f, 6) for f in FAR + NEAR] + [(1.0, 200)]:
+        for _ in range(count):
+            g = np.asarray(G.random(rng), dtype=G.dtype)
+            out.append(g if factor is None else _at_defect(G, g, bound * factor))
+    for value in (np.nan, np.inf, -np.inf):
+        g = np.array(G.identity, dtype=G.dtype)
+        g[0, -1] = value
+        out.append(g)
+    return out
+
+
+def _outcome(f, g):
+    """What f(g) gives: its bits, or its error's type and text."""
+    try:
+        with np.errstate(invalid="ignore"):  # det warns on NaN
+            return np.ascontiguousarray(f(g)).tobytes()
+    except (GroupDomainError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _renormalize_by_the_exact_defect(G, g):
+    d = G.defect(g)
+    if np.ndim(d):
+        redo = np.flatnonzero(d > TAU_GRP / 10)
+        if len(redo):
+            g = np.array(g)
+            g[redo] = G.project(g[redo])
+        return g
+    return G.project(g) if d > TAU_GRP / 10 else g
+
+
+def _check_by_the_exact_defect(G, g):
+    d = G.defect(g)
+    if np.ndim(d):
+        bad = d[~(d <= 1e-6)]
+        d = bad[0] if len(bad) else 0.0
+    if not d <= 1e-6:
+        raise GroupDomainError(f"matrix is not in {G.name} (defect {d:.2e})")
+    return g
+
+
+def _cheap_and_exact_disagree(G, probes, bound):
+    """Whether the cheap value and the exact defect fall on different sides of
+    the bound for some probe, alone or in a stack: then only the guard band
+    keeps the decision."""
+    stack = np.stack(probes[:-3])
+    exact = G.defect(stack) > bound
+    return ((G._cheap_stack_defect(stack) > bound) != exact).any() or \
+        any((G._cheap_defect(g.tolist()) > bound) != e for g, e in zip(stack, exact))
+
+
+def _stacks(probes, seed=22):
+    """Every probe alone, all of them in one stack, and shuffled mixes."""
+    rng = np.random.default_rng(seed)
+    stacks = [np.stack(probes)]
+    for _ in range(5):
+        stacks.append(np.stack([probes[k] for k in rng.permutation(len(probes))[:7]]))
+    return stacks
+
+
+@pytest.mark.parametrize("factory", [U1, SU2, SO3], ids=["u1", "su2", "so3"])
+def test_renormalize_has_the_bits_of_the_exact_defects_decision(factory):
+    G = factory()
+    probes = _probes(G, TAU_GRP / 10)
+    for g in probes + _stacks(probes):
+        assert _outcome(G.renormalize, g) == \
+            _outcome(lambda x: _renormalize_by_the_exact_defect(G, x), g)
+    # both sides of the bound are reached, so the comparison decides something
+    reprojected = [G.renormalize(g) is not g for g in probes[:-3]]
+    assert any(reprojected) and not all(reprojected)
+    assert _cheap_and_exact_disagree(G, probes, TAU_GRP / 10)
+
+
+@pytest.mark.parametrize("factory", [U1, SU2, SO3], ids=["u1", "su2", "so3"])
+def test_membership_check_refuses_as_the_exact_defect_did(factory):
+    G = factory()
+    probes = _probes(G, 1e-6)
+    for g in probes + _stacks(probes):
+        want = _outcome(lambda x: _check_by_the_exact_defect(G, x), g)
+        assert _outcome(G._check, g) == want
+        assert _outcome(G.inv, g) == (want if isinstance(want, tuple)
+                                      else _outcome(lambda x: x.conj().swapaxes(-1, -2), g))
+    refused = [isinstance(_outcome(G._check, g), tuple) for g in probes]
+    assert any(refused) and not all(refused)
+    assert _cheap_and_exact_disagree(G, probes, 1e-6)
+
+
+@pytest.mark.parametrize("factory", [U1, SU2, SO3], ids=["u1", "su2", "so3"])
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_the_exact_defect_decides_inside_the_band_only(factory, bound, monkeypatch):
+    G = factory()
+    seen = []
+    exact = G._stack_defect
+    monkeypatch.setattr(G, "defect", lambda g: seen.append(np.shape(g)) or -1.0)
+    monkeypatch.setattr(G, "_stack_defect", lambda g: seen.append(g.shape) or exact(g))
+    rng = np.random.default_rng(23)
+    far = [_at_defect(G, G.random(rng), bound * f) for f in FAR]
+    near = [_at_defect(G, G.random(rng), bound * f) for f in NEAR]
+    for g in far:
+        assert (G._defect_against(g, bound) > bound) == (G.__class__.defect(G, g) > bound)
+    assert not seen
+    for g in near:  # the stand-in answers -1.0: the cheap value is not used
+        assert G._defect_against(g, bound) == -1.0
+    assert seen == [(G.n, G.n)] * len(near)
+    seen.clear()
+    stack = np.stack([far[0], near[0], far[1], near[1]])
+    d = G._defect_against(stack, bound)
+    # only the two matrices inside the band reach the exact defect
+    assert seen == [(2, G.n, G.n)]
+    assert d[[1, 3]].tobytes() == exact(stack)[[1, 3]].tobytes()
+    assert ((d > bound) == (exact(stack) > bound)).all()
+    # a cheap value that is not finite is never trusted either
+    seen.clear()
+    monkeypatch.setattr(G, "_cheap_stack_defect",
+                        lambda g: np.array([np.inf, np.nan, 2 * bound, 0.0]))
+    G._defect_against(stack, bound)
+    assert seen == [(2, G.n, G.n)]

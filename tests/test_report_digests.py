@@ -1,8 +1,10 @@
 """tools/report_digests.py, the tool that shows whether two checkouts give
 the same reports: one line per shipped scenario and subcommand, the same
-from run to run, and one line per finite census."""
+from run to run, one line per finite census, and `--against`, which prints
+only the lines that differ between two source trees."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -15,9 +17,14 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 TOOL = os.path.join(ROOT, "tools", "report_digests.py")
 
 
+def _run(*options, src=os.path.join(ROOT, "src")):
+    return subprocess.run([sys.executable, TOOL, "--src", src, *options],
+                          capture_output=True, text=True, timeout=120)
+
+
 def _lines(*options):
-    done = subprocess.run([sys.executable, TOOL, "--src", os.path.join(ROOT, "src"), *options],
-                          capture_output=True, text=True, timeout=120, check=True)
+    done = _run(*options)
+    assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
 
@@ -38,3 +45,27 @@ def test_one_census_line_per_shipped_finite_module_and_nerve():
     # the tool adds one cyclic gerbe larger than any shipped module
     assert len(lines) == len(pairs) + 1 == 43
     assert [tuple(line.split()[:2]) for line in lines] == pairs + [("GERBE(Z20)", "sphere")]
+
+
+def test_against_prints_only_the_census_lines_that_differ(tmp_path):
+    # the census only: the scenario digests would add about 10 s
+    same = _run("--against", os.path.join(ROOT, "src"), "--census")
+    assert (same.returncode, same.stdout) == (0, "")
+    # a tree without the package would compare whatever twogauge sys.path finds
+    assert _run("--against", str(tmp_path), "--census").returncode == 2
+    changed = tmp_path / "src"
+    shutil.copytree(os.path.join(ROOT, "src"), changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cech = changed / "twogauge" / "cech.py"
+    cech.write_text(cech.read_text().replace(
+        "classification expects strictly", "classification wants strictly"))
+    differ = _run("--against", os.path.join(ROOT, "src"), "--census", src=str(changed))
+    lines = differ.stdout.splitlines()
+    # the 7 shipped finite modules refuse the one nerve with degenerate overlaps
+    assert differ.returncode == 1 and len(lines) == 14
+    assert all(line.startswith(("census: -", "census: +")) for line in lines)
+    assert lines[:2] == [
+        "census: -CONJ(S3) pair-with-units refused: classification expects strictly "
+        "increasing overlaps",
+        "census: +CONJ(S3) pair-with-units refused: classification wants strictly "
+        "increasing overlaps"]

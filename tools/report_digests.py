@@ -49,10 +49,20 @@ every shipped nerve, and GERBE(Z20) on the sphere,
 or `module nerve refused: <message>` where `classify_finite` refuses the
 pair. Diffing this against `--src ../parent/src` shows whether a change
 moved any census.
+
+    python3 tools/report_digests.py --against ../parent/src
+
+runs those diffs in one command: the digests at the scenarios' own seeds,
+at `--seed 0` and at `--seed 301`, and the `--census` lines, each for the
+tree `--against` names and for `--src`, every one in a fresh process. It
+prints only the lines that differ, as "mode: -line" for the `--against`
+tree and "mode: +line" for `--src`, and exits 1 if there are any, 0 if
+there are none. With `--census` it compares the census lines only.
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -149,6 +159,29 @@ def census_lines():
     return lines
 
 
+# the digest sets `--against` compares: (label, options of this tool)
+AGAINST_MODES = [("shipped seeds", ()), ("seed 0", ("--seed", "0")),
+                 ("seed 301", ("--seed", "301")), ("census", ("--census",))]
+
+
+def _tool_lines(src, options):
+    """This tool's output lines for the source tree `src`, from a fresh process."""
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src, *options],
+                          capture_output=True, text=True, timeout=600, check=True)
+    return done.stdout.splitlines()
+
+
+def against_lines(old_src, new_src, modes):
+    """The lines that differ between the two trees' outputs, mode by mode."""
+    lines = []
+    for label, options in modes:
+        diff = difflib.unified_diff(_tool_lines(old_src, options),
+                                    _tool_lines(new_src, options), lineterm="", n=0)
+        lines += [f"{label}: {line}" for line in diff
+                  if line[:1] in "-+" and line[:4] not in ("--- ", "+++ ")]
+    return lines
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -164,14 +197,30 @@ def main(argv=None):
                            "over N repeats")
     mode.add_argument("--census", action="store_true",
                       help="print one digest per finite census instead")
+    parser.add_argument("--against", default=None, metavar="DIR",
+                        help="print only the digest lines that differ between the "
+                             "source tree DIR and --src; exit 1 if any do")
     args = parser.parse_args(argv)
     for name in ("repeat", "cold"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             parser.error(f"--{name} must be a positive integer")
     if args.census and args.seed is not None:
         parser.error("--seed does not apply to --census: a census draws no samples")
-    options = () if args.seed is None else ("--seed", str(args.seed))
     src = os.path.abspath(args.src)
+    # a tree without the package would import whichever twogauge sys.path holds
+    for tree in filter(None, (args.src, args.against)):
+        if not os.path.isfile(os.path.join(tree, "twogauge", "__init__.py")):
+            parser.error(f"no twogauge package under {tree}")
+    if args.against is not None:
+        if args.seed is not None or args.repeat is not None or args.cold is not None:
+            parser.error("--against runs its own seeds and takes neither --seed, "
+                         "--repeat nor --cold")
+        modes = AGAINST_MODES[-1:] if args.census else AGAINST_MODES
+        lines = against_lines(os.path.abspath(args.against), src, modes)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
+    options = () if args.seed is None else ("--seed", str(args.seed))
     sys.path.insert(0, src)
     from twogauge import cli
     from twogauge.scenario import shipped_scenarios
@@ -190,4 +239,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
