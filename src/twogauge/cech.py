@@ -16,7 +16,8 @@ their meaning is tied to the one set of composition conventions in
 twocells.py rather than to hand-expanded formulas. Closed-form versions of
 these pastings exist only in the test suite, as independent oracles. The
 census runs the same diagram functions over a module's compiled tables,
-where they paste CellBatch batches of states instead of single TwoCells.
+where they paste CellBatch batches of states instead of single TwoCells,
+with one more axis for the census's moves.
 
 Overlap values may be constants (finite indices or matrices) or point
 functions; a nerve can carry sample points per overlap for the latter.
@@ -140,10 +141,13 @@ def _eval(value, point):
 class GluingCocycle:
     """Transition data over a nerve: g per double, h per triple, k per chart.
 
-    Every declared overlap must have data, and over a finite module every
-    value must be an element of its group (checked up front, all problems
-    reported together). Unit correctors k default to the group identity,
-    which is the normalized case.
+    Every declared overlap must list its charts in non-decreasing order and
+    have data, and over a finite module every value must be an element of
+    its group (checked up front, all problems reported together). A reversed
+    overlap such as (1, 0) is refused: no law would tie its g to g(0, 1)^-1,
+    so the checks would pass whatever it holds. Degenerate overlaps such as
+    (0, 0) and (0, 1, 1) are the unit laws' and are accepted. Unit
+    correctors k default to the group identity, which is the normalized case.
     """
 
     def __init__(self, cm, nerve, g, h=None, k=None):
@@ -152,7 +156,9 @@ class GluingCocycle:
         self.g = {tuple(key): val for key, val in g.items()}
         self.h = {tuple(key): val for key, val in (h or {}).items()}
         self.k = dict(k) if k else {}
-        problems = []
+        problems = [f"overlap {ov} lists its charts out of order"
+                    for ov in nerve.doubles + nerve.triples + nerve.quads
+                    if list(ov) != sorted(ov)]
         for d in nerve.doubles:
             if d not in self.g:
                 problems.append(f"double {d} has no g value")
@@ -502,20 +508,57 @@ def _cocycle_codes(tab, layout, quads):
     return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
 
 
-def _moved_codes(tab, layout, codes, lam, bmap):
-    """Codes of the states reached from `codes` by one change of trivializations.
+class _Moves:
+    """Changes of trivializations, prepared column by column for `_moved_codes`.
 
-    Only the columns the move touches are pasted: the doubles and triples
-    that contain a chart of `lam`, and the doubles of `bmap` and the triples
-    that have one as an edge. Every other column would paste identities
-    around its stored value and give it back, so it keeps its digit and the
-    code changes by the touched columns' differences alone. Each column the
+    `sites` lists the moves as (lam, bmap) pairs, lam mapping charts to G
+    elements and bmap doubles to H elements. A move touches a double when lam
+    holds one of its charts or bmap holds the double itself, and a triple
+    when lam holds one of its charts or bmap holds one of its edges. For each
+    touched column, `columns` keeps its index in the state layout, the rows
+    of the moves that touch it and, for every chart and edge its pasting
+    reads, those moves' values as a (rows, 1) array, with the identity where
+    a move leaves that site alone, or as one scalar where all of them hold
+    the same value there. It is built once per census.
+    """
+
+    def __init__(self, tab, layout, sites):
+        self.sites = list(sites)
+        self.columns = []
+        G_id, H_id = tab.G.identity, tab.H.identity
+        for overlap in layout.doubles + layout.triples:
+            edges = [overlap] if len(overlap) == 2 else _faces(overlap)
+            rows = [m for m, (lam, bmap) in enumerate(self.sites)
+                    if not lam.keys().isdisjoint(overlap)
+                    or not bmap.keys().isdisjoint(edges)]
+            if not rows:
+                continue
+            # the touching moves' values at each chart, then at each edge; one
+            # that every touching move shares stays a scalar, so the pastings
+            # broadcast it against the states alone
+            values = ([[self.sites[m][0].get(c, G_id) for m in rows] for c in overlap]
+                      + [[self.sites[m][1].get(e, H_id) for m in rows] for e in edges])
+            values = [v[0] if len(set(v)) == 1 else np.array(v)[:, np.newaxis]
+                      for v in values]
+            lam = dict(zip(overlap, values))
+            b = dict(zip(edges, values[len(overlap):]))
+            n = (layout.d_index[overlap] if len(overlap) == 2
+                 else layout.t_index[overlap])
+            self.columns.append((n, overlap, np.array(rows), lam, b))
+
+
+def _moved_codes(tab, layout, codes, moves):
+    """Codes of the states reached from `codes` by each of `moves` (a _Moves).
+
+    Row m of the (moves, states) result holds the codes after move m. Each
+    touched column is pasted once, for all the moves that touch it at once:
+    their (rows, 1) values broadcast against the states' columns, so the
+    diagram functions paste a (rows, states) batch of cells. A move
+    that does not touch a column would paste identities around its stored
+    value and give it back, so it keeps the column's digit and its codes
+    change by its touched columns' differences alone. Each column the
     pastings read is decoded once.
     """
-    charts, edges = set(lam), set(bmap)
-    doubles = [d for d in layout.doubles if d in edges or charts & set(d)]
-    triples = [t for t in layout.triples
-               if charts & set(t) or edges & set(_faces(t))]
     decoded = {}
 
     def column(n):
@@ -525,15 +568,14 @@ def _moved_codes(tab, layout, codes, lam, bmap):
 
     gv = lambda d: column(layout.d_index[d])
     hv = lambda t: column(layout.t_index[t])
-    lam_at = lambda i: lam.get(i, tab.G.identity)
-    b_at = lambda d: bmap.get(d, tab.H.identity)
-    changed = ([(layout.d_index[d], _transformed_double(tab, gv, lam_at, b_at, d))
-                for d in doubles]
-               + [(layout.t_index[t], _transformed_triple(tab, gv, hv, lam_at, b_at, t))
-                  for t in triples])
-    moved = codes.copy()
-    for n, digit in changed:
-        moved += (digit - column(n)) * layout.weights[n]
+    moved = np.repeat(codes[np.newaxis], len(moves.sites), axis=0)
+    for n, overlap, rows, lam, b in moves.columns:
+        if len(overlap) == 2:
+            digit = _transformed_double(tab, gv, lam.__getitem__, b.__getitem__, overlap)
+        else:
+            digit = _transformed_triple(tab, gv, hv, lam.__getitem__, b.__getitem__,
+                                        overlap)
+        moved[rows] += (digit - column(n)) * layout.weights[n]
     return moved
 
 
@@ -568,9 +610,15 @@ def classify_finite(cm, nerve):
     crossed-module axioms.
 
     The states are pasted in batches over the module's compiled tables and
-    stored as mixed-radix codes. Each single-site change of trivializations
-    is applied to every cocycle at once and mapped back to a cocycle index;
-    classes are the components of those maps (union-find).
+    stored as mixed-radix codes. The single-site changes of trivializations
+    are listed once, one per chart and G generator and one per double and H
+    generator, and all of them are applied in one pass per block of
+    cocycles (`_moved_codes`): each column is pasted once for every move
+    that touches it. The moved codes are mapped back to cocycle indices,
+    one row of targets per move, and the classes are the components of
+    those maps (union-find, one merge per move). Components do not depend
+    on the order of the merges, so the census does not depend on the block
+    size.
 
     Move values range over a generating set of G (lam at a chart) or H (b at
     a double), not over every element: the moves at one site compose as a
@@ -608,19 +656,24 @@ def classify_finite(cm, nerve):
     layout = _StateLayout(tab, doubles, triples)
     codes = _cocycle_codes(tab, layout, quads)
 
-    moves = [({i: x}, {}) for i in nerve.charts for x in tab.G.generators]
-    moves += [({}, {d: y}) for d in doubles for y in tab.H.generators]
+    moves = _Moves(tab, layout,
+                   [({i: x}, {}) for i in nerve.charts for x in tab.G.generators]
+                   + [({}, {d: y}) for d in doubles for y in tab.H.generators])
 
-    parent = np.arange(len(codes))
-    for lam, bmap in moves:
-        moved = np.concatenate([
-            _moved_codes(tab, layout, codes[block], lam, bmap)
-            for block in _blocks(len(codes))])
+    # targets[m, n] is the cocycle that move m takes cocycle n to; int32 holds
+    # any index the budget admits, at half the memory of intp, and so does
+    # the union-find's parent array
+    targets = np.empty((len(moves.sites), len(codes)), dtype=np.int32)
+    for block in _blocks(len(codes)):
+        moved = _moved_codes(tab, layout, codes[block], moves)
         target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
         if not np.array_equal(codes[target], moved):
             raise ConfigError(f"a change of trivializations takes a cocycle of "
                               f"{cm.name} outside the cocycles; the pair breaks "
                               "a crossed-module law")
+        targets[:, block[0]:block[-1] + 1] = target
+    parent = np.arange(len(codes), dtype=np.int32)
+    for target in targets:
         _merge(parent, target)
 
     least = np.flatnonzero(parent == np.arange(len(codes)))

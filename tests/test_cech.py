@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twogauge.cech as cech
+import twogauge.crossed as crossed
 from twogauge.cech import (CoverNerve, GluingCocycle, NERVE_FIXTURES,
                            check_tetrahedron, check_triangle, check_unit_laws,
                            classify_finite, coboundary_act, nerve)
@@ -554,6 +555,30 @@ def test_classification_refuses_a_reversed_overlap_by_name():
     assert str(exc.value) == "classification expects strictly increasing overlaps"
 
 
+def test_cocycle_refuses_a_reversed_overlap_by_name():
+    # g(1, 0) would be a value of its own: with only the triple (0, 1, 2)
+    # declared, both 0 and 1 passed every check, though only g(0, 1)^-1 fits
+    nv = CoverNerve([0, 1, 2], doubles=[(0, 1), (1, 2), (0, 2), (1, 0)],
+                    triples=[(0, 1, 2)])
+    for g10 in (0, 1):
+        with pytest.raises(ConfigError) as exc:
+            GluingCocycle(FLIP, nv, {(0, 1): 0, (1, 2): 0, (0, 2): 0, (1, 0): g10},
+                          {(0, 1, 2): 0})
+        assert exc.value.errors == ["overlap (1, 0) lists its charts out of order"]
+    # a reversed triple is named too, after the double
+    nv = CoverNerve([0, 1, 2, 3], doubles=list(itertools.combinations(range(4), 2))
+                    + [(1, 0)], triples=[(1, 0, 2), (0, 1, 2)])
+    with pytest.raises(ConfigError) as exc:
+        GluingCocycle(FLIP, nv, {d: 0 for d in nv.doubles}, {t: 0 for t in nv.triples})
+    assert exc.value.errors == ["overlap (1, 0) lists its charts out of order",
+                                "overlap (1, 0, 2) lists its charts out of order"]
+    # degenerate unit-law overlaps are in non-decreasing order and stay accepted
+    units = nerve("pair-with-units")
+    data = GluingCocycle(S3, units, {d: 0 for d in units.doubles},
+                         {t: 0 for t in units.triples})
+    assert check_unit_laws(data).passed
+
+
 def test_census_is_deterministic():
     a = classify_finite(FLIP, nerve("sphere"))
     b = classify_finite(FLIP, nerve("sphere"))
@@ -623,6 +648,35 @@ ADMITTED = [(m, nv) for m in shipped_finite_names()
             * crossed_module(m).H.order ** len(nerve(nv).triples) <= 10 ** 7]
 
 
+def t_is_bijective(cm):
+    return sorted(cm.t(h) for h in cm.H.elements()) == sorted(cm.G.elements())
+
+
+# the admitted censuses of modules whose t is an isomorphism H -> G
+ISOMORPHIC_T = [(m, nv) for m, nv in ADMITTED if t_is_bijective(crossed_module(m))]
+
+
+def test_isomorphic_t_modules_include_conj_and_aut_of_s3():
+    assert {m for m, _ in ISOMORPHIC_T} >= {"CONJ(S3)", "AUT(S3)"}
+    assert {nv for _, nv in ISOMORPHIC_T} >= {"two-charts", "triangle"}
+
+
+@pytest.mark.parametrize("module,nerve_name", ISOMORPHIC_T)
+def test_isomorphic_t_gives_the_trivial_census(module, nerve_name):
+    # with t: H -> G a bijection the 2-group is equivalent to the trivial
+    # one. The triangle law fixes each h from the g, the tetrahedron law
+    # then holds because t is injective, and b_ij = t^-1(g_ij^-1) moves
+    # every g to the identity. So every g assignment is one cocycle, and
+    # all of them form one class whose least member is the identity
+    cm, nv = crossed_module(module), nerve(nerve_name)
+    census = classify_finite(cm, nv)
+    assert census["cocycles"] == cm.G.order ** len(nv.doubles)
+    assert census["orbits"] == 1
+    assert census["representatives"] == [
+        {"g": {",".join(map(str, d)): cm.G.identity for d in sorted(nv.doubles)},
+         "h": {",".join(map(str, t)): cm.H.identity for t in sorted(nv.triples)}}]
+
+
 @functools.lru_cache(maxsize=None)
 def census_states(module, nerve_name):
     """(tables, layout, codes of every cocycle) as the census builds them."""
@@ -651,6 +705,14 @@ def single_site_moves(tab, charts, layout):
         yield "double", d, [({}, {d: y}) for y in range(tab.H.order)]
 
 
+def moved_codes(tab, layout, codes, sites):
+    """The census's batched moves, in its blocks of states: one row of moved
+    codes per (lam, bmap) site."""
+    moves = cech._Moves(tab, layout, sites)
+    return np.concatenate([cech._moved_codes(tab, layout, codes[block], moves)
+                           for block in crossed._blocks(len(codes))], axis=1)
+
+
 @pytest.mark.parametrize("module,nerve_name", ADMITTED)
 def test_single_site_moves_compose_as_group_actions(module, nerve_name):
     # lam at a chart: m_x after m_y is m_xy; b at a double: m_x after m_y
@@ -658,33 +720,37 @@ def test_single_site_moves_compose_as_group_actions(module, nerve_name):
     tab, layout, codes = census_states(module, nerve_name)
     for kind, site, moves in single_site_moves(tab, nerve(nerve_name).charts, layout):
         group = tab.G if kind == "chart" else tab.H
-        moved = [cech._moved_codes(tab, layout, codes, lam, bmap) for lam, bmap in moves]
+        moved = moved_codes(tab, layout, codes, moves)
+        assert moved.shape == (group.order, len(codes))
         assert np.array_equal(moved[group.identity], codes)
-        for (lam, bmap), once in zip(moves, moved):
-            x = lam.get(site, bmap.get(site))
-            for y in range(group.order):
-                twice = cech._moved_codes(tab, layout, moved[y], lam, bmap)
+        for y in range(group.order):
+            # row x: the move by x applied after the move by y
+            twice = moved_codes(tab, layout, moved[y], moves)
+            for x in range(group.order):
                 xy = group.mul(x, y) if kind == "chart" else group.mul(y, x)
-                assert np.array_equal(twice, moved[xy]), (kind, site, x, y)
+                assert np.array_equal(twice[x], moved[xy]), (kind, site, x, y)
 
 
 @pytest.mark.parametrize("module,nerve_name", ADMITTED)
 def test_touched_columns_equal_a_full_recompute(module, nerve_name):
+    # every move of every site in one batch, each row against a full recompute
     tab, layout, codes = census_states(module, nerve_name)
-    for _, _, moves in single_site_moves(tab, nerve(nerve_name).charts, layout):
-        for lam, bmap in moves:
-            assert np.array_equal(cech._moved_codes(tab, layout, codes, lam, bmap),
-                                  moved_codes_in_full(tab, layout, codes, lam, bmap))
+    sites = [move for _, _, moves in single_site_moves(tab, nerve(nerve_name).charts, layout)
+             for move in moves]
+    moved = moved_codes(tab, layout, codes, sites)
+    assert moved.shape == (len(sites), len(codes))
+    for (lam, bmap), row in zip(sites, moved):
+        assert np.array_equal(row, moved_codes_in_full(tab, layout, codes, lam, bmap))
 
 
 def test_census_moves_by_generators_only(monkeypatch):
     # one move per chart and G generator, and per double and H generator
     made = []
-    moved_codes = cech._moved_codes
+    batched = cech._moved_codes
 
-    def counting(tab, layout, codes, lam, bmap):
-        made.append((tuple(lam.items()), tuple(bmap.items())))
-        return moved_codes(tab, layout, codes, lam, bmap)
+    def counting(tab, layout, codes, moves):
+        made.extend((tuple(lam.items()), tuple(bmap.items())) for lam, bmap in moves.sites)
+        return batched(tab, layout, codes, moves)
 
     monkeypatch.setattr(cech, "_moved_codes", counting)
     for module, nerve_name, expected in [("CONJ(S3)", "triangle", 3 * 2 + 3 * 2),
@@ -693,6 +759,17 @@ def test_census_moves_by_generators_only(monkeypatch):
         made.clear()
         classify_finite(crossed_module(module), nerve(nerve_name))
         assert len(set(made)) == expected
+
+
+def test_census_in_blocks_of_one_state_equals_one_block(monkeypatch):
+    # the moves of each block are merged after all blocks are mapped, so the
+    # block size must not change the classes or their least members
+    pairs = [("GERBE(Z2)", "sphere"), ("FLIP(Z3)", "triangle"),
+             ("CONJ(S3)", "triangle"), ("AUT(Z5)", "triangle")]
+    whole = [classify_finite(crossed_module(m), nerve(nv)) for m, nv in pairs]
+    assert all(census["cocycles"] <= crossed.BLOCK for census in whole)
+    monkeypatch.setattr(crossed, "BLOCK", 1)
+    assert [classify_finite(crossed_module(m), nerve(nv)) for m, nv in pairs] == whole
 
 
 def test_large_cyclic_gerbe_on_the_sphere():

@@ -76,6 +76,13 @@ CONTRACT_GAPS = {
         "crossed_module": "FLIP(Z3)",
         "nerve": {"charts": [0, 1, 2], "doubles": [[0, 1], [1, 2], [0, 2], [1, 0]],
                   "triples": [[0, 1, 2]]}}),
+    # g(1, 0) beside g(0, 1) was read as a value of its own: with only the
+    # triple (0, 1, 2) declared, nothing tied it to g(0, 1)^-1 and it passed
+    "cocycle-reversed-double": ("cocycle", {
+        "crossed_module": "FLIP(Z3)",
+        "nerve": {"charts": [0, 1, 2], "doubles": [[0, 1], [1, 2], [0, 2], [1, 0]],
+                  "triples": [[0, 1, 2]]},
+        "cocycle": {"g": {"0,1": 0, "1,2": 0, "0,2": 0, "1,0": 1}, "h": {"0,1,2": 0}}}),
     # an order fitted through one point, with a RankWarning on stderr
     "grids-one-size": ("converge", _with("su2_charts.scn", grids=[2])),
     "grids-repeated-size": ("converge", _with("su2_charts.scn", grids=[4, 4])),

@@ -4,6 +4,7 @@ from run to run, one line per finite census, and `--against`, which prints
 only the lines that differ between two source trees."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +46,22 @@ def test_one_census_line_per_shipped_finite_module_and_nerve():
     # the tool adds one cyclic gerbe larger than any shipped module
     assert len(lines) == len(pairs) + 1 == 43
     assert [tuple(line.split()[:2]) for line in lines] == pairs + [("GERBE(Z20)", "sphere")]
+
+
+def test_census_repeat_prints_a_wall_per_census_and_the_same_refusals():
+    digests = _lines("--census")
+    walls = _lines("--census", "--repeat", "1")
+    assert len(walls) == len(digests) == 43
+    for wall, digest in zip(walls, digests):
+        if " refused: " in digest:
+            assert wall == digest
+        else:
+            module, nerve, seconds = wall.split()
+            assert digest.split()[:2] == [module, nerve]
+            assert re.fullmatch(r"\d+\.\d{4}s", seconds)
+    assert sum(" refused: " in line for line in walls) == 11
+    # a census runs in this process, so there is no cold census
+    assert _run("--census", "--cold", "1").returncode == 2
 
 
 def test_against_prints_only_the_census_lines_that_differ(tmp_path):

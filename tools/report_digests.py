@@ -50,6 +50,11 @@ or `module nerve refused: <message>` where `classify_finite` refuses the
 pair. Diffing this against `--src ../parent/src` shows whether a change
 moved any census.
 
+    python3 tools/report_digests.py --census --repeat 5
+
+prints, for the same pairs, `module nerve seconds`: the median wall of 5
+in-process `classify_finite` runs, and the refusal lines as above.
+
     python3 tools/report_digests.py --against ../parent/src
 
 runs those diffs in one command: the digests at the scenarios' own seeds,
@@ -141,8 +146,9 @@ def cold_lines(src, commands, scenarios, repeats, options=()):
 EXTRA_CENSUS = [("GERBE(Z20)", "sphere")]
 
 
-def census_lines():
-    """One digest or refusal line per finite census, shipped pairs first."""
+def census_lines(repeats=None):
+    """One digest or refusal line per finite census, shipped pairs first; with
+    `repeats`, the median wall of that many runs in place of the digest."""
     from twogauge.cech import NERVE_FIXTURES, classify_finite, nerve
     from twogauge.crossed import crossed_module, shipped_finite_names
     from twogauge.errors import TwoGaugeError
@@ -150,12 +156,21 @@ def census_lines():
     pairs = [(m, nv) for m in shipped_finite_names() for nv in NERVE_FIXTURES]
     lines = []
     for module, nerve_name in pairs + EXTRA_CENSUS:
+        cm, cover = crossed_module(module), nerve(nerve_name)
+        walls = []
         try:
-            census = classify_finite(crossed_module(module), nerve(nerve_name))
+            for _ in range(repeats or 1):
+                started = time.perf_counter()
+                census = classify_finite(cm, cover)
+                walls.append(time.perf_counter() - started)
         except TwoGaugeError as exc:
             lines.append(f"{module} {nerve_name} refused: {exc}")
             continue
-        lines.append(f"{module} {nerve_name} {_sha(json.dumps(census, sort_keys=True))}")
+        if repeats is None:
+            lines.append(f"{module} {nerve_name} "
+                         f"{_sha(json.dumps(census, sort_keys=True))}")
+        else:
+            lines.append(f"{module} {nerve_name} {statistics.median(walls):.4f}s")
     return lines
 
 
@@ -191,12 +206,14 @@ def main(argv=None):
                         help="run every scenario at seed N instead of its own")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--repeat", type=int, default=None, metavar="N",
-                      help="print median [wall] per subcommand over N repeats")
+                      help="print median [wall] per subcommand over N repeats; "
+                           "with --census, per census")
     mode.add_argument("--cold", type=int, default=None, metavar="N",
                       help="print median fresh-process seconds per subcommand "
                            "over N repeats")
-    mode.add_argument("--census", action="store_true",
-                      help="print one digest per finite census instead")
+    parser.add_argument("--census", action="store_true",
+                        help="print one line per finite census instead: its digest, "
+                             "or with --repeat its median wall")
     parser.add_argument("--against", default=None, metavar="DIR",
                         help="print only the digest lines that differ between the "
                              "source tree DIR and --src; exit 1 if any do")
@@ -206,6 +223,8 @@ def main(argv=None):
             parser.error(f"--{name} must be a positive integer")
     if args.census and args.seed is not None:
         parser.error("--seed does not apply to --census: a census draws no samples")
+    if args.census and args.cold is not None:
+        parser.error("--cold does not apply to --census: censuses run in this process")
     src = os.path.abspath(args.src)
     # a tree without the package would import whichever twogauge sys.path holds
     for tree in filter(None, (args.src, args.against)):
@@ -227,7 +246,7 @@ def main(argv=None):
 
     scenarios = shipped_scenarios()
     if args.census:
-        lines = census_lines()
+        lines = census_lines(args.repeat)
     elif args.cold is not None:
         lines = cold_lines(src, cli.COMMANDS, scenarios, args.cold, options)
     elif args.repeat is not None:
