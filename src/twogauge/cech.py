@@ -607,7 +607,9 @@ def classify_finite(cm, nerve):
     representatives are the lexicographically least states, so the census is
     deterministic. Refuses when |G|^#doubles * |H|^#triples exceeds
     CENSUS_BUDGET, and refuses a pair (G, H, t, alpha) that fails the
-    crossed-module axioms.
+    crossed-module axioms. The axioms are checked on the first census of a
+    module object; the verdict, failing or not, is kept with its compiled
+    tables (`CompiledModule.axiom_failures`) for every later census.
 
     The states are pasted in batches over the module's compiled tables and
     stored as mixed-radix codes. The single-site changes of trivializations
@@ -647,12 +649,13 @@ def classify_finite(cm, nerve):
         raise BudgetExceeded(
             f"{size} candidate assignments exceed the budget {CENSUS_BUDGET}",
             size=size, budget=CENSUS_BUDGET)
-    axioms = validate_crossed_module(cm)
-    if not axioms.passed:
-        raise ConfigError(f"classification needs a crossed module: {cm.name} fails "
-                          + ", ".join(c.name for c in axioms.failures))
-
     tab = cm.compiled()
+    if tab.axiom_failures is None:  # the first census of this module decides
+        tab.axiom_failures = [c.name for c in validate_crossed_module(cm).failures]
+    if tab.axiom_failures:
+        raise ConfigError(f"classification needs a crossed module: {cm.name} fails "
+                          + ", ".join(tab.axiom_failures))
+
     layout = _StateLayout(tab, doubles, triples)
     codes = _cocycle_codes(tab, layout, quads)
 

@@ -39,7 +39,8 @@ EXHAUSTIVE_VALIDATE_BUDGET = 10 ** 6
 EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
 # GERBE(Z<n>) and AUT(Z<n>) build an n x n Cayley table and check it one row
 # of the n^3 associativity cube at a time; at n = 100 GERBE builds in about
-# 10 ms and AUT in 0.4 s, mostly its automorphism search. A larger n is refused
+# 10 ms and AUT in about 40 ms, 6 ms of it the automorphism search (one
+# 2-CPU machine, Python 3.11, numpy 2.4). A larger n is refused
 MAX_CYCLIC_ORDER = 100
 # cases per block of a batched check over compiled tables: bounds its memory
 BLOCK = 8192
@@ -151,33 +152,18 @@ class TableGroup:
     `mul`, `inv` and `conj` take ints or integer arrays that broadcast
     together and return the elementwise results, without membership checks:
     every index that reaches them comes from the compiled tables.
-    `generators` is the least-first generating set: each element, in
-    increasing index order, that the earlier ones do not generate.
+    `table`, `inverse` and `generators` are the group's own arrays and
+    least-first generating set (`FiniteGroup.generators`).
     """
 
     def __init__(self, group):
         self.order = group.order
         self.identity = group.identity
-        self.table = np.asarray(group.table, dtype=np.intp)
-        self.inverse = np.array([group.inv(a) for a in group.elements()], dtype=np.intp)
+        self.table = group.table
+        self.inverse = group._inv
+        self.generators = group.generators
         self._group = group
         self._flat = self.table.ravel()
-        self.generators = self._least_generators()
-
-    def _least_generators(self):
-        table = self.table.tolist()
-        gens, span = [], {self.identity}
-        for a in range(self.order):
-            if a in span:
-                continue
-            gens.append(a)
-            # close under right multiplication by the generators: in a
-            # finite group that is the generated subgroup
-            frontier = span
-            while frontier:
-                frontier = {table[x][g] for x in frontier for g in gens} - span
-                span |= frontier
-        return gens
 
     def mul(self, a, b):
         # one flat gather is about twice as fast as indexing by two arrays
@@ -203,6 +189,8 @@ class CompiledModule:
     act elementwise on index arrays, so 2-cell diagrams written against a
     CrossedModule evaluate over many cases at once when handed this object.
     Every value read from the module is membership-checked once, here.
+    `axiom_failures` holds the names of the axioms the tables fail, set by
+    the first census of the module (`cech.classify_finite`) and None before.
     """
 
     def __init__(self, cm):
@@ -215,6 +203,7 @@ class CompiledModule:
         self.alpha_table = np.array([[H._check(cm.alpha(g, h)) for h in H.elements()]
                                      for g in G.elements()], dtype=np.intp)
         self._alpha_flat = self.alpha_table.ravel()
+        self.axiom_failures = None
 
     def t(self, h):
         return self.t_table[h]
@@ -533,17 +522,35 @@ def shipped_matrix_names():
 def from_tables(cfg):
     """Inline finite crossed module from explicit tables.
 
-    cfg keys: G {table, names?}, H {table, names?}, t (list: G-index per
-    H element), alpha (|G| x |H| table of H-indices).
+    cfg keys: G {table, names?, name?}, H {table, names?, name?}, t (list:
+    G-index per H element), alpha (|G| x |H| table of H-indices). The
+    structure, the shapes and every index are checked here, before any
+    module exists: a refusal names the key at fault.
     """
-    G = FiniteGroup(cfg["G"]["table"], names=cfg["G"].get("names"),
-                    name=cfg["G"].get("name", "G"))
-    H = FiniteGroup(cfg["H"]["table"], names=cfg["H"].get("names"),
-                    name=cfg["H"].get("name", "H"))
+    missing = [key for key in ("G", "H", "t", "alpha") if key not in cfg]
+    if missing:
+        raise GroupDomainError(f"inline crossed module needs {', '.join(missing)}")
+    G, H = (_inline_group(key, cfg[key]) for key in ("G", "H"))
     t_map = _index_array(cfg["t"], "t")
     alpha_tab = _index_array(cfg["alpha"], "alpha")
     if t_map.shape != (H.order,) or alpha_tab.shape != (G.order, H.order):
         raise GroupDomainError("inline crossed module tables have wrong shape")
+    for key, values, group in (("t", t_map, G), ("alpha", alpha_tab, H)):
+        outside = values[(values < 0) | (values >= group.order)]
+        if outside.size:
+            raise GroupDomainError(f"{key} entry {outside[0]} is not an element of "
+                                   f"{group.name} (order {group.order})")
     return CrossedModule(cfg.get("name", "inline"), G, H,
                          t=lambda h: int(t_map[h]),
                          alpha=lambda g, h: int(alpha_tab[g, h]))
+
+
+def _inline_group(key, spec):
+    """The finite group of an inline module's G or H entry."""
+    if not isinstance(spec, dict) or "table" not in spec:
+        raise GroupDomainError(f"{key} must be an object with a table, got {spec!r}")
+    names = spec.get("names")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(n, str) for n in names)):
+        raise GroupDomainError(f"{key} names must be a list of strings, got {names!r}")
+    return FiniteGroup(spec["table"], names=names, name=spec.get("name", key))

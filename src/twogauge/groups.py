@@ -1,7 +1,9 @@
 """Concrete groups: finite multiplication tables and matrix families.
 
 Finite groups live on index sets {0..n-1} with a Cayley table validated on
-construction (associativity, identity, inverses). Matrix groups are the
+construction (associativity, identity, inverses), and derive their
+least-first generating set there. `automorphisms` finds every automorphism
+from the images of those generators. Matrix groups are the
 connected compact families U1, SU2, SO3 and the one-element TRIVIAL group,
 each given by its Lie algebra with a fixed, documented basis:
 
@@ -92,7 +94,12 @@ def _cycle_notation(p):
 
 
 class FiniteGroup:
-    """Group on {0..n-1} given by an n x n multiplication table."""
+    """Group on {0..n-1} given by an n x n multiplication table.
+
+    `generators` is the least-first generating set, derived once at
+    construction: each element, in increasing index order, that the earlier
+    ones do not generate. `automorphisms` and the census moves read it.
+    """
 
     kind = "finite"
 
@@ -122,9 +129,25 @@ class FiniteGroup:
         self.identity = ident
         self._inv = inv
         self.name = name
-        self.names = list(names) if names else [str(i) for i in range(n)]
+        self.names = [str(i) for i in range(n)] if names is None else list(names)
         if len(self.names) != n:
-            raise GroupDomainError("names length must match group order")
+            raise GroupDomainError(f"{name} has {len(self.names)} names for {n} elements")
+        self.generators = self._least_generators()
+
+    def _least_generators(self):
+        table = self.table.tolist()
+        gens, span = [], {self.identity}
+        for a in range(self.order):
+            if a in span:
+                continue
+            gens.append(a)
+            # close under right multiplication by the generators: in a
+            # finite group that is the generated subgroup
+            frontier = span
+            while frontier:
+                frontier = {table[x][g] for x in frontier for g in gens} - span
+                span |= frontier
+        return gens
 
     def elements(self):
         return range(self.order)
@@ -186,73 +209,37 @@ class FiniteGroup:
 
 
 def automorphisms(group):
-    """All automorphisms of a finite group, as image arrays phi[a].
+    """All automorphisms of a finite group, as sorted tuples of images phi[a].
 
-    Backtracking over the Cayley table; order is deterministic (images tried
-    in increasing element order).
+    An automorphism is fixed by its images of a generating set: every element
+    is reached from the identity as x * g with x reached before and g a
+    generator, and phi(x * g) = phi(x) * phi(g). So each tuple of generator
+    images, each of the order of its generator, extends to one candidate
+    along a breadth-first tree; a candidate is kept when it is a bijection
+    that respects the whole table.
     """
-    n = group.order
-    table = group.table
-    found = []
-    phi = [-1] * n
-    used = [False] * n
-    phi[group.identity] = group.identity
-    used[group.identity] = True
-
-    order_of = [1] * n
-    for a in range(n):
-        k, x = 1, a
-        while x != group.identity:
-            x = group.mul(x, a)
-            k += 1
-        order_of[a] = k
-
-    def place(i):
-        if i == n:
-            # propagation above is a pruning heuristic; verify fully here
-            if all(phi[table[x, y]] == table[phi[x], phi[y]]
-                   for x in range(n) for y in range(n)):
-                found.append(tuple(phi))
-            return
-        if phi[i] != -1:
-            place(i + 1)
-            return
-        for img in range(n):
-            if used[img] or order_of[img] != order_of[i]:
-                continue
-            # tentatively set and propagate products with already-placed elements
-            updates = []
-            ok = True
-            phi[i] = img
-            used[img] = True
-            updates.append(i)
-            for a in range(n):
-                if phi[a] == -1 or not ok:
-                    continue
-                for x, y in ((i, a), (a, i)):
-                    if phi[x] == -1 or phi[y] == -1:
-                        continue
-                    z = table[x, y]
-                    img_z = table[phi[x], phi[y]]
-                    if phi[z] == -1:
-                        if used[img_z]:
-                            ok = False
-                            break
-                        phi[z] = img_z
-                        used[img_z] = True
-                        updates.append(z)
-                    elif phi[z] != img_z:
-                        ok = False
-                        break
-            if ok:
-                place(i + 1)
-            for z in reversed(updates):
-                used[phi[z]] = False
-                phi[z] = -1
-        return
-
-    place(0)
-    return sorted(found)
+    table, n, gens = group.table, group.order, group.generators
+    rows = table.tolist()
+    reached, tree = [group.identity], []  # tree: (x * g, x, index of g)
+    for x in reached:
+        for k, g in enumerate(gens):
+            y = rows[x][g]
+            if y not in reached:
+                reached.append(y)
+                tree.append((y, x, k))
+    elements = np.arange(n)
+    orders, power = np.zeros(n, dtype=np.intp), elements
+    for k in range(1, n + 1):  # power = a^k for every a
+        orders[(power == group.identity) & (orders == 0)] = k
+        power = table[power, elements]
+    images = np.array(list(itertools.product(
+        *(np.flatnonzero(orders == orders[g]) for g in gens))), dtype=np.intp)
+    phi = np.empty((len(images), n), dtype=np.intp)  # one candidate per row
+    phi[:, group.identity] = group.identity
+    for y, x, k in tree:
+        phi[:, y] = table[phi[:, x], images[:, k]]
+    phi = phi[(np.sort(phi, axis=1) == elements).all(axis=1)]  # the bijections
+    return sorted(tuple(p.tolist()) for p in phi if (p[table] == table[np.ix_(p, p)]).all())
 
 
 def automorphism_group(group):
@@ -454,19 +441,13 @@ class MatrixGroup:
             return self._stack_defect(g)
         if g.shape != (self.n, self.n):
             return np.inf
-        # kept beside the stack branch: a stack of one costs 1.5-2.5x as much
-        # (SU2 11 -> 17 us, U1 5 -> 11 us, SO3 9 -> 21 us), and the scalar
-        # checks call this thousands of times a run
-        if self.trivial:
-            return float(np.linalg.norm(g - np.eye(self.n)))
-        d = float(np.linalg.norm(g.conj().T @ g - np.eye(self.n)))
-        if self.special:
-            d = max(d, float(abs(np.linalg.det(g) - 1.0)))
-        return d
+        return float(self._stack_defect(g[None])[0])
 
     def _stack_defect(self, g):
-        # the scalar branch above, matrix by matrix; max(d, x) keeps d
-        # unless x > d, and np.hypot is the scalar complex abs
+        # per matrix: the Frobenius norm of g - 1 on the trivial group, else
+        # of g^H g - 1, and on a special group the larger of that and
+        # |det g - 1|, as max(d, off) would take it (d unless off > d, so a
+        # NaN off keeps d); np.hypot is the scalar complex abs
         eye = np.eye(self.n)
         if self.trivial:
             return frobenius_norms(g - eye)

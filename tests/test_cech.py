@@ -639,6 +639,32 @@ def test_census_refuses_an_invalid_module():
     assert "peiffer" in str(exc.value)
 
 
+@pytest.mark.parametrize("name", ["GERBE(Z3)", "PEIFFER_BROKEN(S3)"])
+def test_a_module_is_checked_once_for_all_its_censuses(name, monkeypatch):
+    calls = []
+
+    def counted(cm, *args, **kwargs):
+        calls.append(cm.name)
+        return crossed.validate_crossed_module(cm, *args, **kwargs)
+    monkeypatch.setattr(cech, "validate_crossed_module", counted)
+    cm = crossed_module(name)
+    outcomes = []
+    for nv in ("tetrahedron", "triangle"):
+        try:
+            census = classify_finite(cm, nerve(nv))
+            outcomes.append((census["cocycles"], census["orbits"]))
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    assert calls == [name]
+    if name == "GERBE(Z3)":
+        # h on 4 triples under one tetrahedron law, then h on the lone
+        # triple; both nerves are contractible, so one class each
+        assert outcomes == [(3 ** 3, 1), (3, 1)]
+    else:  # the failing verdict is kept too, with the same message
+        assert outcomes == 2 * ["classification needs a crossed module: "
+                                "PEIFFER_BROKEN(S3) fails peiffer"]
+
+
 # ------------------------------------------------ generator moves, touched columns
 
 # every shipped finite module on every strict shipped nerve the budget admits

@@ -520,6 +520,40 @@ INLINE_COERCIONS = {
 }
 
 
+ONE, SWAP = [[0]], [[0, 1], [1, 0]]
+INLINE_MALFORMED = {
+    "t-outside-g": ({"G": {"table": ONE}, "H": {"table": SWAP}, "t": [0, 5],
+                     "alpha": [[0, 1]]}, "t entry 5 is not an element of G (order 1)"),
+    "t-negative": ({"G": {"table": ONE}, "H": {"table": SWAP}, "t": [0, -1],
+                    "alpha": [[0, 1]]}, "t entry -1 is not an element of G (order 1)"),
+    "alpha-outside-h": ({"G": {"table": ONE}, "H": {"table": SWAP}, "t": [0, 0],
+                         "alpha": [[0, 7]]}, "alpha entry 7 is not an element of H (order 2)"),
+    "names-not-a-list": ({"G": {"table": ONE, "names": 5}, "H": {"table": ONE},
+                          "t": [0], "alpha": [[0]]}, "G names must be a list of strings, got 5"),
+    "names-not-strings": ({"G": {"table": ONE}, "H": {"table": SWAP, "names": ["e", 1]},
+                           "t": [0, 0], "alpha": [[0, 1]]},
+                          "H names must be a list of strings, got ['e', 1]"),
+    "names-too-few": ({"G": {"table": SWAP, "names": []}, "H": {"table": ONE},
+                       "t": [0], "alpha": [[0], [0]]}, "G has 0 names for 2 elements"),
+    "group-not-an-object": ({"G": ONE, "H": {"table": ONE}, "t": [0], "alpha": [[0]]},
+                            "G must be an object with a table, got [[0]]"),
+    "group-without-table": ({"G": {}, "H": {"table": ONE}, "t": [0], "alpha": [[0]]},
+                            "G must be an object with a table, got {}"),
+    "missing-keys": ({"G": {"table": ONE}, "alpha": [[0]]},
+                     "inline crossed module needs H, t"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INLINE_MALFORMED))
+def test_malformed_inline_modules_are_refused_by_key(case, tmp_path, capsys):
+    spec, message = INLINE_MALFORMED[case]
+    path = _write(tmp_path, "inline.scn", {"crossed_module": spec})
+    code = cli.run(["validate", "--scenario", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"twogauge: configuration error: crossed_module: {message}\n"
+
+
 @pytest.mark.parametrize("case", sorted(INLINE_COERCIONS))
 def test_inline_tables_take_integers_only(case, tmp_path, capsys):
     path = _write(tmp_path, "coerced.scn", {"crossed_module": INLINE_COERCIONS[case]})

@@ -86,6 +86,14 @@ CONTRACT_GAPS = {
     # an order fitted through one point, with a RankWarning on stderr
     "grids-one-size": ("converge", _with("su2_charts.scn", grids=[2])),
     "grids-repeated-size": ("converge", _with("su2_charts.scn", grids=[4, 4])),
+    # an inline t or alpha value outside its group was refused only when the
+    # module was first compiled, as a group error rather than a configuration one
+    "inline-t-outside-g": ("validate", {"crossed_module": {
+        "G": {"table": [[0]]}, "H": {"table": [[0, 1], [1, 0]]},
+        "t": [0, 5], "alpha": [[0, 1]]}}),
+    "inline-alpha-outside-h": ("validate", {"crossed_module": {
+        "G": {"table": [[0]]}, "H": {"table": [[0, 1], [1, 0]]},
+        "t": [0, 0], "alpha": [[0, 7]]}}),
 }
 
 

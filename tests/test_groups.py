@@ -1,5 +1,6 @@
 """Group kernel: table validation, permutation oracle, exp/log contracts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -101,6 +102,64 @@ def test_automorphisms_cyclic():
     assert len(autos) == 4  # units mod 5
     aut, imgs = automorphism_group(z5)
     assert sorted(p[1] for p in imgs) == [1, 2, 3, 4]
+
+
+def _respects(table, phi):
+    n = len(phi)
+    return all(phi[table[a][b]] == table[phi[a]][phi[b]] for a in range(n) for b in range(n))
+
+
+def _assert_plain(autos):
+    assert all(type(x) is int for phi in autos for x in phi)
+
+
+def test_automorphisms_of_cyclic_groups_are_the_unit_multiplications():
+    # Aut(Z_n) is x -> u x mod n for each u coprime to n (Z1: x -> 0)
+    for n in range(1, 101):
+        autos = automorphisms(FiniteGroup.cyclic(n))
+        assert autos == sorted(tuple(u * x % n for x in range(n))
+                               for u in range(n) if math.gcd(u, n) == 1), n
+        _assert_plain(autos)
+
+
+def test_automorphisms_of_s3_are_its_table_preserving_permutations():
+    s3 = FiniteGroup.symmetric(3)
+    table = s3.table.tolist()
+    autos = automorphisms(s3)
+    # permutations come in increasing order
+    assert autos == [p for p in itertools.permutations(range(6)) if _respects(table, p)]
+    _assert_plain(autos)
+
+
+def test_automorphisms_of_s4_are_its_table_preserving_maps():
+    # 24! permutations are too many to try; every automorphism is fixed by
+    # its images of (0 1) and (0 1 2 3), which generate S4, so try every
+    # pair of images, spelling each element as a word in the two
+    s4 = FiniteGroup.symmetric(4)
+    table = s4.table.tolist()
+    gens = [s4.perms.index(p) for p in ((1, 0, 2, 3), (1, 2, 3, 0))]
+    words, queue = {s4.identity: ()}, [s4.identity]
+    for x in queue:
+        for k, g in enumerate(gens):
+            y = table[x][g]
+            if y not in words:
+                words[y] = words[x] + (k,)
+                queue.append(y)
+    assert len(words) == 24
+    want = []
+    for images in itertools.product(range(24), repeat=2):
+        phi = []
+        for x in range(24):
+            y = s4.identity
+            for k in words[x]:
+                y = table[y][images[k]]
+            phi.append(y)
+        if len(set(phi)) == 24 and _respects(table, phi):
+            want.append(tuple(phi))
+    assert len(want) == 24  # Aut(S4) = Inn(S4) = S4
+    autos = automorphisms(s4)
+    assert autos == sorted(want)
+    _assert_plain(autos)
 
 
 # -------------------------------------------------------------------- matrix
@@ -482,6 +541,31 @@ def test_membership_check_refuses_as_the_exact_defect_did(factory):
     assert _cheap_and_exact_disagree(G, probes, 1e-6)
 
 
+def _defect_by_formula(G, g):
+    """The defect written out: ||g - 1|| on the trivial group, else
+    ||g^H g - 1|| and, on a special group, the larger of that and |det g - 1|."""
+    eye = np.eye(G.n)
+    if G.trivial:
+        return float(np.linalg.norm(g - eye))
+    d = float(np.linalg.norm(g.conj().T @ g - eye))
+    if G.special:
+        d = max(d, float(abs(np.linalg.det(g) - 1.0)))
+    return d
+
+
+@pytest.mark.parametrize("factory", [SU2, U1, SO3, TRIVIAL])
+def test_defect_of_one_matrix_is_the_written_out_formula(factory):
+    G = factory()
+    probes = list(_drifted_stack(G, n=200)) + _probes(G, 1e-6) + _probes(G, TAU_GRP / 10)
+    with np.errstate(invalid="ignore"):  # det warns on NaN
+        for g in probes:
+            got, want = G.defect(g), _defect_by_formula(G, g)
+            assert type(got) is float
+            assert (math.isnan(got) and math.isnan(want)) or _bits(got) == _bits(want)
+    # a matrix of another shape is infinitely far from the group
+    assert G.defect(np.eye(G.n + 1)) == np.inf
+
+
 @pytest.mark.parametrize("factory", [U1, SU2, SO3], ids=["u1", "su2", "so3"])
 @pytest.mark.parametrize("bound", BOUNDS)
 def test_the_exact_defect_decides_inside_the_band_only(factory, bound, monkeypatch):
@@ -493,8 +577,10 @@ def test_the_exact_defect_decides_inside_the_band_only(factory, bound, monkeypat
     rng = np.random.default_rng(23)
     far = [_at_defect(G, G.random(rng), bound * f) for f in FAR]
     near = [_at_defect(G, G.random(rng), bound * f) for f in NEAR]
-    for g in far:
-        assert (G._defect_against(g, bound) > bound) == (G.__class__.defect(G, g) > bound)
+    # the exact defect of one matrix is itself a stack of one
+    want = [G.__class__.defect(G, g) > bound for g in far]
+    seen.clear()
+    assert [G._defect_against(g, bound) > bound for g in far] == want
     assert not seen
     for g in near:  # the stand-in answers -1.0: the cheap value is not used
         assert G._defect_against(g, bound) == -1.0
