@@ -6,6 +6,10 @@ an action alpha of G on H by automorphisms, subject to
     equivariance:  t(alpha(g)(h)) = g t(h) g^-1
     Peiffer:       alpha(t(h))(h') = h h' h^-1
 
+A finite pair is its integer tables t (|H|) and alpha (|G| x |H|), for the
+catalog and `from_tables` alike, checked once by `CompiledModule` when the
+CrossedModule is made; every check and the census read those tables.
+
 The differential layer (for matrix pairs) carries dt: h -> g, the bilinear
 dalpha: g x h -> h, the linearized action of group elements on the algebra,
 and the group-direction derivative d/de alpha(exp(e y))(h) h^-1 used in the
@@ -39,7 +43,7 @@ EXHAUSTIVE_VALIDATE_BUDGET = 10 ** 6
 EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
 # GERBE(Z<n>) and AUT(Z<n>) build an n x n Cayley table and check it one row
 # of the n^3 associativity cube at a time; at n = 100 GERBE builds in about
-# 10 ms and AUT in about 40 ms, 6 ms of it the automorphism search (one
+# 4.5 ms and AUT, tables included, in about 18 ms (medians of 7 on one
 # 2-CPU machine, Python 3.11, numpy 2.4). A larger n is refused
 MAX_CYCLIC_ORDER = 100
 # cases per block of a batched check over compiled tables: bounds its memory
@@ -54,13 +58,16 @@ class CrossedModule:
         self.name = name
         self.G = G
         self.H = H
+        self._compiled = None
+        if self.is_finite:  # t and alpha are tables: the accessors read Python ints
+            self._compiled = CompiledModule(name, G, H, t, alpha)
+            t, alpha = self._compiled.t_table.item, self._compiled.alpha_table.item
         self._t = t
         self._alpha = alpha
         self._dt = dt
         self._dalpha = dalpha
         self._act_algebra = act_algebra
         self._dalpha_group = dalpha_group
-        self._compiled = None
 
     def t(self, h):
         return self._t(h)
@@ -73,11 +80,9 @@ class CrossedModule:
         return self.G.kind == "finite" and self.H.kind == "finite"
 
     def compiled(self):
-        """The module as index tables (finite pairs only), built on first use."""
+        """The module's index tables (finite pairs only)."""
         if not self.is_finite:
             raise GroupDomainError(f"{self.name} is not a finite crossed module")
-        if self._compiled is None:
-            self._compiled = CompiledModule(self)
         return self._compiled
 
     @property
@@ -188,21 +193,28 @@ class CompiledModule:
     t as a length-|H| array and alpha as a |G| x |H| table. `t` and `alpha`
     act elementwise on index arrays, so 2-cell diagrams written against a
     CrossedModule evaluate over many cases at once when handed this object.
-    Every value read from the module is membership-checked once, here.
+    Its constructor is the one check of a finite module's tables: integer
+    entries, the shapes, t entries in G and alpha entries in H.
     `axiom_failures` holds the names of the axioms the tables fail, set by
     the first census of the module (`cech.classify_finite`) and None before.
     """
 
-    def __init__(self, cm):
-        G, H = cm.G, cm.H
-        self.name = cm.name
+    def __init__(self, name, G, H, t, alpha):
+        t = _index_array(t, "t")
+        alpha = _index_array(alpha, "alpha")
+        if t.shape != (H.order,) or alpha.shape != (G.order, H.order):
+            raise GroupDomainError("inline crossed module tables have wrong shape")
+        for key, values, group in (("t", t, G), ("alpha", alpha, H)):
+            outside = values[(values < 0) | (values >= group.order)]
+            if outside.size:
+                raise GroupDomainError(f"{key} entry {outside[0]} is not an element of "
+                                       f"{group.name} (order {group.order})")
+        self.name = name
         self.G = TableGroup(G)
         self.H = TableGroup(H)
-        self.t_table = np.array([G._check(cm.t(h)) for h in H.elements()],
-                                dtype=np.intp)
-        self.alpha_table = np.array([[H._check(cm.alpha(g, h)) for h in H.elements()]
-                                     for g in G.elements()], dtype=np.intp)
-        self._alpha_flat = self.alpha_table.ravel()
+        self.t_table = t
+        self.alpha_table = alpha
+        self._alpha_flat = alpha.ravel()
         self.axiom_failures = None
 
     def t(self, h):
@@ -431,44 +443,31 @@ def _gerbe_matrix_module():
 
 def _finite_conj_module(name, group_factory):
     G = group_factory()
-    H = group_factory()
-    return CrossedModule(name, G, H, t=lambda h: h,
-                         alpha=lambda g, h: G.conj(g, h))
+    return CrossedModule(name, G, group_factory(), t=np.arange(G.order),
+                         alpha=G.conjugation_table())
 
 
 def _aut_finite_module(name, base):
     aut, images = automorphism_group(base)
-    inner = []
-    for h in base.elements():
-        conj_h = tuple(base.conj(h, x) for x in base.elements())
-        inner.append(images.index(conj_h))
-    return CrossedModule(
-        name, aut, base,
-        t=lambda h: inner[h],
-        alpha=lambda g, h: images[g][h])
+    index = {p: i for i, p in enumerate(images)}
+    inner = [index[row] for row in map(tuple, base.conjugation_table().tolist())]
+    return CrossedModule(name, aut, base, t=np.array(inner), alpha=np.array(images))
 
 
 def _gerbe_finite_module(n):
-    G = FiniteGroup.trivial()
-    H = FiniteGroup.cyclic(n)
-    return CrossedModule(f"GERBE(Z{n})", G, H,
-                         t=lambda h: 0, alpha=lambda g, h: h)
+    return CrossedModule(f"GERBE(Z{n})", FiniteGroup.trivial(), FiniteGroup.cyclic(n),
+                         t=np.zeros(n, dtype=np.intp), alpha=np.arange(n)[None, :])
 
 
 def _flip_module():
-    G = FiniteGroup.cyclic(2)
-    H = FiniteGroup.cyclic(3)
-    return CrossedModule("FLIP(Z3)", G, H,
-                         t=lambda h: 0,
-                         alpha=lambda g, h: h if g == 0 else (-h) % 3)
+    return CrossedModule("FLIP(Z3)", FiniteGroup.cyclic(2), FiniteGroup.cyclic(3),
+                         t=[0, 0, 0], alpha=[[0, 1, 2], [0, 2, 1]])
 
 
 def peiffer_violating_fixture():
     """Invalid on purpose: trivial t and trivial action on a nonabelian H."""
-    G = FiniteGroup.trivial()
-    H = FiniteGroup.symmetric(3)
-    return CrossedModule("PEIFFER_BROKEN(S3)", G, H,
-                         t=lambda h: 0, alpha=lambda g, h: h)
+    return CrossedModule("PEIFFER_BROKEN(S3)", FiniteGroup.trivial(), FiniteGroup.symmetric(3),
+                         t=np.zeros(6, dtype=np.intp), alpha=np.arange(6)[None, :])
 
 
 _CATALOG = {
@@ -522,33 +521,34 @@ def shipped_matrix_names():
 def from_tables(cfg):
     """Inline finite crossed module from explicit tables.
 
-    cfg keys: G {table, names?, name?}, H {table, names?, name?}, t (list:
-    G-index per H element), alpha (|G| x |H| table of H-indices). The
-    structure, the shapes and every index are checked here, before any
-    module exists: a refusal names the key at fault.
+    cfg keys: name?, G {table, names?, name?}, H {table, names?, name?},
+    t (list: G-index per H element), alpha (|G| x |H| table of H-indices).
+    The keys and names are checked here, each group's table by FiniteGroup
+    and t and alpha by the CrossedModule constructor (`CompiledModule`),
+    all before any module exists: a refusal names the key at fault.
     """
+    _check_keys("inline crossed module", cfg, ("name", "G", "H", "t", "alpha"))
     missing = [key for key in ("G", "H", "t", "alpha") if key not in cfg]
     if missing:
         raise GroupDomainError(f"inline crossed module needs {', '.join(missing)}")
     G, H = (_inline_group(key, cfg[key]) for key in ("G", "H"))
-    t_map = _index_array(cfg["t"], "t")
-    alpha_tab = _index_array(cfg["alpha"], "alpha")
-    if t_map.shape != (H.order,) or alpha_tab.shape != (G.order, H.order):
-        raise GroupDomainError("inline crossed module tables have wrong shape")
-    for key, values, group in (("t", t_map, G), ("alpha", alpha_tab, H)):
-        outside = values[(values < 0) | (values >= group.order)]
-        if outside.size:
-            raise GroupDomainError(f"{key} entry {outside[0]} is not an element of "
-                                   f"{group.name} (order {group.order})")
-    return CrossedModule(cfg.get("name", "inline"), G, H,
-                         t=lambda h: int(t_map[h]),
-                         alpha=lambda g, h: int(alpha_tab[g, h]))
+    return CrossedModule(cfg.get("name", "inline"), G, H, t=cfg["t"], alpha=cfg["alpha"])
+
+
+def _check_keys(what, spec, known):
+    """Refuse a key of `spec` outside `known` and a `name` that is not a string."""
+    unknown = [key for key in spec if key not in known]
+    if unknown:
+        raise GroupDomainError(f"{what} has unknown key {unknown[0]!r}")
+    if not isinstance(spec.get("name", ""), str):
+        raise GroupDomainError(f"{what} name must be a string, got {spec['name']!r}")
 
 
 def _inline_group(key, spec):
     """The finite group of an inline module's G or H entry."""
     if not isinstance(spec, dict) or "table" not in spec:
         raise GroupDomainError(f"{key} must be an object with a table, got {spec!r}")
+    _check_keys(key, spec, ("table", "names", "name"))
     names = spec.get("names")
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(n, str) for n in names)):

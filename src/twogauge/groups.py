@@ -63,6 +63,8 @@ def is_integer(value):
 def _index_array(values, what):
     """`values` as an integer array, refusing what np.asarray(values, dtype=int)
     would coerce: booleans, non-integers and rows of unequal length."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values.astype(np.intp)  # integers already: nothing to refuse
     values = np.asarray(values, dtype=object)
     bad = [v for v in values.flat if not (is_integer(v) and abs(v) < 2 ** 62)]
     if bad:
@@ -70,9 +72,12 @@ def _index_array(values, what):
     return values.astype(np.intp)
 
 
-def _perm_mul(p, q):
-    """Composition 'apply q first, then p' on index tuples."""
-    return tuple(p[i] for i in q)
+def _composition_table(maps):
+    """Cayley table of index tuples under composition, (p q)[x] = p[q[x]]:
+    every pair composed in one gather, each product found by one dict lookup."""
+    index = {p: i for i, p in enumerate(maps)}
+    images = np.array(maps, dtype=np.intp)
+    return np.array([[index[tuple(pq)] for pq in row] for row in images[:, images].tolist()])
 
 
 def _cycle_notation(p):
@@ -116,9 +121,9 @@ class FiniteGroup:
             raise GroupDomainError("table has no identity element")
         ident = int(ident[0])
         for a in range(n):  # a row of the n^3 cube at a time: (ab)c against a(bc)
-            bad = np.argwhere(table[table[a]] != table[a][table])
-            if bad.size:
-                raise GroupDomainError("table not associative at ({},{},{})".format(a, *bad[0]))
+            if (table[table[a]] != table[a][table]).any():
+                b, c = np.argwhere(table[table[a]] != table[a][table])[0]
+                raise GroupDomainError(f"table not associative at ({a},{b},{c})")
         is_ident = table == ident
         inv = is_ident.argmax(axis=1)
         bad = np.flatnonzero((is_ident.sum(axis=1) != 1) | (table[inv, elements] != ident))
@@ -174,6 +179,10 @@ class FiniteGroup:
     def conj(self, g, h):
         return self.mul(self.mul(g, h), self.inv(g))
 
+    def conjugation_table(self):
+        """c[g, h] = g h g^-1 for every pair, as an |G| x |G| array."""
+        return self.table[self.table, self._inv[:, None]]
+
     def eq(self, a, b, tol=None):
         return self._check(a) == self._check(b)
 
@@ -195,15 +204,13 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
-        table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, names=[str(a) for a in range(n)], name=f"Z{n}")
+        return cls((np.arange(n)[:, None] + np.arange(n)) % n, name=f"Z{n}")
 
     @classmethod
     def symmetric(cls, n):
         perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        table = [[index[_perm_mul(p, q)] for q in perms] for p in perms]
-        g = cls(table, names=[_cycle_notation(p) for p in perms], name=f"S{n}")
+        g = cls(_composition_table(perms), names=[_cycle_notation(p) for p in perms],
+                name=f"S{n}")
         g.perms = perms
         return g
 
@@ -243,24 +250,16 @@ def automorphisms(group):
 
 
 def automorphism_group(group):
-    """The automorphism group of a finite group, plus the list of image arrays."""
+    """The automorphism group of a finite group, plus the list of image tuples:
+    element i is the i-th of `automorphisms(group)`, and (p q)[x] = p[q[x]]."""
     autos = automorphisms(group)
-    index = {a: i for i, a in enumerate(autos)}
-    table = [[index[tuple(p[q[x]] for x in range(group.order))] for q in autos]
-             for p in autos]
-    names = []
-    for p in autos:
-        name = None
-        if group.name.startswith("Z"):
-            gen_img = p[1] if group.order > 1 else 0
-            name = f"x->{gen_img}x"
-        else:
-            for k in range(group.order):
-                if all(p[x] == group.conj(k, x) for x in range(group.order)):
-                    name = f"conj[{group.label(k)}]"
-                    break
-        names.append(name or f"auto{index[p]}")
-    aut = FiniteGroup(table, names=names, name=f"Aut({group.name})")
+    if group.name.startswith("Z"):
+        names = [f"x->{p[1] if group.order > 1 else 0}x" for p in autos]
+    else:  # the first element whose conjugation p is, else a number
+        conj = [tuple(row) for row in group.conjugation_table().tolist()]
+        names = [f"conj[{group.label(conj.index(p))}]" if p in conj else f"auto{i}"
+                 for i, p in enumerate(autos)]
+    aut = FiniteGroup(_composition_table(autos), names=names, name=f"Aut({group.name})")
     return aut, autos
 
 

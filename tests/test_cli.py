@@ -541,6 +541,18 @@ INLINE_MALFORMED = {
                             "G must be an object with a table, got {}"),
     "missing-keys": ({"G": {"table": ONE}, "alpha": [[0]]},
                      "inline crossed module needs H, t"),
+    "unknown-key": ({"G": {"table": ONE}, "H": {"table": ONE}, "t": [0], "alpha": [[0]],
+                     "zz": 1}, "inline crossed module has unknown key 'zz'"),
+    "unknown-group-key": ({"G": {"table": ONE, "wibble": 1}, "H": {"table": ONE},
+                           "t": [0], "alpha": [[0]]}, "G has unknown key 'wibble'"),
+    "name-not-a-string": ({"name": [1], "G": {"table": ONE}, "H": {"table": ONE},
+                           "t": [0], "alpha": [[0]]},
+                          "inline crossed module name must be a string, got [1]"),
+    "group-name-not-a-string": ({"G": {"table": ONE}, "H": {"table": ONE, "name": 5},
+                                 "t": [0], "alpha": [[0]]}, "H name must be a string, got 5"),
+    "every-fault-at-once": ({"name": [1], "zz": 1, "G": {"table": ONE, "wibble": 1},
+                             "H": {"table": ONE}, "t": [0], "alpha": [[0]]},
+                            "inline crossed module has unknown key 'zz'"),
 }
 
 

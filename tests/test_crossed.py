@@ -10,7 +10,7 @@ from twogauge.crossed import (
     validate_crossed_module,
 )
 from twogauge.errors import GroupDomainError
-from twogauge.groups import FiniteGroup
+from twogauge.groups import FiniteGroup, automorphisms
 
 
 AXIOM_NAMES = {"t-homomorphism", "alpha-identity", "alpha-automorphism",
@@ -300,3 +300,47 @@ def test_generator_counts():
     assert counts("FLIP(Z3)") == (1, 1)
     assert counts("CONJ(S3)") == (2, 2)
     assert counts("GERBE(Z100)") == (0, 1)
+
+
+# ------------------------------------------------ the tables behind a finite module
+
+def _aut_of(base):
+    if base == "S4":  # not in the catalog
+        return crossed._aut_finite_module("AUT(S4)", FiniteGroup.symmetric(4))
+    return crossed_module(f"AUT({base})")
+
+
+@pytest.mark.parametrize("base", [f"Z{n}" for n in range(1, 101)] + ["S3", "S4"])
+def test_aut_module_matches_an_independent_oracle(base):
+    cm = _aut_of(base)
+    B, A = cm.H, cm.G
+    n, autos = B.order, automorphisms(B)
+    assert A.order == len(autos)
+    # alpha(g, .) is the g-th automorphism
+    for g, phi in enumerate(autos):
+        assert tuple(cm.alpha(g, x) for x in range(n)) == phi
+    # t(h) is conjugation by h
+    conj = [tuple(B.mul(B.mul(h, x), B.inv(h)) for x in range(n)) for h in range(n)]
+    for h in range(n):
+        assert autos[cm.t(h)] == conj[h]
+    # the product applies its right factor first: (p q)[x] = p[q[x]]
+    for p, phi in enumerate(autos):
+        for q, psi in enumerate(autos):
+            assert autos[A.mul(p, q)] == tuple(phi[psi[x]] for x in range(n))
+    if base.startswith("Z"):
+        want = [f"x->{phi[1] if n > 1 else 0}x" for phi in autos]
+    else:  # the first element that conjugates as phi does, else a number
+        want = [next((f"conj[{B.label(k)}]" for k in range(n) if conj[k] == phi), f"auto{i}")
+                for i, phi in enumerate(autos)]
+    assert A.names == want
+
+
+@pytest.mark.parametrize("name", shipped_finite_names() + ["swap-klein"])
+def test_scalar_accessors_read_the_compiled_tables(name):
+    cm = _equivariance_broken() if name == "swap-klein" else crossed_module(name)
+    tables = cm.compiled()
+    for h in cm.H.elements():
+        assert type(cm.t(h)) is int and cm.t(h) == tables.t_table[h]
+        for g in cm.G.elements():
+            value = cm.alpha(g, h)
+            assert type(value) is int and value == tables.alpha_table[g, h]
