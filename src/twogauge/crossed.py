@@ -6,9 +6,8 @@ an action alpha of G on H by automorphisms, subject to
     equivariance:  t(alpha(g)(h)) = g t(h) g^-1
     Peiffer:       alpha(t(h))(h') = h h' h^-1
 
-A finite pair is its integer tables t (|H|) and alpha (|G| x |H|), for the
-catalog and `from_tables` alike, checked once by `CompiledModule` when the
-CrossedModule is made; every check and the census read those tables.
+A finite pair, shipped or inline, is its integer tables t (|H|) and alpha
+(|G| x |H|), checked once by `CompiledModule`; the checks and census read them.
 
 The differential layer (for matrix pairs) carries dt: h -> g, the bilinear
 dalpha: g x h -> h, the linearized action of group elements on the algebra,
@@ -43,7 +42,7 @@ EXHAUSTIVE_VALIDATE_BUDGET = 10 ** 6
 EXHAUSTIVE_INTERCHANGE_BUDGET = 10 ** 8
 # GERBE(Z<n>) and AUT(Z<n>) build an n x n Cayley table and check it one row
 # of the n^3 associativity cube at a time; at n = 100 GERBE builds in about
-# 4.5 ms and AUT, tables included, in about 18 ms (medians of 7 on one
+# 10 ms and AUT, tables included, in 21-32 ms (medians of 7 on one
 # 2-CPU machine, Python 3.11, numpy 2.4). A larger n is refused
 MAX_CYCLIC_ORDER = 100
 # cases per block of a batched check over compiled tables: bounds its memory
@@ -61,7 +60,8 @@ class CrossedModule:
         self._compiled = None
         if self.is_finite:  # t and alpha are tables: the accessors read Python ints
             self._compiled = CompiledModule(name, G, H, t, alpha)
-            t, alpha = self._compiled.t_table.item, self._compiled.alpha_table.item
+            t = lambda h: self._compiled.t_table.item(H._check(h))
+            alpha = lambda g, h: self._compiled.alpha_table.item(G._check(g), H._check(h))
         self._t = t
         self._alpha = alpha
         self._dt = dt
@@ -449,9 +449,7 @@ def _finite_conj_module(name, group_factory):
 
 def _aut_finite_module(name, base):
     aut, images = automorphism_group(base)
-    index = {p: i for i, p in enumerate(images)}
-    inner = [index[row] for row in map(tuple, base.conjugation_table().tolist())]
-    return CrossedModule(name, aut, base, t=np.array(inner), alpha=np.array(images))
+    return CrossedModule(name, aut, base, t=aut.inner, alpha=images)
 
 
 def _gerbe_finite_module(n):
@@ -523,9 +521,8 @@ def from_tables(cfg):
 
     cfg keys: name?, G {table, names?, name?}, H {table, names?, name?},
     t (list: G-index per H element), alpha (|G| x |H| table of H-indices).
-    The keys and names are checked here, each group's table by FiniteGroup
-    and t and alpha by the CrossedModule constructor (`CompiledModule`),
-    all before any module exists: a refusal names the key at fault.
+    Keys and names are checked here, the group tables by FiniteGroup, and t
+    and alpha by `CompiledModule`: a refusal names the key at fault.
     """
     _check_keys("inline crossed module", cfg, ("name", "G", "H", "t", "alpha"))
     missing = [key for key in ("G", "H", "t", "alpha") if key not in cfg]

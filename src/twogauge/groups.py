@@ -63,8 +63,6 @@ def is_integer(value):
 def _index_array(values, what):
     """`values` as an integer array, refusing what np.asarray(values, dtype=int)
     would coerce: booleans, non-integers and rows of unequal length."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values.astype(np.intp)  # integers already: nothing to refuse
     values = np.asarray(values, dtype=object)
     bad = [v for v in values.flat if not (is_integer(v) and abs(v) < 2 ** 62)]
     if bad:
@@ -121,9 +119,9 @@ class FiniteGroup:
             raise GroupDomainError("table has no identity element")
         ident = int(ident[0])
         for a in range(n):  # a row of the n^3 cube at a time: (ab)c against a(bc)
-            if (table[table[a]] != table[a][table]).any():
-                b, c = np.argwhere(table[table[a]] != table[a][table])[0]
-                raise GroupDomainError(f"table not associative at ({a},{b},{c})")
+            bad = np.argwhere(table[table[a]] != table[a][table])
+            if bad.size:
+                raise GroupDomainError("table not associative at ({},{},{})".format(a, *bad[0]))
         is_ident = table == ident
         inv = is_ident.argmax(axis=1)
         bad = np.flatnonzero((is_ident.sum(axis=1) != 1) | (table[inv, elements] != ident))
@@ -204,7 +202,8 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
-        return cls((np.arange(n)[:, None] + np.arange(n)) % n, name=f"Z{n}")
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        return cls(table, names=[str(a) for a in range(n)], name=f"Z{n}")
 
     @classmethod
     def symmetric(cls, n):
@@ -251,15 +250,19 @@ def automorphisms(group):
 
 def automorphism_group(group):
     """The automorphism group of a finite group, plus the list of image tuples:
-    element i is the i-th of `automorphisms(group)`, and (p q)[x] = p[q[x]]."""
+    element i is the i-th of `automorphisms(group)`, and (p q)[x] = p[q[x]].
+    `aut.inner[h]` is the element of conjugation by h, x -> h x h^-1."""
     autos = automorphisms(group)
+    index = {p: i for i, p in enumerate(autos)}
+    inner = [index[row] for row in map(tuple, group.conjugation_table().tolist())]
     if group.name.startswith("Z"):
         names = [f"x->{p[1] if group.order > 1 else 0}x" for p in autos]
-    else:  # the first element whose conjugation p is, else a number
-        conj = [tuple(row) for row in group.conjugation_table().tolist()]
-        names = [f"conj[{group.label(conj.index(p))}]" if p in conj else f"auto{i}"
-                 for i, p in enumerate(autos)]
+    else:  # the first element whose conjugation it is, else a number
+        names = [f"auto{i}" for i in range(len(autos))]
+        for h in reversed(range(group.order)):  # so the first such h is written last
+            names[inner[h]] = f"conj[{group.label(h)}]"
     aut = FiniteGroup(_composition_table(autos), names=names, name=f"Aut({group.name})")
+    aut.inner = inner
     return aut, autos
 
 

@@ -344,3 +344,10 @@ def test_scalar_accessors_read_the_compiled_tables(name):
         for g in cm.G.elements():
             value = cm.alpha(g, h)
             assert type(value) is int and value == tables.alpha_table[g, h]
+
+
+@pytest.mark.parametrize("call", [lambda cm: cm.alpha(-1, 0), lambda cm: cm.alpha(0, 6),
+                                  lambda cm: cm.t(-1), lambda cm: cm.t(True)])
+def test_scalar_accessors_refuse_non_elements(call):
+    with pytest.raises(GroupDomainError):
+        call(crossed_module("CONJ(S3)"))
