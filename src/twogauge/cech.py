@@ -20,7 +20,8 @@ where they paste CellBatch batches of states instead of single TwoCells,
 with one more axis for the census's moves.
 
 Overlap values may be constants (finite indices or matrices) or point
-functions; a nerve can carry sample points per overlap for the latter.
+functions, evaluated at a nerve's sample points per overlap. One routine
+samples, scores and witnesses every gluing law; an empty sample list skips it.
 """
 
 import itertools
@@ -30,7 +31,7 @@ import numpy as np
 from .crossed import CompiledModule, _blocks, validate_crossed_module
 from .errors import BudgetExceeded, CompositionError, ConfigError, TwoGaugeError
 from .groups import TAU_GRP
-from .report import ValidationReport
+from .report import NO_SAMPLES, ValidationReport
 from .twocells import CellBatch, TwoCell
 
 # classify_finite refuses a nerve with more candidate assignments than this
@@ -72,6 +73,8 @@ class CoverNerve:
                     problems.append(f"overlap {ov} is declared more than once")
                 seen.add(ov)
         dset, tset = set(self.doubles), set(self.triples)
+        problems += [f"samples given for undeclared overlap {key}" for key in self.samples
+                     if key not in dset | tset | set(self.quads)]
         for t in self.triples:
             for edge in _faces(t):
                 if edge not in dset:
@@ -212,6 +215,36 @@ def _residual(group, x, y):
     return float(np.linalg.norm(np.asarray(x) - np.asarray(y)))
 
 
+def _check_law(rep, data, name, overlap, where, sides, show_sides=False):
+    """Check one gluing law at each sample point of `overlap`, into `rep`.
+
+    `sides(p)` lists the law's (group, left, right) pairs at p. The witness
+    is `where`, the first worst point and, with `show_sides`, the last pair's
+    sides. No points: skipped. Sides that do not compose: failed at once.
+    """
+    points = data.nerve.points(overlap)
+    if not points:
+        rep.skip(name, NO_SAMPLES)
+        return
+    worst = 0.0
+    for p in points:
+        try:
+            pairs = sides(p)
+        except CompositionError as exc:
+            rep.add(name, False, witness={**where, "point": p, "reason": str(exc)},
+                    detail="prerequisite triangle fails, sides do not compose")
+            return
+        for group, x, y in pairs:
+            r = _residual(group, x, y)
+            if r > worst:
+                worst, worst_point, worst_pairs = r, p, pairs
+    ok = worst <= (0.0 if data.cm.G.kind == "finite" else TAU_GRP)
+    witness = None if ok else {**where, "point": worst_point}
+    if show_sides and not ok:
+        _, witness["left"], witness["right"] = worst_pairs[-1]
+    rep.add(name, ok, residual=worst, tolerance=TAU_GRP, witness=witness)
+
+
 def check_triangle(data):
     """g_ij g_jk t(h_ijk) = g_ik on each declared triple.
 
@@ -222,17 +255,14 @@ def check_triangle(data):
     rep = ValidationReport("triangle laws")
     for tri in data.nerve.triples:
         i, j, k = tri
-        worst, witness = 0.0, None
-        for p in data.nerve.points(tri):
+
+        def sides(p):
             lhs = G.mul(G.mul(data.g_at((i, j), p), data.g_at((j, k), p)),
                         cm.t(data.h_at(tri, p)))
-            rhs = data.g_at((i, k), p)
-            r = _residual(G, lhs, rhs)
-            if r > worst:
-                worst, witness = r, {"triple": list(tri), "point": p}
-        ok = worst <= (0.0 if G.kind == "finite" else TAU_GRP)
-        rep.add(f"triangle({i},{j},{k})", ok, residual=worst, tolerance=TAU_GRP,
-                witness=None if ok else witness)
+            return ((G, lhs, data.g_at((i, k), p)),)
+
+        _check_law(rep, data, f"triangle({i},{j},{k})", tri, {"triple": list(tri)},
+                   sides)
     return rep
 
 
@@ -258,30 +288,15 @@ def check_tetrahedron(data):
     """
     cm = data.cm
     rep = ValidationReport("tetrahedron laws")
-    finite = cm.G.kind == "finite"
-    ctol = None if finite else 10 * TAU_GRP
+    ctol = None if cm.G.kind == "finite" else 10 * TAU_GRP
     for quad in data.nerve.quads:
-        worst, witness, broken = 0.0, None, None
-        for p in data.nerve.points(quad):
-            try:
-                s1, s2 = _tetra_sides(cm, lambda d: data.g_at(d, p),
-                                      lambda t: data.h_at(t, p), quad,
-                                      tol=ctol)
-            except CompositionError as exc:
-                broken = {"quad": list(quad), "point": p, "reason": str(exc)}
-                break
-            r = max(_residual(cm.G, s1.g, s2.g), _residual(cm.H, s1.h, s2.h))
-            if r > worst:
-                worst, witness = r, {"quad": list(quad), "point": p,
-                                     "left": s1.h, "right": s2.h}
-        name = "tetrahedron({},{},{},{})".format(*quad)
-        if broken is not None:
-            rep.add(name, False, witness=broken,
-                    detail="prerequisite triangle fails, sides do not compose")
-            continue
-        ok = worst <= (0.0 if finite else TAU_GRP)
-        rep.add(name, ok, residual=worst, tolerance=TAU_GRP,
-                witness=None if ok else witness)
+        def sides(p):
+            s1, s2 = _tetra_sides(cm, lambda d: data.g_at(d, p),
+                                  lambda t: data.h_at(t, p), quad, tol=ctol)
+            return (cm.G, s1.g, s2.g), (cm.H, s1.h, s2.h)
+
+        _check_law(rep, data, "tetrahedron({},{},{},{})".format(*quad), quad,
+                   {"quad": list(quad)}, sides, show_sides=True)
     return rep
 
 
@@ -289,54 +304,38 @@ def check_unit_laws(data):
     """Unit-corrector diagrams on degenerate overlaps.
 
     For each chart with (i, i) declared: g_ii t(k_i) = 1. For each declared
-    (i, i, j): the k_i cell whiskered by g_ij equals the h_iij cell. For each
-    (i, j, j): the k_j cell whiskered on the other side equals the h_ijj
-    cell. Whiskers and comparisons go through the 2-cell engine. Finite
-    values must agree exactly; matrix values within TAU_GRP.
+    (a, a, c) or (a, b, b): the k cell at chart b, on g_bb (= g_ab or g_bc),
+    whiskered right by g_bc or left by g_ab, equals the h cell on g_ab g_bc.
+    Whiskers and comparisons go through the 2-cell engine. Finite values
+    must agree exactly; matrix values within TAU_GRP.
     """
     cm = data.cm
     G = cm.G
     rep = ValidationReport("unit laws")
-    etol = 0.0 if G.kind == "finite" else TAU_GRP
     dset = set(data.nerve.doubles)
-    touched = False
     for i in data.nerve.charts:
-        if (i, i) not in dset:
-            continue
-        touched = True
-        worst, witness = 0.0, None
-        for p in data.nerve.points((i, i)):
-            lhs = G.mul(data.g_at((i, i), p), cm.t(data.k_at(i, p)))
-            r = _residual(G, lhs, G.identity)
-            if r > worst:
-                worst, witness = r, {"chart": i, "point": p}
-        rep.add(f"unit-target({i})", worst <= etol, residual=worst,
-                tolerance=TAU_GRP, witness=None if worst <= etol else witness)
+        if (i, i) in dset:
+            def target(p):
+                lhs = G.mul(data.g_at((i, i), p), cm.t(data.k_at(i, p)))
+                return ((G, lhs, G.identity),)
+
+            _check_law(rep, data, f"unit-target({i})", (i, i), {"chart": i}, target)
     for tri in data.nerve.triples:
         a, b, c = tri
-        if a == b != c:
-            touched = True
-            worst = 0.0
-            for p in data.nerve.points(tri):
-                K = _cell(cm, data.g_at((a, a), p), data.k_at(a, p))
-                left = K.whisker_right(data.g_at((b, c), p))
-                law = _cell(cm, G.mul(data.g_at((a, a), p), data.g_at((b, c), p)),
-                            data.h_at(tri, p))
-                worst = max(worst, _residual(cm.H, left.h, law.h))
-            rep.add(f"left-unit({a},{c})", worst <= etol, residual=worst,
-                    tolerance=TAU_GRP)
-        if a != b == c:
-            touched = True
-            worst = 0.0
-            for p in data.nerve.points(tri):
-                K = _cell(cm, data.g_at((b, b), p), data.k_at(b, p))
-                right = K.whisker_left(data.g_at((a, b), p))
-                law = _cell(cm, G.mul(data.g_at((a, b), p), data.g_at((b, b), p)),
-                            data.h_at(tri, p))
-                worst = max(worst, _residual(cm.H, right.h, law.h))
-            rep.add(f"right-unit({a},{b})", worst <= etol, residual=worst,
-                    tolerance=TAU_GRP)
-    if not touched:
+        if (a == b) == (b == c):
+            continue
+        left = a == b
+
+        def unit(p):
+            g_ab, g_bc = data.g_at((a, b), p), data.g_at((b, c), p)
+            K = _cell(cm, g_ab if left else g_bc, data.k_at(b, p))
+            whiskered = K.whisker_right(g_bc) if left else K.whisker_left(g_ab)
+            law = _cell(cm, G.mul(g_ab, g_bc), data.h_at(tri, p))
+            return ((cm.H, whiskered.h, law.h),)
+
+        _check_law(rep, data, f"left-unit({a},{c})" if left else f"right-unit({a},{b})",
+                   tri, {"triple": list(tri)}, unit)
+    if not rep.checks:
         rep.skip("unit-laws", "no degenerate overlaps declared")
     return rep
 

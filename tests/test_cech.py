@@ -28,6 +28,7 @@ from twogauge.cech import (CoverNerve, GluingCocycle, NERVE_FIXTURES,
 from twogauge.crossed import crossed_module, shipped_finite_names
 from twogauge.errors import BudgetExceeded, ConfigError
 from twogauge.maps import ExpParamMap
+from twogauge.report import NO_SAMPLES
 
 S3 = crossed_module("CONJ(S3)")
 Z2G = crossed_module("GERBE(Z2)")
@@ -160,6 +161,17 @@ def test_nerve_rejects_unknown_charts_and_bad_arity():
         CoverNerve([0, 1], doubles=[(0, 1, 1)])
     with pytest.raises(ConfigError):
         CoverNerve([0, 0])
+
+
+def test_nerve_refuses_samples_for_undeclared_overlaps():
+    doubles = [(0, 1), (0, 2), (1, 2)]
+    point = [np.array([0.5, 0.5])]
+    with pytest.raises(ConfigError, match=r"\(0, 2, 1\)"):
+        CoverNerve([0, 1, 2], doubles=doubles, triples=[(0, 1, 2)],
+                   samples={(0, 2, 1): point})
+    nv = CoverNerve([0, 1, 2], doubles=doubles, triples=[(0, 1, 2)],
+                    samples={(0, 1, 2): point})
+    assert nv.points((0, 1, 2)) == point and nv.points((0, 1)) == [None]
 
 
 def test_shipped_nerves_have_expected_shapes():
@@ -345,6 +357,20 @@ def test_unit_law_oracles_nonabelian():
         assert [ch.name for ch in rep.failures] == ["left-unit(0,1)"]
 
 
+@pytest.mark.parametrize("chart,law,triple", [(0, "left-unit(0,1)", [0, 0, 1]),
+                                               (1, "right-unit(0,1)", [0, 1, 1])])
+def test_unit_law_failures_name_their_triple(chart, law, triple):
+    G = S3.G
+    g = {(0, 0): 1, (0, 1): 3, (1, 1): 2}
+    k = {0: G.inv(1), 1: G.inv(2)}
+    h = {(0, 0, 1): G.conj(G.inv(3), k[0]), (0, 1, 1): k[1]}
+    assert check_unit_laws(GluingCocycle(S3, nerve("pair-with-units"), g, h, k)).passed
+    k[chart] = G.mul(k[chart], 1)
+    rep = check_unit_laws(GluingCocycle(S3, nerve("pair-with-units"), g, h, k))
+    assert [ch.name for ch in rep.failures] == [f"unit-target({chart})", law]
+    assert rep.check(law).to_dict()["witness"] == {"triple": triple, "point": None}
+
+
 # ------------------------------------------------------------- coboundary
 
 def test_identity_change_returns_equal_data():
@@ -501,6 +527,56 @@ def test_continuum_corruption_is_detected():
     rep2 = check_tetrahedron(data)
     assert not rep2.passed
     assert "triangle" in rep2.failures[0].detail
+
+
+def test_continuum_unit_laws_pass_and_name_a_failing_triple():
+    from scipy.linalg import expm
+    su2 = crossed_module("CONJ(SU2)")
+    nv = nerve("pair-with-units")
+    pts = [np.array([s, 1.0 - s]) for s in np.linspace(0.1, 0.9, 4)]
+    nv.samples = {ov: pts for ov in nv.doubles + nv.triples}
+    texts = {(0, 0): ["0.3 * x1", "0.1 * x2", "0"],
+             (0, 1): ["0.5 * x2", "0", "0.1 * x1"],
+             (1, 1): ["0", "0.2 * x1", "0.4 * x2"]}
+    g = {d: ExpParamMap.from_exprs(su2.G, 2, t) for d, t in texts.items()}
+
+    def inverse(d):
+        return lambda p: np.conj(g[d].at(p)).T
+
+    # with t = id the unit laws force k_i = g_ii^-1, h_iij = g_ij^-1 k_i g_ij
+    # and h_ijj = k_j
+    k = {0: inverse((0, 0)), 1: inverse((1, 1))}
+    h = {(0, 0, 1): lambda p: inverse((0, 1))(p) @ k[0](p) @ g[(0, 1)].at(p),
+         (0, 1, 1): k[1]}
+    clean = GluingCocycle(su2, nv, g, h, k)
+    assert check_triangle(clean).passed
+    rep = check_unit_laws(clean)
+    assert [ch.verdict for ch in rep.checks] == ["PASS"] * 4
+    assert rep.max_residual < 1e-12
+    bump = expm(np.array([[0.02j, 0.01], [-0.01, -0.02j]]))
+    bumped = GluingCocycle(su2, nv, g, h, {0: k[0], 1: lambda p: k[1](p) @ bump})
+    rep = check_unit_laws(bumped)
+    assert [ch.name for ch in rep.failures] == ["unit-target(1)", "right-unit(0,1)"]
+    witness = rep.check("right-unit(0,1)").witness
+    assert witness["triple"] == [0, 1, 1]
+    assert any(witness["point"] is p for p in pts)
+
+
+def test_empty_sample_lists_skip_every_gluing_law():
+    su2 = crossed_module("CONJ(SU2)")
+    eye = np.eye(2, dtype=complex)
+    checks = []
+    for name, checkers in (("tetrahedron", (check_triangle, check_tetrahedron)),
+                           ("pair-with-units", (check_triangle, check_unit_laws))):
+        nv = nerve(name)
+        nv.samples = {ov: [] for ov in nv.doubles + nv.triples + nv.quads}
+        # h = 2 I breaks every law that a sample point would test
+        data = GluingCocycle(su2, nv, g={d: eye for d in nv.doubles},
+                             h={t: 2 * eye for t in nv.triples},
+                             k={i: 2 * eye for i in nv.charts})
+        checks += [ch for checker in checkers for ch in checker(data).checks]
+    assert len(checks) == 5 + 2 + 4
+    assert all(ch.verdict == "SKIPPED" and ch.detail == NO_SAMPLES for ch in checks)
 
 
 # ----------------------------------------------------------------- census
