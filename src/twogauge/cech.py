@@ -25,6 +25,7 @@ samples, scores and witnesses every gluing law; an empty sample list skips it.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -145,12 +146,14 @@ class GluingCocycle:
     """Transition data over a nerve: g per double, h per triple, k per chart.
 
     Every declared overlap must list its charts in non-decreasing order and
-    have data, and over a finite module every value must be an element of
-    its group (checked up front, all problems reported together). A reversed
-    overlap such as (1, 0) is refused: no law would tie its g to g(0, 1)^-1,
-    so the checks would pass whatever it holds. Degenerate overlaps such as
-    (0, 0) and (0, 1, 1) are the unit laws' and are accepted. Unit
-    correctors k default to the group identity, which is the normalized case.
+    have data, and each value must be an element of its group (checked up
+    front, all problems reported together): every value over a finite
+    module, every constant over a matrix module (point functions are not
+    sampled here). A reversed overlap such as (1, 0) is refused: no law
+    would tie its g to g(0, 1)^-1, so the checks would pass whatever it
+    holds. Degenerate overlaps such as (0, 0) and (0, 1, 1) are the unit
+    laws' and are accepted. Unit correctors k default to the group identity,
+    which is the normalized case.
     """
 
     def __init__(self, cm, nerve, g, h=None, k=None):
@@ -177,13 +180,16 @@ class GluingCocycle:
         for key in self.k:
             if key not in set(nerve.charts):
                 problems.append(f"k value for unknown chart {key!r}")
-        if cm.is_finite:
-            for part, values, group in (("g", self.g, cm.G), ("h", self.h, cm.H),
-                                        ("k", self.k, cm.H)):
-                for key, val in values.items():
+        for part, values, group in (("g", self.g, cm.G), ("h", self.h, cm.H),
+                                    ("k", self.k, cm.H)):
+            for key, val in values.items():
+                if cm.is_finite:
                     if not group.contains(val):
                         problems.append(f"{part} value {val!r} at {key} is not an "
                                         f"element of {group.name}")
+                elif not (hasattr(val, "at") or callable(val) or group.contains(val)):
+                    problems.append(f"{part} value at {key} is not an element of "
+                                    f"{group.name}")
         if problems:
             raise ConfigError(problems)
 
@@ -220,7 +226,8 @@ def _check_law(rep, data, name, overlap, where, sides, show_sides=False):
 
     `sides(p)` lists the law's (group, left, right) pairs at p. The witness
     is `where`, the first worst point and, with `show_sides`, the last pair's
-    sides. No points: skipped. Sides that do not compose: failed at once.
+    sides. A NaN residual is the worst, so it fails the law at its point. No
+    points: skipped. Sides that do not compose: failed at once.
     """
     points = data.nerve.points(overlap)
     if not points:
@@ -236,8 +243,10 @@ def _check_law(rep, data, name, overlap, where, sides, show_sides=False):
             return
         for group, x, y in pairs:
             r = _residual(group, x, y)
-            if r > worst:
+            if r > worst or math.isnan(r):
                 worst, worst_point, worst_pairs = r, p, pairs
+        if math.isnan(worst):  # nothing is worse: the law fails at this point
+            break
     ok = worst <= (0.0 if data.cm.G.kind == "finite" else TAU_GRP)
     witness = None if ok else {**where, "point": worst_point}
     if show_sides and not ok:

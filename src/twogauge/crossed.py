@@ -26,6 +26,7 @@ Shipped catalog (spec identifiers accepted by `crossed_module`):
 """
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -236,29 +237,77 @@ def _blocks(total):
 
 
 def _index_blocks(shape):
-    """Every index tuple of `shape`, in tuple-loop order, as blocks of index arrays."""
-    for cases in _blocks(int(np.prod(shape))):
-        yield np.unravel_index(cases, shape)
+    """Every index tuple of `shape`, in tuple-loop order, as blocks of index grids.
+
+    Each block is a (case shape, args) pair. Argument n is an `arange` that
+    varies along axis n only, aligned right as numpy broadcasts (a run of one
+    index is one element), so the arguments broadcast to the case shape, whose
+    C order is tuple-loop order, and a gather on some of them runs once per
+    combination of those alone. Blocks are cut over the leading axes: axis k
+    is the first whose trailing axes hold at most BLOCK cases, a block takes a
+    run of axis k that keeps it within BLOCK cases, and fixes every axis before k.
+    """
+    shape = tuple(shape)
+    indices = np.arange(max(shape))
+
+    def along(n, lo, hi):
+        grid = indices[lo:hi]
+        return grid.reshape((hi - lo,) + (1,) * (len(shape) - 1 - n)) if hi - lo > 1 else grid
+
+    k, inner = len(shape) - 1, 1
+    while k > 0 and inner * shape[k] <= BLOCK:
+        inner *= shape[k]
+        k -= 1
+    run = BLOCK // inner
+    trailing = [along(n, 0, shape[n]) for n in range(k + 1, len(shape))]
+    for lead in itertools.product(*map(range, shape[:k])):
+        fixed = [along(n, i, i + 1) for n, i in enumerate(lead)]
+        for lo in range(0, shape[k], run):
+            hi = min(lo + run, shape[k])
+            yield (1,) * k + (hi - lo,) + shape[k + 1:], fixed + [along(k, lo, hi)] + trailing
 
 
 def _random_blocks(groups, rng, samples):
-    """`samples` random tuples of `groups` in blocks of at most BLOCK, each
-    block a tuple of stacks: the draws and bits of a tuple loop (see
-    `groups.random_stacks`)."""
+    """`samples` random tuples of `groups` as (case shape, stacks) blocks of at
+    most BLOCK, each stack with a leading case axis: the draws and bits of a
+    tuple loop (see `groups.random_stacks`)."""
     for cases in _blocks(samples):
-        yield random_stacks(groups, rng, len(cases))
+        yield (len(cases),), random_stacks(groups, rng, len(cases))
 
 
 def _failures(holds, blocks):
-    """How many cases fail `holds` (a bool per case, or one for all), and the
-    first one's arguments; `blocks` yields arrays with a leading case axis."""
+    """How many cases fail `holds`, and the first one's arguments.
+
+    `blocks` yields (case shape, args) pairs, from `_index_blocks` or
+    `_random_blocks`; `holds(*args)` gives a bool per case, or one for the
+    block. The first failure is the first in C order of the first block that
+    has one, so over blocks in tuple-loop order it is a tuple loop's.
+    """
     bad, first = 0, None
-    for args in blocks:
-        fails = np.flatnonzero(~np.broadcast_to(holds(*args), len(args[0])))
-        if fails.size and first is None:
-            first = [a[fails[0]] for a in args]
-        bad += fails.size
+    for shape, args in blocks:
+        holds_here = np.asarray(holds(*args))
+        size = math.prod(shape)
+        if holds_here.size != size:
+            holds_here = np.broadcast_to(holds_here, shape)
+        fails = size - np.count_nonzero(holds_here)
+        if fails and first is None:
+            case = np.unravel_index(np.argmin(holds_here), shape)
+            first = [_at(arg, shape, case) for arg in args]
+        bad += fails
     return bad, first
+
+
+def _at(arg, shape, case):
+    """A block argument's value at `case`, an index into the case shape `shape`.
+
+    A stack has the case axes first and its elements' axes (n x n) after them;
+    an index grid is aligned right against `shape`, and repeats along its
+    length-1 axes.
+    """
+    if arg.ndim > len(shape):
+        return arg[case]
+    own = case[len(shape) - arg.ndim:]
+    return arg[tuple(i if n > 1 else 0 for i, n in zip(own, arg.shape))]
 
 
 def _witness(G, H, names, values):
@@ -270,10 +319,11 @@ def validate_crossed_module(cm, mode="auto", samples=60, seed=42):
     """Axiom check: homomorphism, action, equivariance, Peiffer.
 
     mode 'exhaustive' walks every tuple (finite pairs only, budget
-    |G| * |H|^2 <= 10^6) on the compiled tables (`cm.compiled()`); 'sampled'
-    draws `samples` random tuples as stacks; 'auto' picks exhaustive when available
-    within budget. Each axiom's predicate runs once per block of cases, in
-    case order, so its count and first witness are those of a tuple loop.
+    |G| * |H|^2 <= 10^6) on the compiled tables (`cm.compiled()`), as index
+    grids; 'sampled' draws `samples` random tuples as stacks; 'auto' picks
+    exhaustive when available within budget. Each axiom's predicate runs once
+    per block of cases, in tuple-loop order, so its count and first witness
+    are those of a tuple loop.
     """
     rep = ValidationReport(f"crossed module axioms: {cm.name}")
     exhaustive = cm.is_finite and cm.G.order * cm.H.order ** 2 <= EXHAUSTIVE_VALIDATE_BUDGET
@@ -294,7 +344,7 @@ def validate_crossed_module(cm, mode="auto", samples=60, seed=42):
         pairs_hh, pairs_gh, triples, gg_h = (
             list(_random_blocks(groups, rng, samples))
             for groups in ((cm.H, cm.H), (cm.G, cm.H), (cm.G, cm.H, cm.H), (cm.G, cm.G, cm.H)))
-        singles = [(h1,) for h1, _ in pairs_hh]
+        singles = [(shape, (h1,)) for shape, (h1, _) in pairs_hh]
         blocks = iter
 
     def run(name, cases, names, predicate):

@@ -8,9 +8,12 @@ axiom, so `check_interchange` doubles as an independent axiom probe.
 TwoCell pastes one membership-checked cell and is the scalar reference.
 CellBatch pastes many cells, over a finite module's compiled tables or over
 matrix stacks; both take the pasting conventions from one base class. Every
-check here, exhaustive or sampled, runs on CellBatch in blocks of
-`crossed.BLOCK` cases in case order, so its memory stays bounded and its
-witnesses are the ones a case-by-case loop finds first.
+check here runs on CellBatch in blocks of at most `crossed.BLOCK` cases, in
+tuple-loop order, so its memory stays bounded and its witnesses are the ones
+a case-by-case loop finds first. An exhaustive block is an open index grid,
+one axis per argument (`crossed._index_blocks`), so each table gather runs
+once per combination of the arguments it reads; a sampled block is a stack
+of random cases along one axis.
 """
 
 from functools import partial
@@ -109,13 +112,15 @@ class TwoCell(_Cells):
 
 
 class CellBatch(_Cells):
-    """Many 2-cells (g, h) at once, one case per position along a leading axis.
+    """Many 2-cells (g, h) at once, one case per position of the case axes.
 
-    `cm` is a finite module's `compiled()` form, with g and h index arrays,
-    or a matrix module, with g and h (N, n, n) stacks; either may also be a
-    single element shared by every case. Every operation follows TwoCell's
-    conventions case by case, and `vertical` raises TwoCell's
-    CompositionError for the first case whose 1-arrows do not match.
+    `cm` is a finite module's `compiled()` form, with g and h index arrays
+    that broadcast together (index grids have one case axis per argument),
+    or a matrix module, with g and h (N, n, n) stacks along one case axis;
+    either may also be a single element shared by every case. Every
+    operation follows TwoCell's conventions case by case, and `vertical`
+    raises TwoCell's CompositionError for the first case, in C order, whose
+    1-arrows do not match.
     """
 
     __slots__ = ()
@@ -134,12 +139,9 @@ class CellBatch(_Cells):
             raise CompositionError("cells live over different crossed modules")
         G = self.cm.G
         matches = np.asarray(G.eq(other.source, self.target))
-        bad = np.flatnonzero(~matches)
-        if bad.size:
-            source, target = other.source, self.target
-            if matches.ndim:  # one bool per case: name the first case's arrows
-                source, target = np.broadcast_arrays(source, target)
-                source, target = source[bad[0]], target[bad[0]]
+        if np.count_nonzero(matches) < matches.size:  # name the first mismatch in C order
+            case = np.unravel_index(np.argmin(matches), matches.shape)
+            source, target = (a[case] for a in np.broadcast_arrays(other.source, self.target))
             raise CompositionError("vertical pasting needs matching 1-arrows",
                                    source=G.label(source), target=G.label(target))
         return CellBatch(self.cm, self.g, self.cm.H.mul(other.h, self.h))
@@ -152,7 +154,7 @@ class CellBatch(_Cells):
         return self.cm.G.eq(self.g, other.g) & self.cm.H.eq(self.h, other.h)
 
     def label(self, case):
-        """TwoCell's label of the cell at position `case` of the case axis."""
+        """TwoCell's label of the cell at position `case` of a one-axis batch."""
         g, h = (group.label(x[case] if x.ndim > np.ndim(group.identity) else x)
                 for group, x in ((self.cm.G, self.g), (self.cm.H, self.h)))
         return f"({g}, {h})"

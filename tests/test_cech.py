@@ -570,13 +570,45 @@ def test_empty_sample_lists_skip_every_gluing_law():
                            ("pair-with-units", (check_triangle, check_unit_laws))):
         nv = nerve(name)
         nv.samples = {ov: [] for ov in nv.doubles + nv.triples + nv.quads}
-        # h = 2 I breaks every law that a sample point would test
+        # h = 2 I breaks every law that a sample point would test; as a
+        # constant it would be refused up front, so it is a point function
         data = GluingCocycle(su2, nv, g={d: eye for d in nv.doubles},
-                             h={t: 2 * eye for t in nv.triples},
-                             k={i: 2 * eye for i in nv.charts})
+                             h={t: lambda p: 2 * eye for t in nv.triples},
+                             k={i: lambda p: 2 * eye for i in nv.charts})
         checks += [ch for checker in checkers for ch in checker(data).checks]
     assert len(checks) == 5 + 2 + 4
     assert all(ch.verdict == "SKIPPED" and ch.detail == NO_SAMPLES for ch in checks)
+
+
+def test_a_nan_residual_fails_its_law_at_that_point():
+    su2 = crossed_module("CONJ(SU2)")
+    eye = np.eye(2, dtype=complex)
+    nan = np.full((2, 2), np.nan)
+    nv = CoverNerve([0, 1, 2], doubles=[(0, 1), (0, 2), (1, 2)], triples=[(0, 1, 2)],
+                    samples={(0, 1, 2): [0.1, 0.2, 0.3]})
+    # g(0, 2) is NaN at the second sample point only
+    g = {(0, 1): eye, (1, 2): eye, (0, 2): lambda p: nan if p == 0.2 else eye}
+    check = check_triangle(GluingCocycle(su2, nv, g, h={(0, 1, 2): eye})).check(
+        "triangle(0,1,2)")
+    assert check.verdict == "FAIL"
+    assert np.isnan(check.residual)
+    assert check.witness == {"triple": [0, 1, 2], "point": 0.2}
+
+
+@pytest.mark.parametrize("part", ["g", "h", "k"])
+def test_a_matrix_cocycle_refuses_a_constant_outside_its_group(part):
+    su2 = crossed_module("CONJ(SU2)")
+    eye = np.eye(2, dtype=complex)
+    nv = nerve("triangle")
+    values = {"g": {d: eye for d in nv.doubles}, "h": {(0, 1, 2): eye}, "k": {1: eye}}
+    key = {"g": (0, 2), "h": (0, 1, 2), "k": 1}[part]
+    values[part][key] = 2 * eye
+    with pytest.raises(ConfigError) as exc:
+        GluingCocycle(su2, nv, **values)
+    assert exc.value.errors == [f"{part} value at {key} is not an element of SU2"]
+    # a point function is not sampled up front
+    values[part][key] = lambda p: 2 * eye
+    GluingCocycle(su2, nv, **values)
 
 
 # ----------------------------------------------------------------- census

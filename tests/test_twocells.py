@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from twogauge.crossed import crossed_module, from_tables, peiffer_violating_fixture
+import twogauge.crossed as crossed
+from twogauge.crossed import (crossed_module, from_tables, peiffer_violating_fixture,
+                              shipped_finite_names)
 from twogauge.errors import CompositionError, GroupDomainError
 from twogauge.report import ValidationReport
 from twogauge.twocells import (CellBatch, TwoCell, _interchange_holds, check_interchange,
@@ -185,22 +187,47 @@ def scalar_eckmann_hilton_report(cm):
     return rep
 
 
+def twisted_peiffer():
+    # Z/2 acting on S3 by conjugation with (12), t trivial: only Peiffer
+    # fails, and no interchange case with h1 = e does, so the first failing
+    # case lies past the first block of 1, 7 or 100 cases
+    s3 = crossed_module("CONJ(S3)").H
+    return from_tables({"name": "twisted-peiffer",
+                        "G": {"table": [[0, 1], [1, 0]]},
+                        "H": {"table": s3.table.tolist(), "names": list(s3.names)},
+                        "t": [0] * 6,
+                        "alpha": [list(range(6)), s3.conjugation_table()[2].tolist()]})
+
+
 def _module(name):
-    return peiffer_violating_fixture() if name == "PEIFFER_BROKEN(S3)" \
-        else crossed_module(name)
+    if name == "twisted-peiffer":
+        return twisted_peiffer()
+    if name == "PEIFFER_BROKEN(S3)":
+        return peiffer_violating_fixture()
+    return crossed_module(name)
 
 
-# every finite module with at most 10^4 interchange cases; the S3 pairs
-# (46,656 cases) are compared on seeded cases below
-SMALL_FINITE = ["AUT(Z5)", "FLIP(Z3)", "GERBE(Z2)", "GERBE(Z3)", "GERBE(Z5)",
-                "PEIFFER_BROKEN(S3)"]
+# block sizes that cut the index grids inside an axis, and the default
+BLOCKS = [1, 7, 100, crossed.BLOCK]
 
 
-@pytest.mark.parametrize("name", SMALL_FINITE)
-def test_batched_interchange_report_equals_scalar(name):
+@pytest.mark.parametrize("name", shipped_finite_names()
+                         + ["PEIFFER_BROKEN(S3)", "twisted-peiffer"])
+def test_batched_interchange_report_equals_scalar(name, monkeypatch):
     cm = _module(name)
-    assert cm.G.order ** 2 * cm.H.order ** 4 <= 10 ** 4
-    assert check_interchange(cm).to_dict() == scalar_interchange_report(cm).to_dict()
+    want = scalar_interchange_report(cm).to_dict()
+    for block in BLOCKS:
+        monkeypatch.setattr(crossed, "BLOCK", block)
+        assert check_interchange(cm).to_dict() == want
+
+
+def test_twisted_peiffer_fails_first_past_the_first_blocks():
+    cm = twisted_peiffer()
+    check = check_interchange(cm).check("interchange")
+    assert check.verdict == "FAIL"
+    case = [list((cm.G if k[0] == "g" else cm.H).names).index(label)
+            for k, label in check.witness.items()]
+    assert np.ravel_multi_index(case, (2, 2) + (6,) * 4) >= 100
 
 
 @pytest.mark.parametrize("name", ["CONJ(S3)", "AUT(S3)", "PEIFFER_BROKEN(S3)"])
@@ -233,22 +260,28 @@ def equivariance_broken():
                         "alpha": [[0, 1, 2, 3], [0, 2, 1, 3]]})
 
 
-def test_batched_interchange_raises_the_scalar_composition_error():
+def test_batched_interchange_raises_the_scalar_composition_error(monkeypatch):
     cm = equivariance_broken()
     with pytest.raises(CompositionError) as scalar:
         for case in itertools.product(range(2), range(2), *[range(4)] * 4):
             scalar_interchange_holds(cm, *case)
-    with pytest.raises(CompositionError) as batched:
-        check_interchange(cm)
-    assert str(batched.value) == str(scalar.value)
-    assert (batched.value.source, batched.value.target) \
-        == (scalar.value.source, scalar.value.target)
+    for block in BLOCKS:
+        monkeypatch.setattr(crossed, "BLOCK", block)
+        with pytest.raises(CompositionError) as batched:
+            check_interchange(cm)
+        assert str(batched.value) == str(scalar.value)
+        assert (batched.value.source, batched.value.target) \
+            == (scalar.value.source, scalar.value.target)
 
 
-@pytest.mark.parametrize("name", ["GERBE(Z2)", "GERBE(Z5)", "PEIFFER_BROKEN(S3)"])
-def test_batched_eckmann_hilton_equals_scalar(name):
+@pytest.mark.parametrize("name", ["GERBE(Z2)", "GERBE(Z3)", "GERBE(Z5)",
+                                  "PEIFFER_BROKEN(S3)"])
+def test_batched_eckmann_hilton_equals_scalar(name, monkeypatch):
     cm = _module(name)
-    assert eckmann_hilton_probe(cm).to_dict() == scalar_eckmann_hilton_report(cm).to_dict()
+    want = scalar_eckmann_hilton_report(cm).to_dict()
+    for block in BLOCKS:
+        monkeypatch.setattr(crossed, "BLOCK", block)
+        assert eckmann_hilton_probe(cm).to_dict() == want
 
 
 def test_cell_batch_follows_two_cell_conventions():
@@ -283,3 +316,22 @@ def test_cell_batch_vertical_names_the_first_mismatch():
         TwoCell(cm, 0, 1).vertical(TwoCell(cm, 0, 0))
     assert (exc.value.source, exc.value.target) \
         == (scalar.value.source, scalar.value.target)
+
+
+def test_cell_batch_vertical_names_the_first_mismatch_of_a_grid():
+    # cells (g, h) on a g-by-h grid, topped by cells whose source is the
+    # target on row g = 0 and g elsewhere: the arrows match on row 0 and
+    # where t(h) = e, so the first mismatch in row-major order is (1, 1)
+    cm = crossed_module("AUT(S3)")
+    tab = cm.compiled()
+    g, h = np.arange(cm.G.order)[:, None], np.arange(cm.H.order)[None, :]
+    a = CellBatch(tab, g, h)
+    sources = np.where(g == 0, a.target, g)
+    with pytest.raises(CompositionError) as batched:
+        a.vertical(CellBatch(tab, sources, 0))
+    with pytest.raises(CompositionError) as scalar:
+        for i, j in itertools.product(range(cm.G.order), range(cm.H.order)):
+            TwoCell(cm, i, j).vertical(TwoCell(cm, int(sources[i, j]), 0))
+    assert (batched.value.source, batched.value.target) \
+        == (scalar.value.source, scalar.value.target) \
+        == (cm.G.label(1), cm.G.label(cm.G.mul(cm.t(1), 1)))
