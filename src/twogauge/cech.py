@@ -17,7 +17,10 @@ twocells.py rather than to hand-expanded formulas. Closed-form versions of
 these pastings exist only in the test suite, as independent oracles. The
 census runs the same diagram functions over a module's compiled tables,
 where they paste CellBatch batches of states instead of single TwoCells,
-with one more axis for the census's moves.
+with one more axis for the census's moves. On a coned nerve it fixes the
+cone gauge first (g = e on every double, h = e on every triple through the
+least chart) and pastes only the gauge's slice of the cocycles and the
+moves that keep it; on any other nerve it enumerates every cocycle.
 
 Overlap values may be constants (finite indices or matrices) or point
 functions, evaluated at a nerve's sample points per overlap. One routine
@@ -441,12 +444,15 @@ class _StateLayout:
 
     A state is one G column per double overlap followed by one H column per
     triple overlap, read as a mixed-radix code whose first column is the most
-    significant, so code order is the lexicographic order of the states.
+    significant, so code order is the lexicographic order of the states. A
+    layout may leave overlaps out: they hold the identity in every state, as
+    the overlaps the cone gauge fixes do.
     """
 
     def __init__(self, tab, doubles, triples):
         self.doubles = doubles
         self.triples = triples
+        self.identities = tab.G.identity, tab.H.identity
         self.radices = [tab.G.order] * len(doubles) + [tab.H.order] * len(triples)
         self.d_index = {d: n for n, d in enumerate(doubles)}
         self.t_index = {t: len(doubles) + n for n, t in enumerate(triples)}
@@ -470,9 +476,11 @@ class _StateLayout:
         return columns[::-1]
 
     def accessors(self, columns):
-        """(gv, hv): a double's and a triple's column of the states."""
-        return (lambda d: columns[self.d_index[d]],
-                lambda t: columns[self.t_index[t]])
+        """(gv, hv): a double's and a triple's column of the states, or the
+        identity for an overlap the layout leaves out."""
+        g_id, h_id = self.identities
+        return (lambda d: columns[self.d_index[d]] if d in self.d_index else g_id,
+                lambda t: columns[self.t_index[t]] if t in self.t_index else h_id)
 
 
 def _cocycle_codes(tab, layout, quads):
@@ -481,6 +489,8 @@ def _cocycle_codes(tab, layout, quads):
     g runs over every assignment; h over the product of each triangle's
     t-preimage coset, listed in increasing element order; the survivors of
     the tetrahedron pastings are kept. Both loops run in blocks of states.
+    Overlaps the layout leaves out hold the identity, so a layout of the
+    free triples alone lists the cone gauge's slice.
     """
     G = tab.G
     n_d = len(layout.doubles)
@@ -492,7 +502,8 @@ def _cocycle_codes(tab, layout, quads):
     found = []
     for g_codes in _blocks(G.order ** n_d):
         gv, _ = layout.accessors(layout.digits(g_codes, n_d))
-        cosets = [G.mul(G.inv(G.mul(gv((i, j)), gv((j, k)))), gv((i, k)))
+        cosets = [np.broadcast_to(G.mul(G.inv(G.mul(gv((i, j)), gv((j, k)))), gv((i, k))),
+                                  g_codes.shape)
                   for (i, j, k) in triples]
         sizes = [count[c] for c in cosets]
         per_row = (np.prod(sizes, axis=0) if triples
@@ -564,18 +575,11 @@ def _moved_codes(tab, layout, codes, moves):
     diagram functions paste a (rows, states) batch of cells. A move
     that does not touch a column would paste identities around its stored
     value and give it back, so it keeps the column's digit and its codes
-    change by its touched columns' differences alone. Each column the
-    pastings read is decoded once.
+    change by its touched columns' differences alone. The layout's columns
+    are decoded once; an overlap it leaves out reads as the identity.
     """
-    decoded = {}
-
-    def column(n):
-        if n not in decoded:
-            decoded[n] = codes // layout.weights[n] % layout.radices[n]
-        return decoded[n]
-
-    gv = lambda d: column(layout.d_index[d])
-    hv = lambda t: column(layout.t_index[t])
+    columns = layout.digits(codes)
+    gv, hv = layout.accessors(columns)
     moved = np.repeat(codes[np.newaxis], len(moves.sites), axis=0)
     for n, overlap, rows, lam, b in moves.columns:
         if len(overlap) == 2:
@@ -583,7 +587,7 @@ def _moved_codes(tab, layout, codes, moves):
         else:
             digit = _transformed_triple(tab, gv, hv, lam.__getitem__, b.__getitem__,
                                         overlap)
-        moved[rows] += (digit - column(n)) * layout.weights[n]
+        moved[rows] += (digit - columns[n]) * layout.weights[n]
     return moved
 
 
@@ -607,28 +611,55 @@ def _merge(parent, other):
             parent[:] = up
 
 
-def classify_finite(cm, nerve):
-    """Enumerate normalized cocycles and their coboundary orbits.
+def _leaves_the_cocycles(tab):
+    return ConfigError(f"a change of trivializations takes a cocycle of {tab.name} "
+                       "outside the cocycles; the pair breaks a crossed-module law")
 
-    Normalized means k_i = 1 with data only on strictly increasing overlaps.
-    Enumeration is lexicographic in (overlap order, element index); orbit
-    representatives are the lexicographically least states, so the census is
-    deterministic. Refuses when |G|^#doubles * |H|^#triples exceeds
-    CENSUS_BUDGET, and refuses a pair (G, H, t, alpha) that fails the
-    crossed-module axioms. The axioms are checked on the first census of a
-    module object; the verdict, failing or not, is kept with its compiled
-    tables (`CompiledModule.axiom_failures`) for every later census.
 
-    The states are pasted in batches over the module's compiled tables and
-    stored as mixed-radix codes. The single-site changes of trivializations
-    are listed once, one per chart and G generator and one per double and H
-    generator, and all of them are applied in one pass per block of
-    cocycles (`_moved_codes`): each column is pasted once for every move
-    that touches it. The moved codes are mapped back to cocycle indices,
-    one row of targets per move, and the classes are the components of
-    those maps (union-find, one merge per move). Components do not depend
-    on the order of the merges, so the census does not depend on the block
-    size.
+def _least_of_classes(tab, layout, codes, moves):
+    """Indices into `codes` of the least member of each class under `moves`.
+
+    The moved codes are mapped back to indices of `codes`, one row of
+    targets per move, in blocks of states, and the classes are the
+    components of those maps (union-find, one merge per move). Components do
+    not depend on the order of the merges, so they do not depend on the
+    block size. A move that takes a state outside `codes` raises ConfigError.
+    """
+    # targets[m, n] is the state that move m takes state n to; int32 holds
+    # any index the budget admits, at half the memory of intp, and so does
+    # the union-find's parent array
+    targets = np.empty((len(moves.sites), len(codes)), dtype=np.int32)
+    for block in _blocks(len(codes)):
+        moved = _moved_codes(tab, layout, codes[block], moves)
+        target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
+        if not np.array_equal(codes[target], moved):
+            raise _leaves_the_cocycles(tab)
+        targets[:, block[0]:block[-1] + 1] = target
+    parent = np.arange(len(codes), dtype=np.int32)
+    for target in targets:
+        _merge(parent, target)
+    return np.flatnonzero(parent == np.arange(len(codes)))
+
+
+def _census(layout, doubles, triples, cocycles, least):
+    """The census of `cocycles` cocycles whose classes' least codes are `least`."""
+    gv, hv = layout.accessors(layout.digits(least))
+    g = {",".join(map(str, d)): np.full(least.shape, gv(d)).tolist() for d in doubles}
+    h = {",".join(map(str, t)): np.full(least.shape, hv(t)).tolist() for t in triples}
+    return {"cocycles": cocycles, "orbits": len(least),
+            "representatives": [{"g": {key: v[n] for key, v in g.items()},
+                                 "h": {key: v[n] for key, v in h.items()}}
+                                for n in range(len(least))]}
+
+
+def _enumerated_census(tab, nerve):
+    """The census by enumeration of every cocycle, on any strict nerve.
+
+    The states are all the cocycles. The single-site changes of
+    trivializations are listed once, one per chart and G generator and one
+    per double and H generator, and all of them are applied in one pass per
+    block of cocycles (`_moved_codes`): each column is pasted once for every
+    move that touches it.
 
     Move values range over a generating set of G (lam at a chart) or H (b at
     a double), not over every element: the moves at one site compose as a
@@ -640,6 +671,115 @@ def classify_finite(cm, nerve):
     pastes identities around its stored value, which gives the value back
     once the axioms hold (alpha(e) = id, t(e) = e), so it is copied.
     """
+    doubles, triples = sorted(nerve.doubles), sorted(nerve.triples)
+    layout = _StateLayout(tab, doubles, triples)
+    codes = _cocycle_codes(tab, layout, sorted(nerve.quads))
+    moves = _Moves(tab, layout,
+                   [({i: x}, {}) for i in nerve.charts for x in tab.G.generators]
+                   + [({}, {d: y}) for d in doubles for y in tab.H.generators])
+    return _census(layout, doubles, triples, len(codes),
+                   codes[_least_of_classes(tab, layout, codes, moves)])
+
+
+def _coned(nerve):
+    """True when the least chart c0 shares a double with every other chart
+    and every double (j, k) away from c0 has the triple (c0, j, k)."""
+    if not nerve.charts:
+        return False
+    c0 = min(nerve.charts)
+    doubles, triples = set(nerve.doubles), set(nerve.triples)
+    return (all((c0, j) in doubles for j in nerve.charts if j != c0)
+            and all((c0,) + d in triples for d in doubles if c0 not in d))
+
+
+def _restoring_b(tab):
+    """The b on a double (j, k) away from c0 that restores the cone gauge
+    after b(c0, j) = y, lam_j = t(y), and after b(c0, k) = y, lam_k = t(y).
+
+    Returns two dicts from each generator y of H to that b: the first for y
+    at the star double of j, the second for y at that of k. In the gauge,
+    g = e and h = e on the cone triple (c0, j, k), so the b does not depend
+    on the state. It is the one b with g'(j, k) = e and h'(c0, j, k) = e,
+    found by one pasting of both cases and all generators over all of H.
+    A b that is missing or not unique raises ConfigError.
+    """
+    G, H = tab.G, tab.H
+    y = np.array(H.generators, dtype=np.int64)[:, np.newaxis]
+    e_g, e_h = np.full_like(y, G.identity), np.full_like(y, H.identity)
+    # the cone triple as (0, 1, 2): rows are y at (0, 1), then y at (0, 2)
+    lam = {0: G.identity, 1: np.vstack([tab.t(y), e_g]), 2: np.vstack([e_g, tab.t(y)])}
+    b = {(0, 1): np.vstack([y, e_h]), (0, 2): np.vstack([e_h, y]),
+         (1, 2): np.arange(H.order)[np.newaxis]}
+    gv, hv = (lambda d: G.identity), (lambda t: H.identity)
+    g = _transformed_double(tab, gv, lam.__getitem__, b.__getitem__, (1, 2))
+    h = _transformed_triple(tab, gv, hv, lam.__getitem__, b.__getitem__, (0, 1, 2))
+    restores = (g == G.identity) & (h == H.identity)
+    if not (restores.sum(axis=1) == 1).all():
+        raise _leaves_the_cocycles(tab)
+    z = restores.argmax(axis=1).tolist()
+    n = len(H.generators)
+    return dict(zip(H.generators, z[:n])), dict(zip(H.generators, z[n:]))
+
+
+def _cone_census(tab, nerve):
+    """The census of a coned nerve (`_coned`), from the cone gauge's slice.
+
+    With c0 the least chart, lam_j sets g = e on each star double (c0, j),
+    then b on each double (j, k) away from c0 sets h = e on its cone triple
+    (c0, j, k); the triangle laws then force g = e on every double and h into
+    ker t on each free triple, one without c0. The slice is those states:
+    ker t on the free triples, filtered by the tetrahedron pastings, coded
+    over the free columns alone. The lam_j and those b act freely, so there
+    are |slice| |G|^#star |H|^#(other doubles) cocycles.
+
+    The moves that keep the slice are built once, as composites: lam = x at
+    every chart for each generator x of G, and for each star double (c0, j)
+    and generator y of H, b(c0, j) = y with lam_j = t(y) and the restoring
+    b (`_restoring_b`) on each other double through j. They are pasted on
+    the free columns only, and a moved state outside the slice raises
+    ConfigError. The free columns come last in the full layout and every
+    other column of the slice holds the identity, which is index 0 when the
+    census routes here, so each class's least member lies in the slice, and
+    the slice orders its states as the full layout does.
+    """
+    c0 = min(nerve.charts)
+    doubles, triples = sorted(nerve.doubles), sorted(nerve.triples)
+    star = [d for d in doubles if d[0] == c0]
+    layout = _StateLayout(tab, [], [t for t in triples if t[0] != c0])
+    codes = _cocycle_codes(tab, layout, sorted(nerve.quads))
+    first, second = _restoring_b(tab)
+    sites = [({c: x for c in nerve.charts}, {}) for x in tab.G.generators]
+    for _, j in star:
+        for y in tab.H.generators:
+            bmap = {(c0, j): y}
+            bmap.update({d: first[y] for d in doubles if d[0] == j})
+            bmap.update({d: second[y] for d in doubles if d[1] == j and d[0] != c0})
+            sites.append(({j: int(tab.t(y))}, bmap))
+    least = _least_of_classes(tab, layout, codes, _Moves(tab, layout, sites))
+    cocycles = (len(codes) * tab.G.order ** len(star)
+                * tab.H.order ** (len(doubles) - len(star)))
+    return _census(layout, doubles, triples, cocycles, codes[least])
+
+
+def classify_finite(cm, nerve):
+    """Count normalized cocycles and find their coboundary orbits.
+
+    Normalized means k_i = 1 with data only on strictly increasing overlaps.
+    States are ordered lexicographically in (overlap order, element index);
+    orbit representatives are the lexicographically least states, so the
+    census is deterministic. Refuses when |G|^#doubles * |H|^#triples
+    exceeds CENSUS_BUDGET, and refuses a pair (G, H, t, alpha) that fails
+    the crossed-module axioms. The axioms are checked on the first census of
+    a module object; the verdict, failing or not, is kept with its compiled
+    tables (`CompiledModule.axiom_failures`) for every later census.
+
+    A coned nerve (`_coned`) is classified in the cone gauge
+    (`_cone_census`), which lists only the gauge's slice of the cocycles,
+    when both identities are index 0; every other nerve by enumerating every
+    cocycle (`_enumerated_census`). Both paste states in batches over the
+    module's compiled tables, store them as mixed-radix codes, and join the
+    classes by union-find over the moved codes; both give the same census.
+    """
     if not cm.is_finite:
         raise ConfigError("classification needs a finite crossed module")
     if not nerve.is_strict:
@@ -649,10 +789,7 @@ def classify_finite(cm, nerve):
         raise ConfigError("classification expects strictly increasing overlaps"
                           + (f", got {reversed_[0]}" if reversed_ else ""))
     G, H = cm.G, cm.H
-    doubles = sorted(nerve.doubles)
-    triples = sorted(nerve.triples)
-    quads = sorted(nerve.quads)
-    size = G.order ** len(doubles) * H.order ** len(triples)
+    size = G.order ** len(nerve.doubles) * H.order ** len(nerve.triples)
     if size > CENSUS_BUDGET:
         raise BudgetExceeded(
             f"{size} candidate assignments exceed the budget {CENSUS_BUDGET}",
@@ -663,36 +800,7 @@ def classify_finite(cm, nerve):
     if tab.axiom_failures:
         raise ConfigError(f"classification needs a crossed module: {cm.name} fails "
                           + ", ".join(tab.axiom_failures))
-
-    layout = _StateLayout(tab, doubles, triples)
-    codes = _cocycle_codes(tab, layout, quads)
-
-    moves = _Moves(tab, layout,
-                   [({i: x}, {}) for i in nerve.charts for x in tab.G.generators]
-                   + [({}, {d: y}) for d in doubles for y in tab.H.generators])
-
-    # targets[m, n] is the cocycle that move m takes cocycle n to; int32 holds
-    # any index the budget admits, at half the memory of intp, and so does
-    # the union-find's parent array
-    targets = np.empty((len(moves.sites), len(codes)), dtype=np.int32)
-    for block in _blocks(len(codes)):
-        moved = _moved_codes(tab, layout, codes[block], moves)
-        target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
-        if not np.array_equal(codes[target], moved):
-            raise ConfigError(f"a change of trivializations takes a cocycle of "
-                              f"{cm.name} outside the cocycles; the pair breaks "
-                              "a crossed-module law")
-        targets[:, block[0]:block[-1] + 1] = target
-    parent = np.arange(len(codes), dtype=np.int32)
-    for target in targets:
-        _merge(parent, target)
-
-    least = np.flatnonzero(parent == np.arange(len(codes)))
-    gv, hv = layout.accessors(layout.digits(codes[least]))
-
-    def encode(n):
-        return {"g": {",".join(map(str, d)): int(gv(d)[n]) for d in doubles},
-                "h": {",".join(map(str, t)): int(hv(t)[n]) for t in triples}}
-
-    return {"cocycles": len(codes), "orbits": len(least),
-            "representatives": [encode(n) for n in range(len(least))]}
+    # the slice holds the least member of each class only when e is index 0
+    if tab.G.identity == tab.H.identity == 0 and _coned(nerve):
+        return _cone_census(tab, nerve)
+    return _enumerated_census(tab, nerve)

@@ -455,7 +455,8 @@ class MatrixGroup:
             return frobenius_norms(g - eye)
         d = frobenius_norms(g.conj().swapaxes(-1, -2) @ g - eye)
         if self.special:
-            off = np.linalg.det(g) - 1.0
+            with np.errstate(invalid="ignore"):  # a NaN det still fails membership
+                off = np.linalg.det(g) - 1.0
             off = np.hypot(off.real, off.imag) if np.iscomplexobj(off) else np.abs(off)
             d = np.where(off > d, off, d)
         return d

@@ -595,20 +595,23 @@ def test_a_nan_residual_fails_its_law_at_that_point():
     assert check.witness == {"triple": [0, 1, 2], "point": 0.2}
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("part", ["g", "h", "k"])
 def test_a_matrix_cocycle_refuses_a_constant_outside_its_group(part):
+    # a NaN constant is refused as quietly as one off the group: no warning
     su2 = crossed_module("CONJ(SU2)")
     eye = np.eye(2, dtype=complex)
     nv = nerve("triangle")
-    values = {"g": {d: eye for d in nv.doubles}, "h": {(0, 1, 2): eye}, "k": {1: eye}}
     key = {"g": (0, 2), "h": (0, 1, 2), "k": 1}[part]
-    values[part][key] = 2 * eye
-    with pytest.raises(ConfigError) as exc:
+    for outside in (2 * eye, np.full((2, 2), np.nan, dtype=complex)):
+        values = {"g": {d: eye for d in nv.doubles}, "h": {(0, 1, 2): eye}, "k": {1: eye}}
+        values[part][key] = outside
+        with pytest.raises(ConfigError) as exc:
+            GluingCocycle(su2, nv, **values)
+        assert exc.value.errors == [f"{part} value at {key} is not an element of SU2"]
+        # a point function is not sampled up front
+        values[part][key] = lambda p: outside
         GluingCocycle(su2, nv, **values)
-    assert exc.value.errors == [f"{part} value at {key} is not an element of SU2"]
-    # a point function is not sampled up front
-    values[part][key] = lambda p: 2 * eye
-    GluingCocycle(su2, nv, **values)
 
 
 # ----------------------------------------------------------------- census
@@ -878,7 +881,9 @@ def test_touched_columns_equal_a_full_recompute(module, nerve_name):
 
 
 def test_census_moves_by_generators_only(monkeypatch):
-    # one move per chart and G generator, and per double and H generator
+    # the enumeration: one move per chart and G generator, and per double and
+    # H generator. The cone gauge: one per G generator, and per star double
+    # (one per chart but the least) and H generator
     made = []
     batched = cech._moved_codes
 
@@ -887,12 +892,16 @@ def test_census_moves_by_generators_only(monkeypatch):
         return batched(tab, layout, codes, moves)
 
     monkeypatch.setattr(cech, "_moved_codes", counting)
-    for module, nerve_name, expected in [("CONJ(S3)", "triangle", 3 * 2 + 3 * 2),
-                                         ("FLIP(Z3)", "sphere", 4 * 1 + 6 * 1),
-                                         ("GERBE(Z5)", "tetrahedron", 6 * 1)]:
-        made.clear()
-        classify_finite(crossed_module(module), nerve(nerve_name))
-        assert len(set(made)) == expected
+    for module, nerve_name, enumerated, coned in [
+            ("CONJ(S3)", "triangle", 3 * 2 + 3 * 2, 2 + 2 * 2),
+            ("FLIP(Z3)", "sphere", 4 * 1 + 6 * 1, 1 + 3 * 1),
+            ("GERBE(Z5)", "tetrahedron", 6 * 1, 0 + 3 * 1)]:
+        tab, nv = crossed_module(module).compiled(), nerve(nerve_name)
+        for census, expected in ((cech._enumerated_census, enumerated),
+                                 (cech._cone_census, coned)):
+            made.clear()
+            census(tab, nv)
+            assert len(set(made)) == expected, census.__name__
 
 
 def test_census_in_blocks_of_one_state_equals_one_block(monkeypatch):
@@ -900,10 +909,16 @@ def test_census_in_blocks_of_one_state_equals_one_block(monkeypatch):
     # block size must not change the classes or their least members
     pairs = [("GERBE(Z2)", "sphere"), ("FLIP(Z3)", "triangle"),
              ("CONJ(S3)", "triangle"), ("AUT(Z5)", "triangle")]
-    whole = [classify_finite(crossed_module(m), nerve(nv)) for m, nv in pairs]
+    routines = (cech._enumerated_census, cech._cone_census)
+
+    def censuses():
+        return [census(crossed_module(m).compiled(), nerve(nv))
+                for census in routines for m, nv in pairs]
+
+    whole = censuses()
     assert all(census["cocycles"] <= crossed.BLOCK for census in whole)
     monkeypatch.setattr(crossed, "BLOCK", 1)
-    assert [classify_finite(crossed_module(m), nerve(nv)) for m, nv in pairs] == whole
+    assert censuses() == whole
 
 
 def test_large_cyclic_gerbe_on_the_sphere():
@@ -915,3 +930,144 @@ def test_large_cyclic_gerbe_on_the_sphere():
     assert census["representatives"] == [
         {"g": g, "h": {"0,1,2": 0, "0,1,3": 0, "0,2,3": 0, "1,2,3": k}}
         for k in range(20)]
+
+
+# ------------------------------------------------------------------ cone gauge
+
+def relabelled(nv, labels):
+    """`nv` with its charts renamed to `labels`, in order."""
+    to = dict(zip(nv.charts, labels))
+    return CoverNerve(labels, doubles=[tuple(to[c] for c in d) for d in nv.doubles],
+                      triples=[tuple(to[c] for c in t) for t in nv.triples],
+                      quads=[tuple(to[c] for c in q) for q in nv.quads])
+
+
+def random_coned_nerve(rng):
+    """3 to 5 charts with increasing random labels: every star double, a
+    random set of other doubles with their cone triples, random free triples
+    and random quads over what is declared."""
+    charts = sorted(rng.sample(range(100), rng.randint(3, 5)))
+    c0, rest = charts[0], charts[1:]
+    others = [d for d in itertools.combinations(rest, 2) if rng.random() < 0.8]
+    doubles = [(c0, j) for j in rest] + others
+    triples = [(c0,) + d for d in others]
+    triples += [t for t in itertools.combinations(rest, 3)
+                if set(cech._faces(t)) <= set(doubles) and rng.random() < 0.8]
+    quads = [q for q in itertools.combinations(charts, 4)
+             if set(cech._faces(q)) <= set(triples) and rng.random() < 0.8]
+    rng.shuffle(doubles)
+    rng.shuffle(triples)
+    return CoverNerve(charts, doubles, triples, quads)
+
+
+# the octahedron: S^2 again, with chart 0 opposite chart 5, so it is not coned
+OCTAHEDRON = CoverNerve(
+    range(6),
+    doubles=[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3),
+             (2, 5), (3, 4), (3, 5), (4, 5)],
+    triples=[(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5),
+             (2, 3, 5), (3, 4, 5)])
+
+
+def test_cone_census_equals_the_enumeration(monkeypatch):
+    rng = random.Random(23)
+    for module, nerve_name in ADMITTED:
+        tab, nv = crossed_module(module).compiled(), nerve(nerve_name)
+        labels = sorted(rng.sample(range(100), len(nv.charts)))
+        for cover in (nv, relabelled(nv, labels)):
+            assert cech._coned(cover)
+            assert cech._cone_census(tab, cover) == cech._enumerated_census(tab, cover), \
+                (module, cover.charts)
+    # 45 random coned nerves per module, 315 in all
+    assert len(shipped_finite_names()) == 7
+    for module in shipped_finite_names():
+        tab = crossed_module(module).compiled()
+        compared = 0
+        while compared < 45:
+            cover = random_coned_nerve(rng)
+            # keep the enumeration small
+            if tab.G.order ** len(cover.doubles) * tab.H.order ** len(cover.triples) > 10 ** 5:
+                continue
+            assert cech._coned(cover)
+            assert cech._cone_census(tab, cover) == cech._enumerated_census(tab, cover), \
+                (module, cover.doubles, cover.triples, cover.quads)
+            compared += 1
+    # a nerve that is not coned is enumerated: n^8 cocycles in H^2 = Zn classes
+    assert not cech._coned(OCTAHEDRON)
+
+    def refuse(tab, nv):
+        raise AssertionError("the octahedron is not coned")
+
+    monkeypatch.setattr(cech, "_cone_census", refuse)
+    for n in (2, 3, 4):
+        census = classify_finite(crossed_module(f"GERBE(Z{n})"), OCTAHEDRON)
+        assert (census["cocycles"], census["orbits"]) == (n ** 8, n)
+    # nor is a nerve without charts, which has no least chart
+    assert classify_finite(FLIP, CoverNerve([])) == {
+        "cocycles": 1, "orbits": 1, "representatives": [{"g": {}, "h": {}}]}
+
+
+def test_a_module_whose_identity_is_not_index_0_is_enumerated():
+    # FLIP(Z3) with e at index 1 of G and index 2 of H: the cone gauge's
+    # states hold e, no longer the least digit, so only the enumeration
+    # finds the least member of each class
+    cm = crossed.from_tables({"G": {"table": [[1, 0], [0, 1]]},
+                              "H": {"table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]]},
+                              "t": [1, 1, 1], "alpha": [[1, 0, 2], [0, 1, 2]]})
+    assert (cm.G.identity, cm.H.identity) == (1, 2)
+    tab = cm.compiled()
+    for nerve_name in ("triangle", "sphere"):
+        census = classify_finite(cm, nerve(nerve_name))
+        assert census == cech._enumerated_census(tab, nerve(nerve_name))
+        assert census != cech._cone_census(tab, nerve(nerve_name))
+        flip = classify_finite(FLIP, nerve(nerve_name))
+        assert (census["cocycles"], census["orbits"]) == (flip["cocycles"], flip["orbits"])
+
+
+def closed_form_census(cm, nerve_name):
+    """The census of a shipped nerve from the 2-group's homotopy groups,
+    pi_1 = coker t and pi_2 = ker t, with no pasting.
+
+    A contractible coned nerve has one class, the identity, and
+    |G|^#star |H|^#(other doubles) cocycles, the star being the doubles
+    through chart 0. The sphere has one class per G-orbit on ker t, of
+    |ker t| |G|^3 |H|^3 cocycles; each class's least member has g = e,
+    h = e on the triples through chart 0 and h(1, 2, 3) the least element
+    of its orbit.
+    """
+    G, H = cm.G, cm.H
+    nv = nerve(nerve_name)
+    doubles, triples = sorted(nv.doubles), sorted(nv.triples)
+
+    def representative(h123):
+        return {"g": {",".join(map(str, d)): G.identity for d in doubles},
+                "h": {",".join(map(str, t)): h123 if t == (1, 2, 3) else H.identity
+                      for t in triples}}
+
+    if nerve_name != "sphere":
+        star = sum(d[0] == 0 for d in doubles)
+        return {"cocycles": G.order ** star * H.order ** (len(doubles) - star),
+                "orbits": 1, "representatives": [representative(H.identity)]}
+    kernel = [h for h in H.elements() if cm.t(h) == G.identity]
+    least = sorted({min(cm.alpha(g, h) for g in G.elements()) for h in kernel})
+    return {"cocycles": len(kernel) * G.order ** 3 * H.order ** 3, "orbits": len(least),
+            "representatives": [representative(h) for h in least]}
+
+
+@pytest.mark.parametrize("module,nerve_name", ADMITTED)
+def test_census_matches_the_homotopy_closed_form(module, nerve_name):
+    cm = crossed_module(module)
+    assert classify_finite(cm, nerve(nerve_name)) == closed_form_census(cm, nerve_name)
+
+
+@pytest.mark.parametrize("module", ["CONJ(S3)", "AUT(S3)"])
+@pytest.mark.parametrize("nerve_name", ["sphere", "tetrahedron"])
+def test_budget_refused_pairs_in_the_cone_gauge(module, nerve_name):
+    # the budget refuses 6^6 6^4 candidates, while t is an isomorphism, so
+    # there are 6^3 6^3 = 46,656 cocycles in one class
+    cm, nv = crossed_module(module), nerve(nerve_name)
+    with pytest.raises(BudgetExceeded):
+        classify_finite(cm, nv)
+    census = cech._cone_census(cm.compiled(), nv)
+    assert (census["cocycles"], census["orbits"]) == (46656, 1)
+    assert census == closed_form_census(cm, nerve_name)
