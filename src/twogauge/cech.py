@@ -19,8 +19,10 @@ census runs the same diagram functions over a module's compiled tables,
 where they paste CellBatch batches of states instead of single TwoCells,
 with one more axis for the census's moves. On a coned nerve it fixes the
 cone gauge first (g = e on every double, h = e on every triple through the
-least chart) and pastes only the gauge's slice of the cocycles and the
-moves that keep it; on any other nerve it enumerates every cocycle.
+least chart) and pastes only the gauge's slice of the cocycles under the
+moves of G, lam = x at every chart: the moves of H that keep the slice fix
+each of its states, as t(H) acts trivially on ker t. On any other nerve it
+enumerates every cocycle.
 
 Overlap values may be constants (finite indices or matrices) or point
 functions, evaluated at a nerve's sample points per overlap. One routine
@@ -611,11 +613,6 @@ def _merge(parent, other):
             parent[:] = up
 
 
-def _leaves_the_cocycles(tab):
-    return ConfigError(f"a change of trivializations takes a cocycle of {tab.name} "
-                       "outside the cocycles; the pair breaks a crossed-module law")
-
-
 def _least_of_classes(tab, layout, codes, moves):
     """Indices into `codes` of the least member of each class under `moves`.
 
@@ -633,7 +630,8 @@ def _least_of_classes(tab, layout, codes, moves):
         moved = _moved_codes(tab, layout, codes[block], moves)
         target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
         if not np.array_equal(codes[target], moved):
-            raise _leaves_the_cocycles(tab)
+            raise ConfigError(f"a change of trivializations takes a cocycle of {tab.name} "
+                              "outside the cocycles; the pair breaks a crossed-module law")
         targets[:, block[0]:block[-1] + 1] = target
     parent = np.arange(len(codes), dtype=np.int32)
     for target in targets:
@@ -692,35 +690,6 @@ def _coned(nerve):
             and all((c0,) + d in triples for d in doubles if c0 not in d))
 
 
-def _restoring_b(tab):
-    """The b on a double (j, k) away from c0 that restores the cone gauge
-    after b(c0, j) = y, lam_j = t(y), and after b(c0, k) = y, lam_k = t(y).
-
-    Returns two dicts from each generator y of H to that b: the first for y
-    at the star double of j, the second for y at that of k. In the gauge,
-    g = e and h = e on the cone triple (c0, j, k), so the b does not depend
-    on the state. It is the one b with g'(j, k) = e and h'(c0, j, k) = e,
-    found by one pasting of both cases and all generators over all of H.
-    A b that is missing or not unique raises ConfigError.
-    """
-    G, H = tab.G, tab.H
-    y = np.array(H.generators, dtype=np.int64)[:, np.newaxis]
-    e_g, e_h = np.full_like(y, G.identity), np.full_like(y, H.identity)
-    # the cone triple as (0, 1, 2): rows are y at (0, 1), then y at (0, 2)
-    lam = {0: G.identity, 1: np.vstack([tab.t(y), e_g]), 2: np.vstack([e_g, tab.t(y)])}
-    b = {(0, 1): np.vstack([y, e_h]), (0, 2): np.vstack([e_h, y]),
-         (1, 2): np.arange(H.order)[np.newaxis]}
-    gv, hv = (lambda d: G.identity), (lambda t: H.identity)
-    g = _transformed_double(tab, gv, lam.__getitem__, b.__getitem__, (1, 2))
-    h = _transformed_triple(tab, gv, hv, lam.__getitem__, b.__getitem__, (0, 1, 2))
-    restores = (g == G.identity) & (h == H.identity)
-    if not (restores.sum(axis=1) == 1).all():
-        raise _leaves_the_cocycles(tab)
-    z = restores.argmax(axis=1).tolist()
-    n = len(H.generators)
-    return dict(zip(H.generators, z[:n])), dict(zip(H.generators, z[n:]))
-
-
 def _cone_census(tab, nerve):
     """The census of a coned nerve (`_coned`), from the cone gauge's slice.
 
@@ -732,11 +701,14 @@ def _cone_census(tab, nerve):
     over the free columns alone. The lam_j and those b act freely, so there
     are |slice| |G|^#star |H|^#(other doubles) cocycles.
 
-    The moves that keep the slice are built once, as composites: lam = x at
-    every chart for each generator x of G, and for each star double (c0, j)
-    and generator y of H, b(c0, j) = y with lam_j = t(y) and the restoring
-    b (`_restoring_b`) on each other double through j. They are pasted on
-    the free columns only, and a moved state outside the slice raises
+    The classes are the orbits of G alone, acting by lam = x at every chart
+    for each generator x of G. The other moves that keep the slice are
+    composites: b(c0, j) = y, lam_j = t(y), and b = y on every other double
+    into j and y^-1 on every double out of j. Each leaves every state of the
+    slice where it is: there g = e and each free h lies in ker t, which by
+    Peiffer is central in H and fixed by alpha(t(y)), so pasting the
+    composite on a triple through j gives its h back. The G moves are pasted
+    on the free columns only, and a moved state outside the slice raises
     ConfigError. The free columns come last in the full layout and every
     other column of the slice holds the identity, which is index 0 when the
     census routes here, so each class's least member lies in the slice, and
@@ -747,14 +719,7 @@ def _cone_census(tab, nerve):
     star = [d for d in doubles if d[0] == c0]
     layout = _StateLayout(tab, [], [t for t in triples if t[0] != c0])
     codes = _cocycle_codes(tab, layout, sorted(nerve.quads))
-    first, second = _restoring_b(tab)
     sites = [({c: x for c in nerve.charts}, {}) for x in tab.G.generators]
-    for _, j in star:
-        for y in tab.H.generators:
-            bmap = {(c0, j): y}
-            bmap.update({d: first[y] for d in doubles if d[0] == j})
-            bmap.update({d: second[y] for d in doubles if d[1] == j and d[0] != c0})
-            sites.append(({j: int(tab.t(y))}, bmap))
     least = _least_of_classes(tab, layout, codes, _Moves(tab, layout, sites))
     cocycles = (len(codes) * tab.G.order ** len(star)
                 * tab.H.order ** (len(doubles) - len(star)))
@@ -774,11 +739,13 @@ def classify_finite(cm, nerve):
     tables (`CompiledModule.axiom_failures`) for every later census.
 
     A coned nerve (`_coned`) is classified in the cone gauge
-    (`_cone_census`), which lists only the gauge's slice of the cocycles,
-    when both identities are index 0; every other nerve by enumerating every
-    cocycle (`_enumerated_census`). Both paste states in batches over the
-    module's compiled tables, store them as mixed-radix codes, and join the
-    classes by union-find over the moved codes; both give the same census.
+    (`_cone_census`) when both identities are index 0: it lists only the
+    gauge's slice of the cocycles, and its classes are the slice's orbits
+    under G, since every move of H that keeps the slice fixes each state.
+    Every other nerve is classified by enumerating every cocycle
+    (`_enumerated_census`). Both paste states in batches over the module's
+    compiled tables, store them as mixed-radix codes, and join the classes
+    by union-find over the moved codes; both give the same census.
     """
     if not cm.is_finite:
         raise ConfigError("classification needs a finite crossed module")

@@ -276,9 +276,9 @@ def run(argv=None):
         missing = _missing_output_dir(args)
         if missing:
             return _refuse(f"cannot write output: {missing}")
-        # a NaN that reaches a product warns on stderr at each site; the
-        # membership checks turn it into the one-line refusal below
-        with np.errstate(invalid="ignore"):
+        # a NaN or an overflow that reaches a product warns on stderr at each
+        # site; the membership checks and the reports' residuals answer for it
+        with np.errstate(invalid="ignore", over="ignore"):
             report, payload = _HANDLERS[args.command](scn, seed, grid, samples)
     except ConfigError as exc:
         return _refuse(f"configuration error: {exc}")

@@ -22,6 +22,7 @@ Keys (all optional unless stated):
 """
 
 import json
+import math
 import os
 
 from .cech import CoverNerve, GluingCocycle, nerve as nerve_fixture
@@ -115,7 +116,10 @@ class Scenario:
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a finite number: Python's json reads NaN and
+    Infinity, and a bool is not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def setting_errors(**settings):
@@ -211,7 +215,7 @@ def _resolve(doc, name):
         if tname not in DEFAULT_TOLERANCES:
             errors.append(f"unknown tolerance {tname!r}")
         elif not (_is_number(tval) and tval > 0):
-            errors.append(f"tolerance {tname!r} must be positive")
+            errors.append(f"tolerance {tname!r} must be a positive finite number")
 
     module_ok = scn.module is not None
     if module_ok and scn.module.is_finite and "forms" in doc:
@@ -277,7 +281,7 @@ def _resolve(doc, name):
                     errors.append(f"transition a: {exc}")
             scn.perturb = spec.get("perturb")
             if scn.perturb is not None and not _is_number(scn.perturb):
-                errors.append("transition perturb must be a number")
+                errors.append("transition perturb must be a finite number")
 
     if "nerve" in doc:
         spec = doc["nerve"]

@@ -13,6 +13,7 @@ hand-expanded formulas live here, and only here, as independent oracles:
 import functools
 import itertools
 import json
+import math
 import random
 from collections import deque
 
@@ -27,6 +28,7 @@ from twogauge.cech import (CoverNerve, GluingCocycle, NERVE_FIXTURES,
                            classify_finite, coboundary_act, nerve)
 from twogauge.crossed import crossed_module, shipped_finite_names
 from twogauge.errors import BudgetExceeded, ConfigError
+from twogauge.groups import FiniteGroup
 from twogauge.maps import ExpParamMap
 from twogauge.report import NO_SAMPLES
 
@@ -882,8 +884,7 @@ def test_touched_columns_equal_a_full_recompute(module, nerve_name):
 
 def test_census_moves_by_generators_only(monkeypatch):
     # the enumeration: one move per chart and G generator, and per double and
-    # H generator. The cone gauge: one per G generator, and per star double
-    # (one per chart but the least) and H generator
+    # H generator. The cone gauge: one per G generator, lam = x at every chart
     made = []
     batched = cech._moved_codes
 
@@ -893,9 +894,9 @@ def test_census_moves_by_generators_only(monkeypatch):
 
     monkeypatch.setattr(cech, "_moved_codes", counting)
     for module, nerve_name, enumerated, coned in [
-            ("CONJ(S3)", "triangle", 3 * 2 + 3 * 2, 2 + 2 * 2),
-            ("FLIP(Z3)", "sphere", 4 * 1 + 6 * 1, 1 + 3 * 1),
-            ("GERBE(Z5)", "tetrahedron", 6 * 1, 0 + 3 * 1)]:
+            ("CONJ(S3)", "triangle", 3 * 2 + 3 * 2, 2),
+            ("FLIP(Z3)", "sphere", 4 * 1 + 6 * 1, 1),
+            ("GERBE(Z5)", "tetrahedron", 6 * 1, 0)]:
         tab, nv = crossed_module(module).compiled(), nerve(nerve_name)
         for census, expected in ((cech._enumerated_census, enumerated),
                                  (cech._cone_census, coned)):
@@ -1071,3 +1072,197 @@ def test_budget_refused_pairs_in_the_cone_gauge(module, nerve_name):
     census = cech._cone_census(cm.compiled(), nv)
     assert (census["cocycles"], census["orbits"]) == (46656, 1)
     assert census == closed_form_census(cm, nerve_name)
+
+
+# ------------------------------------------------ the H moves fix the slice
+
+def finite_group(name, elements, mul):
+    """The group on `elements`, listed identity first, under `mul`."""
+    index = {x: n for n, x in enumerate(elements)}
+    return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements], name=name)
+
+
+def hamilton(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def dihedral_square():
+    """The 8 symmetries of a square, as permutations of its corners."""
+    perms, frontier = [(0, 1, 2, 3)], [(0, 1, 2, 3)]
+    while frontier:
+        frontier = [tuple(p[s] for s in step) for p in frontier
+                    for step in ((1, 2, 3, 0), (0, 3, 2, 1))]
+        frontier = [p for p in dict.fromkeys(frontier) if p not in perms]
+        perms += frontier
+    return sorted(perms)
+
+
+UNITS = [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+         (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]
+# AUT of a nonabelian group: t is conjugation, so ker t is the centre of H,
+# here {1, -1} and {e, the half turn}; Q8 has a generator of order 4
+NONABELIAN_KERNEL = {
+    "AUT(Q8)": lambda: crossed._aut_finite_module(
+        "AUT(Q8)", finite_group("Q8", UNITS, hamilton)),
+    "AUT(D4)": lambda: crossed._aut_finite_module(
+        "AUT(D4)", finite_group("D4", dihedral_square(),
+                                lambda p, q: tuple(p[c] for c in q))),
+}
+
+
+def any_module(name):
+    return NONABELIAN_KERNEL[name]() if name in NONABELIAN_KERNEL else crossed_module(name)
+
+
+def test_the_nonabelian_kernel_modules_are_crossed_modules():
+    for name in NONABELIAN_KERNEL:
+        cm = any_module(name)
+        assert crossed.validate_crossed_module(cm).passed
+        kernel = [h for h in cm.H.elements() if cm.t(h) == cm.G.identity]
+        assert len(kernel) == 2 and (cm.G.order, cm.H.order) == (
+            {"AUT(Q8)": 24, "AUT(D4)": 8}[name], 8)
+        assert any(cm.H.mul(x, y) != cm.H.mul(y, x) for x in cm.H.elements()
+                   for y in cm.H.elements())
+    q8 = any_module("AUT(Q8)").H
+    assert any(q8.mul(g, g) != q8.identity for g in q8.generators)
+
+
+@pytest.mark.parametrize("module", shipped_finite_names() + sorted(NONABELIAN_KERNEL))
+def test_the_moves_of_h_fix_every_state_of_the_cone_slice(module):
+    # a slice cocycle: g = e, h = e on the triples through chart 0, and
+    # h(1, 2, 3) in ker t where the tetrahedron law holds. The composite move
+    # at chart j, lam_j = t(y) with b = y into j and y^-1 out of j, leaves it
+    # where it is: so the census of the slice needs the moves of G alone
+    cm = any_module(module)
+    G, H = cm.G, cm.H
+    kernel = [h for h in H.elements() if cm.t(h) == G.identity]
+    for nerve_name, states in (("sphere", len(kernel)), ("tetrahedron", 1)):
+        nv = nerve(nerve_name)
+        slice_ = []
+        for kappa in kernel:
+            data = GluingCocycle(cm, nv, {d: G.identity for d in nv.doubles},
+                                 {t: kappa if t == (1, 2, 3) else H.identity
+                                  for t in nv.triples})
+            assert check_triangle(data).passed
+            if check_tetrahedron(data).passed:
+                slice_.append(data)
+        assert len(slice_) == states
+        for data in slice_:
+            for j in (1, 2, 3):
+                for y in H.elements():
+                    b = {d: y if d[1] == j else H.inv(y) for d in nv.doubles if j in d}
+                    out = coboundary_act(data, {j: cm.t(y)}, b, check=False)
+                    assert (out.g, out.h, out.k) == (data.g, data.h, data.k), \
+                        (nerve_name, data.h[(1, 2, 3)], j, y)
+
+
+@pytest.mark.parametrize("module", sorted(NONABELIAN_KERNEL))
+def test_the_cone_census_of_a_nonabelian_kernel_matches_the_closed_form(module):
+    # past the budget, as CONJ(S3) and AUT(S3) are: one class per G-orbit on
+    # the centre, which Aut fixes pointwise, so two on the sphere
+    cm = any_module(module)
+    for nerve_name, orbits in (("sphere", 2), ("tetrahedron", 1)):
+        with pytest.raises(BudgetExceeded):
+            classify_finite(cm, nerve(nerve_name))
+        census = cech._cone_census(cm.compiled(), nerve(nerve_name))
+        assert census["orbits"] == orbits
+        assert census == closed_form_census(cm, nerve_name)
+
+
+# ------------------------------------- GERBE(Zn): the census is H^2(N; Zn)
+
+def smith_diagonal(rows):
+    """The nonzero diagonal of the Smith normal form of an integer matrix,
+    in plain Python: each least entry is pivoted to the corner and cleared
+    from its row and column, until it also divides every entry left."""
+    a = [list(row) for row in rows]
+    diagonal = []
+    while a and a[0]:
+        entries = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        p = a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            row[:] = [v - q * w for v, w in zip(row, a[0])]
+        for c in range(1, len(a[0])):
+            q = a[0][c] // p
+            for row in a:
+                row[c] -= q * row[0]
+        if any(row[0] for row in a[1:]) or any(a[0][1:]):
+            continue  # a remainder is a smaller pivot
+        rest = [i for i, row in enumerate(a) if i and any(v % p for v in row[1:])]
+        if rest:  # bring an entry that p does not divide into row 0
+            a[0] = [v + w for v, w in zip(a[0], a[rest[0]])]
+            continue
+        diagonal.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    return diagonal
+
+
+def coboundary_matrix(rows, columns):
+    """The integer coboundary from cochains on `columns` to cochains on
+    `rows`: row r holds (-1)^m at the m-th face of r."""
+    index = {c: n for n, c in enumerate(columns)}
+    matrix = [[0] * len(columns) for _ in rows]
+    for r, overlap in enumerate(rows):
+        for m, face in enumerate(cech._faces(overlap)):
+            matrix[r][index[face]] += (-1) ** m
+    return matrix
+
+
+def gerbe_census_from_h2(nv, n):
+    """(|Z^2(N; Zn)|, |H^2(N; Zn)|) from the Smith normal forms of the
+    nerve's coboundaries d1 (triples x doubles) and d2 (quads x triples).
+    A diagonal entry d leaves gcd(n, d) of n values in a kernel, and n /
+    gcd(n, d) in an image."""
+    doubles, triples = sorted(nv.doubles), sorted(nv.triples)
+    cocycles, boundaries = n ** len(triples), 1
+    for d in smith_diagonal(coboundary_matrix(sorted(nv.quads), triples)):
+        cocycles //= n // math.gcd(n, d)
+    for d in smith_diagonal(coboundary_matrix(triples, doubles)):
+        boundaries *= n // math.gcd(n, d)
+    return cocycles, cocycles // boundaries
+
+
+# the 6-chart RP^2: every pair of charts meets, in 10 triangles
+RP2 = CoverNerve(range(6), doubles=list(itertools.combinations(range(6), 2)),
+                 triples=[(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                          (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)])
+
+
+def test_smith_diagonal_of_small_matrices():
+    assert smith_diagonal([[2, 4], [6, 8]]) == [2, 4]
+    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_diagonal([[0, 0], [0, 0]]) == []
+    assert smith_diagonal([]) == smith_diagonal([[], []]) == []
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gerbe_census_is_the_second_cohomology(n):
+    cm = crossed_module(f"GERBE(Z{n})")
+    covers = [nerve(name) for name in NERVE_FIXTURES if nerve(name).is_strict]
+    for cover in covers + [OCTAHEDRON]:
+        if n ** len(cover.triples) > cech.CENSUS_BUDGET:
+            continue
+        census = classify_finite(cm, cover)
+        assert (census["cocycles"], census["orbits"]) == gerbe_census_from_h2(cover, n)
+    assert gerbe_census_from_h2(OCTAHEDRON, n) == (n ** 8, n)
+
+
+def test_rp2_census_is_its_second_cohomology():
+    # not coned, and its d1 has the torsion 2: H^2(RP^2; Zn) = Z2 / n, so
+    # Z2 gives 2 classes and Z3 one
+    assert not cech._coned(RP2)
+    assert 2 in smith_diagonal(coboundary_matrix(sorted(RP2.triples), sorted(RP2.doubles)))
+    for n, expected in ((2, (1024, 2)), (3, (59049, 1))):
+        census = classify_finite(crossed_module(f"GERBE(Z{n})"), RP2)
+        assert (census["cocycles"], census["orbits"]) == gerbe_census_from_h2(RP2, n) \
+            == expected

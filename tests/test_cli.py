@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,22 @@ def test_a_tolerance_nothing_reads_is_unknown(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "twogauge: configuration error: unknown tolerance 'group'\n"
+
+
+def test_an_overflowing_perturb_fails_without_warnings(tmp_path, capsys):
+    # a finite perturb whose scaled form overflows fails the connection law;
+    # numpy's overflow warnings stay off stderr
+    doc = _shipped_doc("transitions_perturbed.scn")
+    doc["transition"] = {**doc["transition"], "perturb": 1e308}
+    path = _write(tmp_path, "huge.scn", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(["transitions", "--scenario", path]) == 1
+    assert not caught, [str(w.message) for w in caught]
+    captured = capsys.readouterr()
+    assert [line[:6] for line in captured.err.splitlines()] == ["[wall]"]
+    checks = {c["name"]: c["verdict"] for c in json.loads(captured.out)["report"]["checks"]}
+    assert checks["connection-law"] == "FAIL"
 
 
 def test_wall_time_stays_on_stderr(capsys):

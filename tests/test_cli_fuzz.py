@@ -58,6 +58,18 @@ CONTRACT_GAPS = {
         "transitions_perturbed.scn", tolerances={"transition": True},
         transition={**SCENARIOS["transitions_perturbed.scn"]["transition"],
                     "perturb": True})),
+    # json reads NaN and Infinity: a non-finite perturb passed both laws at
+    # residual 0, and an infinite tolerance passed any residual
+    "perturb-nan": ("transitions", _with(
+        "transitions_perturbed.scn",
+        transition={**SCENARIOS["transitions_perturbed.scn"]["transition"],
+                    "perturb": float("nan")})),
+    "perturb-infinity": ("transitions", _with(
+        "transitions_perturbed.scn",
+        transition={**SCENARIOS["transitions_perturbed.scn"]["transition"],
+                    "perturb": float("inf")})),
+    "tolerance-infinity": ("transitions", _with(
+        "transitions_perturbed.scn", tolerances={"transition": float("inf")})),
     # JSON true, and 1.0, were taken for the chart 1
     "nerve-bool-chart": ("classify", {
         "crossed_module": "GERBE(Z2)",

@@ -42,7 +42,9 @@ imports included, then the same for all runs together.
     python3 tools/report_digests.py --census
 
 prints, instead, one line per finite census: every shipped finite module on
-every shipped nerve, and GERBE(Z20) on the sphere,
+every shipped nerve, GERBE(Z20) on the sphere, and GERBE(Z3) on an
+octahedron built here (a nerve that is not coned, so the census enumerates
+it, where it fixes the cone gauge on every shipped nerve it admits),
 
     module nerve sha256(json census)
 
@@ -142,21 +144,30 @@ def cold_lines(src, commands, scenarios, repeats, options=()):
     return lines
 
 
-# a cyclic gerbe larger than any shipped module, within the census budget
-EXTRA_CENSUS = [("GERBE(Z20)", "sphere")]
+# the octahedron: S^2 with chart 0 opposite chart 5, as CoverNerve arguments
+OCTAHEDRON = {
+    "charts": range(6),
+    "doubles": [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3),
+                (2, 5), (3, 4), (3, 5), (4, 5)],
+    "triples": [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5),
+                (2, 3, 5), (3, 4, 5)]}
+# a cyclic gerbe larger than any shipped module, within the census budget, and
+# one on a nerve that is not coned, so that the enumeration is diffed too
+EXTRA_CENSUS = [("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron")]
 
 
 def census_lines(repeats=None):
     """One digest or refusal line per finite census, shipped pairs first; with
     `repeats`, the median wall of that many runs in place of the digest."""
-    from twogauge.cech import NERVE_FIXTURES, classify_finite, nerve
+    from twogauge.cech import NERVE_FIXTURES, CoverNerve, classify_finite, nerve
     from twogauge.crossed import crossed_module, shipped_finite_names
     from twogauge.errors import TwoGaugeError
 
     pairs = [(m, nv) for m in shipped_finite_names() for nv in NERVE_FIXTURES]
     lines = []
     for module, nerve_name in pairs + EXTRA_CENSUS:
-        cm, cover = crossed_module(module), nerve(nerve_name)
+        cm = crossed_module(module)
+        cover = CoverNerve(**OCTAHEDRON) if nerve_name == "octahedron" else nerve(nerve_name)
         walls = []
         try:
             for _ in range(repeats or 1):
