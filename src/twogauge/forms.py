@@ -451,9 +451,11 @@ def forms_close(f1, f2, points, tol):
 
 def _max_norm_on_directions(dim, degree, points, fn):
     """The largest `max_norm` of fn(points, *vectors) over the tuples of
-    coordinate vectors, each tuple sampled with one call on the point stack."""
+    coordinate vectors, each tuple sampled with one call on the point stack;
+    NaN, as in `max_norm`, only where every norm is NaN."""
     if len(points) == 0:
         return 0.0
     points = np.asarray(points, dtype=float)
-    return max((max_norm(fn(points, *(np.broadcast_to(v, points.shape) for v in vs)))
-                for vs in combinations(np.eye(dim), degree)), default=0.0)
+    worsts = [max_norm(fn(points, *(np.broadcast_to(v, points.shape) for v in vs)))
+              for vs in combinations(np.eye(dim), degree)]
+    return float(np.fmax.reduce(worsts)) if worsts else 0.0

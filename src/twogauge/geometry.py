@@ -16,10 +16,12 @@ float arrays that broadcast together (a surface sweep passes s with shape
 the last axis: shape broadcast(s, t) + (dim,), or anything that broadcasts
 to it, such as a constant (dim,) vector. Every array value has the same
 bits as the scalar call at that point. Elementwise numpy arithmetic rounds
-like Python's; the ramps and integer powers, whose numpy versions round
+like Python's; exp and integer powers, whose numpy versions round
 differently, run `math` element by element on the 1-D parameter vectors
-(O(S + T) calls, not O(S * T)). Combinators that branch on a parameter
-evaluate each side only on its own points. The public `value`, `d_s`,
+(O(S + T) calls, not O(S * T)). The ramps take their constant on the
+sitting margins with no call at all; inside the ramp they call exp and the
+square per element and do the rest elementwise. Combinators that branch on
+a parameter evaluate each side only on its own points. The public `value`, `d_s`,
 `d_t` and `velocity` accept either form; a scalar call is the one-point
 case and returns shape (dim,).
 
@@ -168,16 +170,47 @@ def smooth_step_derivative(u):
 def ramp(s):
     """Sitting ramp: 0 on [0, SITTING], 1 on [1 - SITTING, 1], smooth between."""
     if isinstance(s, np.ndarray):
-        return _each(ramp, s)
+        return _ramp_arrays(s, ramp)
     return smooth_step((s - SITTING) / (1.0 - 2.0 * SITTING))
 
 
 def ramp_derivative(s):
     """The exact derivative of `ramp`."""
     if isinstance(s, np.ndarray):
-        return _each(ramp_derivative, s)
+        return _ramp_arrays(s, ramp_derivative)
     w = 1.0 - 2.0 * SITTING
     return smooth_step_derivative((s - SITTING) / w) / w
+
+
+def _ramp_arrays(s, scalar):
+    """`ramp` or `ramp_derivative` (the scalar function) on an array, with its bits.
+
+    The margins take their constant with no exp; inside the ramp, exp and
+    the square run per element through `math` and the rest is elementwise.
+    """
+    w = 1.0 - 2.0 * SITTING
+    u = (np.asarray(s, dtype=float) - SITTING) / w
+    if np.isnan(u).any():  # the scalar function decides what NaN gives
+        return _each(scalar, s)
+    out = np.where(u >= 1.0, 1.0, 0.0) if scalar is ramp else np.zeros(u.shape)
+    inside = (u > 0.0) & (u < 1.0)
+    x = u[inside]
+    if not len(x):
+        return out
+    y = 1.0 - x
+    b = _map_float(math.exp, -1.0 / x)
+    c = _map_float(math.exp, -1.0 / y)
+    if scalar is ramp:
+        out[inside] = b / (b + c)
+    else:
+        squares = _map_float(lambda v: v ** 2, b + c)
+        out[inside] = (b / (x * x) * c + b * (c / (y * y))) / squares / w
+    return out
+
+
+def _map_float(fn, x):
+    """fn on every element of a 1-D float array, as one `map`."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 
 class Reparam:

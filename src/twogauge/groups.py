@@ -287,9 +287,14 @@ def max_norm(stack):
     """The largest `frobenius_norms` of a stack, 0.0 for an empty one.
 
     A NaN norm never wins, as in a loop of max(worst, norm) from 0.0: a
-    residual is a number even where a form has no value at some points.
+    residual is a number even where a form has no value at some points. But
+    where every norm is NaN there is no number, and the result is NaN, so a
+    check against a tolerance fails.
     """
-    return float(np.fmax.reduce(frobenius_norms(stack), initial=0.0))
+    norms = frobenius_norms(stack)
+    if len(norms) and np.isnan(norms).all():
+        return math.nan
+    return float(np.fmax.reduce(norms, initial=0.0))
 
 
 class LieAlgebra:

@@ -2,13 +2,16 @@
 
 The oracles below are the row-by-row sweep and the per-node path loop that
 transport used before rows were swept together: scalar geometry, `at` per
-point, one `_rk4` per row. The gauge transform, Maurer-Cartan form, action
-wedge, transition-law and triple-overlap checks and `max_abs_on_grid` have
-their per-point loops here too, as they were before forms took point
-stacks, and so do the one-point formulas of an ExpParamMap. Every
-comparison is bitwise.
+point, one RK4 per row, every row swept and every step taken in full
+(`scalar_rk4`, the stepper before it skipped the idle steps of the sitting
+margins). The gauge transform, Maurer-Cartan form, action wedge,
+transition-law and triple-overlap checks and `max_abs_on_grid` have their
+per-point loops here too, as they were before forms took point stacks, and
+so do the one-point formulas of an ExpParamMap; the array ramps are checked
+against the scalar ones. Every comparison is bitwise.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -19,9 +22,12 @@ from twogauge import cli
 from twogauge.crossed import crossed_module
 from twogauge.errors import EvalError
 from twogauge.expr import evaluate, parse
-from twogauge.forms import FormField, PointwiseForm, square_wedge
+from twogauge.forms import (
+    FormField, PointwiseForm, _max_norm_on_directions, square_wedge,
+)
 from twogauge.geometry import (
-    BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Reparam, shipped_bigon, shipped_path,
+    BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Reparam, ramp, ramp_derivative,
+    shipped_bigon, shipped_path,
 )
 from twogauge.groups import _SIGMA, su2_algebra
 from twogauge.scenario import load_scenario
@@ -53,6 +59,8 @@ CONNECTIONS = {
     "abelian_square": _scenario_connection("abelian_square.scn"),
     "AUT(SU2)": _completed("AUT(SU2)", SU2_FIELD),
     "CONJ(U1)": _completed("CONJ(U1)", {"1,1": "x2", "1,2": "x1 * x1 + exp(x2)"}),
+    # sigma_3 only: every holonomy is diagonal, with exact zeros off it
+    "su2-diagonal": _completed("CONJ(SU2)", {"3,1": "x2 - 0.5", "3,2": "sin(x1)"}),
 }
 
 
@@ -81,6 +89,21 @@ BIGONS = _bigons()
 
 
 # ------------------------------------------------------------------ oracles
+
+def scalar_rk4(group, M_nodes, M_mids, h, right=False):
+    """RK4 with every step taken in full, as `_rk4` was before idle steps."""
+    mul = (lambda M, X: X @ M) if right else (lambda M, X: M @ X)
+    Y = group.identity
+    Ys = [Y]
+    for M1, M2, M4 in zip(M_nodes, M_mids, M_nodes[1:]):
+        K1 = mul(M1, Y)
+        K2 = mul(M2, Y + (h / 2) * K1)
+        K3 = mul(M2, Y + (h / 2) * K2)
+        K4 = mul(M4, Y + h * K3)
+        Y = group.renormalize(Y + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4))
+        Ys.append(Y)
+    return Ys
+
 
 def scalar_fake_curvature_at(conn, point, u, v):
     h = 1e-5
@@ -128,8 +151,8 @@ def scalar_surface_holonomy(conn, bigon, grid):
         if not G.trivial:
             mids = [(tuple(bigon.value(s + hs / 2, t)), bigon.d_s(s + hs / 2, t))
                     for s in ss[:-1]]
-            Ws = _rk4(G, [-np.asarray(conn.A.at(*pu)) for pu in pts],
-                      [-np.asarray(conn.A.at(*pu)) for pu in mids], hs)
+            Ws = scalar_rk4(G, [-np.asarray(conn.A.at(*pu)) for pu in pts],
+                            [-np.asarray(conn.A.at(*pu)) for pu in mids], hs)
             Bvs = [cm.act_algebra(G.inv(W), Bv) for W, Bv in zip(Ws, Bvs)]
         b = H.algebra.zero()
         for w, Bv in zip(simpson_w, Bvs):
@@ -144,7 +167,7 @@ def scalar_surface_holonomy(conn, bigon, grid):
         b_mids.append(-row(t + ht / 2)[0])
         b_end, W_last = row(t + ht)
         b_nodes.append(-b_end)
-    k_el = _rk4(H, b_nodes, b_mids, ht, right=True)[-1]
+    k_el = scalar_rk4(H, b_nodes, b_mids, ht, right=True)[-1]
     W_target = W_last if t + ht == 1.0 else row(1.0)[1]
     fake = scalar_fake_residual(conn, bigon)
     cell = TwoCell(cm, W_source, cm.alpha(W_source, k_el))
@@ -158,7 +181,7 @@ def scalar_path_holonomy(group, A, path, steps):
     h = 1.0 / steps
     nodes = [rhs(0.0)] + [rhs(k * h + h) for k in range(steps)]
     mids = [rhs(k * h + h / 2) for k in range(steps)]
-    return _rk4(group, nodes, mids, h)[-1]
+    return scalar_rk4(group, nodes, mids, h)[-1]
 
 
 def _bits(a):
@@ -260,7 +283,7 @@ def test_division_by_zero_at_a_node_reports_the_scalar_error():
 @pytest.mark.parametrize("name", PATH_FIXTURES)
 def test_path_transport_matches_the_node_loop(name):
     path = shipped_path(name)
-    for conn_name in ("su2_charts", "AUT(SU2)", "CONJ(U1)"):
+    for conn_name in ("su2_charts", "AUT(SU2)", "CONJ(U1)", "su2-diagonal"):
         conn = CONNECTIONS[conn_name]
         for steps in (1, 3, 8, 100):
             got = path_holonomy(conn.cm, conn.A, path, steps=steps)
@@ -275,6 +298,137 @@ def test_reversed_and_reparametrized_paths_match_the_node_loop():
                  shipped_path("pi-detour").reparametrize(Reparam.power_of_sitting(2))):
         assert _bits(path_holonomy(conn.cm, conn.A, path, steps=64)) == \
             _bits(scalar_path_holonomy(conn.cm.G, conn.A, path, 64))
+
+
+# ------------------------------------------------------ sitting margins
+# idle RK4 steps, repeated rows and the array ramps against the oracles above
+
+def _margin_points():
+    edges = [0.0, 1.0, -0.0, 0.1, 0.9]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    rng = np.random.default_rng(11)
+    # the uniform draws near 0.1 and 0.9 reach where exp(-1/u) underflows
+    return np.concatenate([edges, near, rng.uniform(-0.1, 1.1, 100_000),
+                           rng.uniform(0.0995, 0.1015, 2000),
+                           rng.uniform(0.8985, 0.9005, 2000)])
+
+
+@pytest.mark.parametrize("fn", [ramp, ramp_derivative])
+def test_array_ramps_match_the_scalar_ramps(fn):
+    s = _margin_points()
+    want = np.array([fn(float(x)) for x in s])
+    assert _bits(fn(s)) == _bits(want)
+    assert _bits(fn(s[:60].reshape(3, 4, 5))) == _bits(want[:60].reshape(3, 4, 5))
+    assert _bits(fn(s[7:8].reshape(()))) == _bits(want[7:8].reshape(()))
+    with pytest.raises(ZeroDivisionError):
+        fn(np.array([0.5, np.nan]))
+    with pytest.raises(ZeroDivisionError):
+        fn(np.nan)
+
+
+def _full_steps(monkeypatch):
+    """The list that gets one entry per RK4 step taken in full."""
+    calls = []
+    step = transport._rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+    monkeypatch.setattr(transport, "_rk4_step", counting)
+    return calls
+
+
+def test_the_sitting_margins_take_no_full_step_and_no_repeated_row(monkeypatch):
+    conn = CONNECTIONS["su2_charts"]
+    steps = _full_steps(monkeypatch)
+    path_holonomy(conn.cm, conn.A, shipped_path("circle-arc"), steps=1000)
+    # the velocity is exactly zero for s <= 0.101 and s >= 0.899, where
+    # exp(-1/u) underflows: 202 of the 1000 steps are idle
+    assert len(steps) == 798
+    points = []
+    A_at = conn.A.at_points
+
+    def counting(p, *vectors):
+        points.append(len(p))
+        return A_at(p, *vectors)
+    monkeypatch.setattr(conn.A, "at_points", counting)
+    steps.clear()
+    surface_holonomy(conn, BIGONS["unit-square"], grid=32)
+    # rows t = k/64: k = 0..6 and k = 58..64 sit, so 12 of the 65 rows
+    # repeat the row before them; each row has 129 nodes and midpoints
+    assert points == [53 * 129]
+    # 9 of the 64 s-steps and 6 of the 32 t-steps are idle
+    assert len(steps) == (64 - 9) + (32 - 6)
+
+
+def test_a_row_repeats_only_where_every_sample_has_its_bits():
+    # samples (s, row, coordinate); `_repeated_rows` tests column 1 first
+    points = np.repeat(np.random.default_rng(5).uniform(size=(7, 1, 2)), 6, axis=1)
+    tangents = points.copy()
+    tangents[3, :, 1] = 0.0
+    normals = points[:4].copy()
+    points[5, 2, 0] += 1.0        # row 2 differs away from column 1
+    tangents[3, 4, 1] = -0.0      # row 4 differs only in the sign of a zero
+    normals[0, 5, 0] += 1.0       # row 5 differs in the last array only
+    repeat = transport._repeated_rows(1, points, tangents, normals)
+    assert repeat.tolist() == [False, True, False, False, False, False]
+    assert transport._repeated_rows(1, points[:, :2]).tolist() == [False, True]
+    assert transport._repeated_rows(1, points[:, 2:4]).tolist() == [False, False]
+    assert transport._repeated_rows(1, points[:, [0, 1, 3, 0, 1]]).tolist() == \
+        [False, True, True, True, True]
+
+
+def test_an_all_idle_call_keeps_the_shapes_of_full_steps(monkeypatch):
+    conn = CONNECTIONS["su2_charts"]
+    G = conn.cm.G
+    steps = _full_steps(monkeypatch)
+    for grid in (1, 4):
+        assert_same_surface(surface_holonomy(conn, BIGONS["constant-origin"], grid=grid),
+                            scalar_surface_holonomy(conn, BIGONS["constant-origin"], grid))
+    W = path_holonomy(conn.cm, conn.A, shipped_path("constant-origin"), steps=50)
+    assert _bits(W) == _bits(scalar_path_holonomy(G, conn.A, shipped_path("constant-origin"), 50))
+    # a stack of 3 and a real M widen the identity as a full step would
+    for M in (np.zeros((5, 3, 2, 2), dtype=complex), np.zeros((5, 3, 2, 2))):
+        for right in (False, True):
+            got, want = _rk4(G, M, M[:4], 0.25, right), scalar_rk4(G, M, M[:4], 0.25, right)
+            assert [_bits(Y) for Y in got] == [_bits(Y) for Y in want]
+    assert steps == []
+
+
+class _UncheckedGroup:
+    """What `_rk4` reads of a group, with a chosen identity and no reprojection."""
+
+    def __init__(self, identity):
+        self.identity = identity
+
+    def renormalize(self, g):
+        return g
+
+
+@pytest.mark.parametrize("entry", [-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.inf])
+@pytest.mark.parametrize("right", [False, True])
+def test_an_idle_step_runs_in_full_where_plus_zero_would_move_y(entry, right):
+    # -0.0 + +0.0 is +0.0 and inf * 0 is NaN: Y has to take the full step.
+    # The real -0.0 sits where the increment is +0.0: above the diagonal for
+    # M Y, below it for Y M
+    identity = np.eye(2, dtype=complex)
+    identity[(1, 0) if right else (0, 1)] = entry
+    group = _UncheckedGroup(identity)
+    zero = np.zeros((2, 2), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        got = _rk4(group, [zero] * 4, [zero] * 3, 0.25, right)
+        want = scalar_rk4(group, [zero] * 4, [zero] * 3, 0.25, right)
+    assert [_bits(Y) for Y in got] == [_bits(Y) for Y in want]
+    assert _bits(got[1]) != _bits(identity)
+
+
+def test_a_diagonal_connection_keeps_exact_zeros_off_the_diagonal():
+    conn = CONNECTIONS["su2-diagonal"]
+    result = surface_holonomy(conn, BIGONS["unit-square"], grid=8)
+    W = path_holonomy(conn.cm, conn.A, shipped_path("pi-detour"), steps=64)
+    for X in (result.g, result.h, result.target_holonomy, W):
+        assert X[0, 1] == 0 and X[1, 0] == 0
+        assert not np.allclose(X, np.eye(2))
 
 
 # ------------------------------------------------------ gauge transforms
@@ -358,12 +512,16 @@ def scalar_triple_overlap(cm, a_ij, a_jk, a_ik, g_ij, hmap, A_i, points, tol=1e-
 
 
 def scalar_max_abs_on_grid(form, points):
+    """The loop of max(worst, norm) from 0.0, which skips NaN norms; NaN
+    where every norm is NaN."""
     worst = 0.0
+    norms = []
     tuples = list(combinations(np.eye(form.dim), form.degree))
     for p in points:
         for vs in tuples:
-            worst = max(worst, float(np.linalg.norm(form.at(p, *vs))))
-    return worst
+            norms.append(float(np.linalg.norm(form.at(p, *vs))))
+            worst = max(worst, norms[-1])
+    return math.nan if norms and all(map(math.isnan, norms)) else worst
 
 
 def assert_same_report(got, want):
@@ -527,7 +685,8 @@ GRID_FORMS = [
     (1, {"1,1": "x2", "2,3": "sin(x1) * x3", "3,2": "x1 ^ 2"}),
     (2, {"1,12": "x3", "2,13": "x1 * x2", "3,23": "tanh(x2)"}),
     (3, {"1,123": "x1 + x2 * x3", "2,123": "cos(x3)"}),
-    # NaN at the points with x1 = 0, where 1e999 * x1 is inf * 0
+    # NaN at the points with x1 = 0, where 1e999 * x1 is inf * 0, in every
+    # direction: the one-point stack points[3:4] has no norm that is a number
     (1, {"1,1": "tanh(1e999 * x1) * x2", "2,3": "x3"}),
 ]
 
@@ -540,6 +699,18 @@ def test_max_abs_on_grid_matches_the_point_loop(degree, components):
     for pts in (points[:0], points[:1], points[3:4], points):
         assert _bits(form.max_abs_on_grid(pts)) == _bits(scalar_max_abs_on_grid(form, pts))
         assert _bits(form.max_abs_on_grid(list(pts))) == _bits(form.max_abs_on_grid(pts))
+
+
+@pytest.mark.parametrize("nan_direction", [0, 1])
+def test_a_direction_with_no_number_does_not_hide_the_others(nan_direction):
+    # NaN at every point in one direction and 2 in the other: the loop of
+    # max(worst, norm) skips the NaN norms, whichever direction comes first
+    def fn(points, v):
+        value = np.nan if v[0, nan_direction] == 1.0 else 2.0
+        return np.full((len(points), 2, 2), value)
+    points = np.zeros((3, 2))
+    assert _max_norm_on_directions(2, 1, points, fn) == 4.0
+    assert math.isnan(_max_norm_on_directions(2, 1, points, lambda p, v: fn(p, v * 0 + 1)))
 
 
 # the projectors as they were before they took stacks: .T is wrong there

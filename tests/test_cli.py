@@ -248,6 +248,22 @@ def test_an_overflowing_perturb_fails_without_warnings(tmp_path, capsys):
     assert checks["connection-law"] == "FAIL"
 
 
+@pytest.mark.parametrize("command, check", [("fake-curvature", "fake-curvature-vanishes"),
+                                            ("transitions", "surface-law")])
+def test_a_form_that_is_nan_everywhere_fails_its_check(command, check, tmp_path, capsys):
+    # inf * 0 at every sample point: no norm is a number, so the residual is
+    # NaN and the check fails, where a NaN-skipping maximum read 0.0 and passed
+    doc = _shipped_doc("su2_charts.scn")
+    doc["forms"]["B"]["components"]["1,12"] = "1e999 * 0"
+    path = _write(tmp_path, "nan.scn", doc)
+    assert cli.run([command, "--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert [line[:6] for line in captured.err.splitlines()] == ["[wall]"]
+    checks = {c["name"]: c for c in json.loads(captured.out)["report"]["checks"]}
+    assert checks[check]["verdict"] == "FAIL"
+    assert np.isnan(checks[check]["residual"])
+
+
 def test_wall_time_stays_on_stderr(capsys):
     cli.run(["validate", "--scenario", "abelian.scn"])
     captured = capsys.readouterr()

@@ -31,6 +31,9 @@ prints, instead of digests, one line per subcommand: the median over 5
 repeats of the summed "[wall]" seconds of that subcommand's runs, and how
 many of its runs report a wall (a run that exits 2 before starting prints
 none). Those walls start after the imports, so they leave out start-up.
+Every mode runs with one BLAS and OpenMP thread (OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are set to 1, also for the
+processes it starts), as perfbench does.
 
     python3 tools/report_digests.py --cold 3
 
@@ -78,6 +81,12 @@ import statistics
 import subprocess
 import sys
 import time
+
+# one BLAS and OpenMP thread, set before numpy loads here and inherited by
+# every process this tool starts: the matrices are 1x1 to 3x3, so a thread
+# pool only adds stalls to the walls when another process keeps the cores busy
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def _sha(text):
