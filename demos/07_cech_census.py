@@ -37,9 +37,10 @@ for check in rep.failures:
 print()
 
 # Census: count every cocycle and bucket them by trivialization changes.
-# Both nerves are coned, so the census fixes the cone gauge first and
-# lists only the cocycles with g = e everywhere and h = e on the triples
-# through chart 0.  The twisted Z3 module leaves one class on the tetrahedron;
+# The census runs in a gauge.  Both nerves are coned, so it takes the cone
+# gauge and lists only the cocycles with g = e everywhere and h = e on the
+# triples through chart 0; on a nerve that is not coned it takes no gauge
+# and lists every cocycle.  The twisted Z3 module leaves one class on the tetrahedron;
 # the Z2 gerbe on the sphere nerve splits 16 cocycles into two classes
 # (trivial and not).
 for name, shape in [("FLIP(Z3)", "tetrahedron"), ("GERBE(Z2)", "sphere")]:

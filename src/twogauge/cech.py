@@ -17,12 +17,13 @@ twocells.py rather than to hand-expanded formulas. Closed-form versions of
 these pastings exist only in the test suite, as independent oracles. The
 census runs the same diagram functions over a module's compiled tables,
 where they paste CellBatch batches of states instead of single TwoCells,
-with one more axis for the census's moves. On a coned nerve it fixes the
-cone gauge first (g = e on every double, h = e on every triple through the
-least chart) and pastes only the gauge's slice of the cocycles under the
-moves of G, lam = x at every chart: the moves of H that keep the slice fix
-each of its states, as t(H) acts trivially on ker t. On any other nerve it
-enumerates every cocycle.
+with one more axis for the census's moves. It is one routine in a gauge:
+the gauge fixes g = e inside blocks of charts and h = e on some triples,
+and the census pastes only the gauge's slice of the cocycles under the
+moves left. A coned nerve takes the cone gauge (g = e on every double,
+h = e on every triple through the least chart) when both groups list e
+first; its classes are orbits of G alone, as t(H) acts trivially on ker t.
+Any other census takes no gauge, and every cocycle is listed.
 
 Overlap values may be constants (finite indices or matrices) or point
 functions, evaluated at a nerve's sample points per overlap. One routine
@@ -448,7 +449,7 @@ class _StateLayout:
     triple overlap, read as a mixed-radix code whose first column is the most
     significant, so code order is the lexicographic order of the states. A
     layout may leave overlaps out: they hold the identity in every state, as
-    the overlaps the cone gauge fixes do.
+    the overlaps a gauge fixes do.
     """
 
     def __init__(self, tab, doubles, triples):
@@ -491,8 +492,8 @@ def _cocycle_codes(tab, layout, quads):
     g runs over every assignment; h over the product of each triangle's
     t-preimage coset, listed in increasing element order; the survivors of
     the tetrahedron pastings are kept. Both loops run in blocks of states.
-    Overlaps the layout leaves out hold the identity, so a layout of the
-    free triples alone lists the cone gauge's slice.
+    Overlaps the layout leaves out hold the identity, so a layout of a
+    gauge's free columns lists its slice.
     """
     G = tab.G
     n_d = len(layout.doubles)
@@ -574,11 +575,12 @@ def _moved_codes(tab, layout, codes, moves):
     Row m of the (moves, states) result holds the codes after move m. Each
     touched column is pasted once, for all the moves that touch it at once:
     their (rows, 1) values broadcast against the states' columns, so the
-    diagram functions paste a (rows, states) batch of cells. A move
-    that does not touch a column would paste identities around its stored
-    value and give it back, so it keeps the column's digit and its codes
-    change by its touched columns' differences alone. The layout's columns
-    are decoded once; an overlap it leaves out reads as the identity.
+    diagram functions paste a (rows, states) batch of cells. A move that
+    does not touch a column would paste identities around its stored value
+    and give it back once the axioms hold (alpha(e) = id, t(e) = e), so it
+    keeps the column's digit and its codes change by its touched columns'
+    differences alone. The layout's columns are decoded once; an overlap it
+    leaves out reads as the identity.
     """
     columns = layout.digits(codes)
     gv, hv = layout.accessors(columns)
@@ -650,79 +652,81 @@ def _census(layout, doubles, triples, cocycles, least):
                                 for n in range(len(least))]}
 
 
-def _enumerated_census(tab, nerve):
-    """The census by enumeration of every cocycle, on any strict nerve.
+def _cone_gauge(nerve):
+    """The cone gauge of a strict coned nerve as (blocks, fixing), else no gauge.
 
-    The states are all the cocycles. The single-site changes of
-    trivializations are listed once, one per chart and G generator and one
-    per double and H generator, and all of them are applied in one pass per
-    block of cocycles (`_moved_codes`): each column is pasted once for every
-    move that touches it.
-
-    Move values range over a generating set of G (lam at a chart) or H (b at
-    a double), not over every element: the moves at one site compose as a
-    group action (lam: m_x m_y = m_xy; b: m_x m_y = m_yx), so the moves by
-    generators reach every move at that site, and the components, hence the
-    least representatives, are the same. A move pastes only the columns it
-    touches: for lam at chart c, the doubles and triples containing c; for b
-    at double d, d and the triples with d as an edge. Every other column
-    pastes identities around its stored value, which gives the value back
-    once the axioms hold (alpha(e) = id, t(e) = e), so it is copied.
+    A nerve is coned when its least chart c0 shares a double with every
+    other chart (on a strict nerve, when charts - 1 doubles hold c0) and
+    every double (j, k) away from c0 has the cone triple (c0, j, k). Then
+    one block holds every chart and the cone triples are fixing; any other
+    nerve gets one block per chart and no fixing triple.
     """
-    doubles, triples = sorted(nerve.doubles), sorted(nerve.triples)
-    layout = _StateLayout(tab, doubles, triples)
-    codes = _cocycle_codes(tab, layout, sorted(nerve.quads))
-    moves = _Moves(tab, layout,
-                   [({i: x}, {}) for i in nerve.charts for x in tab.G.generators]
-                   + [({}, {d: y}) for d in doubles for y in tab.H.generators])
-    return _census(layout, doubles, triples, len(codes),
-                   codes[_least_of_classes(tab, layout, codes, moves)])
+    charts = nerve.charts
+    if charts:
+        c0 = min(charts)
+        cone = [(c0,) + d for d in nerve.doubles if c0 not in d]
+        if (len(nerve.doubles) - len(cone) == len(charts) - 1
+                and set(nerve.triples).issuperset(cone)):
+            return [charts], cone
+    return [[c] for c in charts], []
 
 
-def _coned(nerve):
-    """True when the least chart c0 shares a double with every other chart
-    and every double (j, k) away from c0 has the triple (c0, j, k)."""
-    if not nerve.charts:
-        return False
-    c0 = min(nerve.charts)
-    doubles, triples = set(nerve.doubles), set(nerve.triples)
-    return (all((c0, j) in doubles for j in nerve.charts if j != c0)
-            and all((c0,) + d in triples for d in doubles if c0 not in d))
+def _gauge_census(tab, nerve, blocks, fixing=()):
+    """The census of a strict nerve in a gauge, from the gauge's slice.
 
+    The gauge is data: changes of trivialization set g = e on each double
+    inside a chart block of `blocks` and h = e on each triple of `fixing`.
+    The slice is the cocycles coded over the free columns alone, g on each
+    double between blocks and h on each triple that is not fixing, with the
+    identity in every other column (`_cocycle_codes`). The moves, lam = x on
+    each block for each generator x of G, then b = y on each free double for
+    each generator y of H, are applied in one pass per block of states
+    (`_moved_codes`), and each class, a component of the moves
+    (`_least_of_classes`), is given by its least member. The gauge's own
+    moves act freely, so there are |slice| |G|^(charts - blocks)
+    |H|^(doubles - free - (charts - blocks)) cocycles. Only two gauges are
+    proven, and `classify_finite` passes only these:
 
-def _cone_census(tab, nerve):
-    """The census of a coned nerve (`_coned`), from the cone gauge's slice.
+    No gauge: one block per chart, no fixing triple. The slice is every
+    cocycle and the moves are single-site. Generators suffice: the moves at
+    one site compose as a group action (lam: m_x m_y = m_xy; b: m_x m_y =
+    m_yx), so the moves by generators reach every move at that site, and the
+    components, hence the least representatives, are the same.
 
-    With c0 the least chart, lam_j sets g = e on each star double (c0, j),
-    then b on each double (j, k) away from c0 sets h = e on its cone triple
-    (c0, j, k); the triangle laws then force g = e on every double and h into
-    ker t on each free triple, one without c0. The slice is those states:
-    ker t on the free triples, filtered by the tetrahedron pastings, coded
-    over the free columns alone. The lam_j and those b act freely, so there
-    are |slice| |G|^#star |H|^#(other doubles) cocycles.
-
-    The classes are the orbits of G alone, acting by lam = x at every chart
-    for each generator x of G. The other moves that keep the slice are
+    The cone gauge (`_cone_gauge`): one block of every chart, fixing the
+    cone triples. With c0 the least chart, lam_j sets g = e on each star
+    double (c0, j), then b on each double (j, k) away from c0 sets h = e on
+    its cone triple (c0, j, k); the triangle laws then force g = e on every
+    double and h into ker t on each free triple, one without c0. The classes
+    are the orbits of G alone. The other moves that keep the slice are
     composites: b(c0, j) = y, lam_j = t(y), and b = y on every other double
     into j and y^-1 on every double out of j. Each leaves every state of the
     slice where it is: there g = e and each free h lies in ker t, which by
     Peiffer is central in H and fixed by alpha(t(y)), so pasting the
-    composite on a triple through j gives its h back. The G moves are pasted
-    on the free columns only, and a moved state outside the slice raises
-    ConfigError. The free columns come last in the full layout and every
-    other column of the slice holds the identity, which is index 0 when the
-    census routes here, so each class's least member lies in the slice, and
-    the slice orders its states as the full layout does.
+    composite on a triple through j gives its h back. The free columns come
+    last in the full layout and every other column of the slice holds the
+    identity, which is index 0 when `classify_finite` takes this gauge, so
+    each class's least member lies in the slice, and the slice orders its
+    states as the full layout does.
+
+    Any other gauge, a spanning tree of doubles say, needs its own proof
+    that its slice holds each class's least member and that its moves join
+    each class, before it is passed in. A moved state outside the slice
+    raises ConfigError.
     """
-    c0 = min(nerve.charts)
+    block_of = {c: n for n, block in enumerate(blocks) for c in block}
+    fixed = set(fixing)
     doubles, triples = sorted(nerve.doubles), sorted(nerve.triples)
-    star = [d for d in doubles if d[0] == c0]
-    layout = _StateLayout(tab, [], [t for t in triples if t[0] != c0])
+    free = [d for d in doubles if block_of[d[0]] != block_of[d[1]]]
+    layout = _StateLayout(tab, free, [t for t in triples if t not in fixed])
     codes = _cocycle_codes(tab, layout, sorted(nerve.quads))
-    sites = [({c: x for c in nerve.charts}, {}) for x in tab.G.generators]
-    least = _least_of_classes(tab, layout, codes, _Moves(tab, layout, sites))
-    cocycles = (len(codes) * tab.G.order ** len(star)
-                * tab.H.order ** (len(doubles) - len(star)))
+    moves = _Moves(tab, layout,
+                   [({c: x for c in block}, {}) for block in blocks for x in tab.G.generators]
+                   + [({}, {d: y}) for d in free for y in tab.H.generators])
+    least = _least_of_classes(tab, layout, codes, moves)
+    gauged = len(nerve.charts) - len(blocks)
+    cocycles = (len(codes) * tab.G.order ** gauged
+                * tab.H.order ** (len(doubles) - len(free) - gauged))
     return _census(layout, doubles, triples, cocycles, codes[least])
 
 
@@ -738,14 +742,8 @@ def classify_finite(cm, nerve):
     a module object; the verdict, failing or not, is kept with its compiled
     tables (`CompiledModule.axiom_failures`) for every later census.
 
-    A coned nerve (`_coned`) is classified in the cone gauge
-    (`_cone_census`) when both identities are index 0: it lists only the
-    gauge's slice of the cocycles, and its classes are the slice's orbits
-    under G, since every move of H that keeps the slice fixes each state.
-    Every other nerve is classified by enumerating every cocycle
-    (`_enumerated_census`). Both paste states in batches over the module's
-    compiled tables, store them as mixed-radix codes, and join the classes
-    by union-find over the moved codes; both give the same census.
+    The census (`_gauge_census`) runs in the cone gauge (`_cone_gauge`) when
+    both identities are index 0, and with no gauge otherwise.
     """
     if not cm.is_finite:
         raise ConfigError("classification needs a finite crossed module")
@@ -768,6 +766,6 @@ def classify_finite(cm, nerve):
         raise ConfigError(f"classification needs a crossed module: {cm.name} fails "
                           + ", ".join(tab.axiom_failures))
     # the slice holds the least member of each class only when e is index 0
-    if tab.G.identity == tab.H.identity == 0 and _coned(nerve):
-        return _cone_census(tab, nerve)
-    return _enumerated_census(tab, nerve)
+    if tab.G.identity == tab.H.identity == 0:
+        return _gauge_census(tab, nerve, *_cone_gauge(nerve))
+    return _gauge_census(tab, nerve, [[c] for c in nerve.charts])

@@ -20,10 +20,11 @@ like Python's; exp and integer powers, whose numpy versions round
 differently, run `math` element by element on the 1-D parameter vectors
 (O(S + T) calls, not O(S * T)). The ramps take their constant on the
 sitting margins with no call at all; inside the ramp they call exp and the
-square per element and do the rest elementwise. Combinators that branch on
-a parameter evaluate each side only on its own points. The public `value`, `d_s`,
-`d_t` and `velocity` accept either form; a scalar call is the one-point
-case and returns shape (dim,).
+square per element and do the rest elementwise. On arrays of at most 16
+elements they run the scalar ramp per element, which costs less there.
+Combinators that branch on a parameter evaluate each side only on its own
+points. The public `value`, `d_s`, `d_t` and `velocity` accept either form;
+a scalar call is the one-point case and returns shape (dim,).
 
 Parametrization conventions, fixed here and relied on elsewhere:
 
@@ -48,7 +49,8 @@ TAU_JOIN = 1e-7
 
 def _each(fn, x):
     """fn on every element of a float array, with the scalar rounding."""
-    return np.frompyfunc(fn, 1, 1)(x).astype(float)
+    # frompyfunc gives a 0-d array's one value back as a Python float
+    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
 
 
 def _power(x, k):
@@ -182,16 +184,23 @@ def ramp_derivative(s):
     return smooth_step_derivative((s - SITTING) / w) / w
 
 
+# arrays of at most this many elements run the scalar ramp per element, which
+# there costs less than the array ramp's fixed numpy overhead
+_PER_ELEMENT_MAX = 16
+
+
 def _ramp_arrays(s, scalar):
     """`ramp` or `ramp_derivative` (the scalar function) on an array, with its bits.
 
     The margins take their constant with no exp; inside the ramp, exp and
     the square run per element through `math` and the rest is elementwise.
+    A small array, or one holding NaN, runs the scalar function per element
+    (the scalar function decides what NaN gives).
     """
+    if s.size <= _PER_ELEMENT_MAX or np.isnan(s).any():
+        return _each(scalar, s)
     w = 1.0 - 2.0 * SITTING
     u = (np.asarray(s, dtype=float) - SITTING) / w
-    if np.isnan(u).any():  # the scalar function decides what NaN gives
-        return _each(scalar, s)
     out = np.where(u >= 1.0, 1.0, 0.0) if scalar is ramp else np.zeros(u.shape)
     inside = (u > 0.0) & (u < 1.0)
     x = u[inside]

@@ -320,6 +320,9 @@ def test_array_ramps_match_the_scalar_ramps(fn):
     assert _bits(fn(s)) == _bits(want)
     assert _bits(fn(s[:60].reshape(3, 4, 5))) == _bits(want[:60].reshape(3, 4, 5))
     assert _bits(fn(s[7:8].reshape(()))) == _bits(want[7:8].reshape(()))
+    # up to 16 elements run the scalar ramp per element, from 17 the array ramp
+    for n in (1, 2, 9, 16, 17):
+        assert _bits(fn(s[:n])) == _bits(want[:n])
     with pytest.raises(ZeroDivisionError):
         fn(np.array([0.5, np.nan]))
     with pytest.raises(ZeroDivisionError):

@@ -882,9 +882,26 @@ def test_touched_columns_equal_a_full_recompute(module, nerve_name):
         assert np.array_equal(row, moved_codes_in_full(tab, layout, codes, lam, bmap))
 
 
+def enumerated_census(tab, nv):
+    """The census with no gauge: one block per chart, every cocycle listed."""
+    return cech._gauge_census(tab, nv, [[c] for c in nv.charts])
+
+
+def cone_census(tab, nv):
+    """The census in the cone gauge of a coned nerve."""
+    blocks, fixing = cech._cone_gauge(nv)
+    assert blocks == [list(nv.charts)], "not coned"
+    return cech._gauge_census(tab, nv, blocks, fixing)
+
+
+def is_coned(nv):
+    """True when the cone gauge puts every chart of `nv` in one block."""
+    return cech._cone_gauge(nv)[0] == [list(nv.charts)]
+
+
 def test_census_moves_by_generators_only(monkeypatch):
-    # the enumeration: one move per chart and G generator, and per double and
-    # H generator. The cone gauge: one per G generator, lam = x at every chart
+    # no gauge: one move per chart and G generator, and per double and H
+    # generator. The cone gauge: one per G generator, lam = x at every chart
     made = []
     batched = cech._moved_codes
 
@@ -898,8 +915,8 @@ def test_census_moves_by_generators_only(monkeypatch):
             ("FLIP(Z3)", "sphere", 4 * 1 + 6 * 1, 1),
             ("GERBE(Z5)", "tetrahedron", 6 * 1, 0)]:
         tab, nv = crossed_module(module).compiled(), nerve(nerve_name)
-        for census, expected in ((cech._enumerated_census, enumerated),
-                                 (cech._cone_census, coned)):
+        for census, expected in ((enumerated_census, enumerated),
+                                 (cone_census, coned)):
             made.clear()
             census(tab, nv)
             assert len(set(made)) == expected, census.__name__
@@ -910,7 +927,7 @@ def test_census_in_blocks_of_one_state_equals_one_block(monkeypatch):
     # block size must not change the classes or their least members
     pairs = [("GERBE(Z2)", "sphere"), ("FLIP(Z3)", "triangle"),
              ("CONJ(S3)", "triangle"), ("AUT(Z5)", "triangle")]
-    routines = (cech._enumerated_census, cech._cone_census)
+    routines = (enumerated_census, cone_census)
 
     def censuses():
         return [census(crossed_module(m).compiled(), nerve(nv))
@@ -970,14 +987,34 @@ OCTAHEDRON = CoverNerve(
              (2, 3, 5), (3, 4, 5)])
 
 
+# the cone gauge of each strict shipped nerve: one block of every chart,
+# and the triples through chart 0 fixing
+CONE_GAUGES = {
+    "single-chart": ([[0]], []),
+    "two-charts": ([[0, 1]], []),
+    "triangle": ([[0, 1, 2]], [(0, 1, 2)]),
+    "sphere": ([[0, 1, 2, 3]], [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+    "tetrahedron": ([[0, 1, 2, 3]], [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+}
+
+
+def test_the_cone_gauge_of_each_nerve():
+    assert sorted(CONE_GAUGES) == sorted(n for n in NERVE_FIXTURES if nerve(n).is_strict)
+    for name, gauge in CONE_GAUGES.items():
+        assert cech._cone_gauge(nerve(name)) == gauge, name
+    # one block per chart and no fixing triple where the nerve is not coned
+    for cover in (OCTAHEDRON, RP2, CoverNerve([])):
+        assert cech._cone_gauge(cover) == ([[c] for c in cover.charts], [])
+
+
 def test_cone_census_equals_the_enumeration(monkeypatch):
     rng = random.Random(23)
     for module, nerve_name in ADMITTED:
         tab, nv = crossed_module(module).compiled(), nerve(nerve_name)
         labels = sorted(rng.sample(range(100), len(nv.charts)))
         for cover in (nv, relabelled(nv, labels)):
-            assert cech._coned(cover)
-            assert cech._cone_census(tab, cover) == cech._enumerated_census(tab, cover), \
+            assert is_coned(cover)
+            assert cone_census(tab, cover) == enumerated_census(tab, cover), \
                 (module, cover.charts)
     # 45 random coned nerves per module, 315 in all
     assert len(shipped_finite_names()) == 7
@@ -989,17 +1026,20 @@ def test_cone_census_equals_the_enumeration(monkeypatch):
             # keep the enumeration small
             if tab.G.order ** len(cover.doubles) * tab.H.order ** len(cover.triples) > 10 ** 5:
                 continue
-            assert cech._coned(cover)
-            assert cech._cone_census(tab, cover) == cech._enumerated_census(tab, cover), \
+            assert is_coned(cover)
+            assert cone_census(tab, cover) == enumerated_census(tab, cover), \
                 (module, cover.doubles, cover.triples, cover.quads)
             compared += 1
     # a nerve that is not coned is enumerated: n^8 cocycles in H^2 = Zn classes
-    assert not cech._coned(OCTAHEDRON)
+    assert not is_coned(OCTAHEDRON)
+    gauge_census = cech._gauge_census
 
-    def refuse(tab, nv):
-        raise AssertionError("the octahedron is not coned")
+    def singletons_only(tab, nv, blocks, fixing=()):
+        assert (blocks, list(fixing)) == ([[c] for c in nv.charts], []), \
+            "the octahedron is not coned"
+        return gauge_census(tab, nv, blocks, fixing)
 
-    monkeypatch.setattr(cech, "_cone_census", refuse)
+    monkeypatch.setattr(cech, "_gauge_census", singletons_only)
     for n in (2, 3, 4):
         census = classify_finite(crossed_module(f"GERBE(Z{n})"), OCTAHEDRON)
         assert (census["cocycles"], census["orbits"]) == (n ** 8, n)
@@ -1019,8 +1059,8 @@ def test_a_module_whose_identity_is_not_index_0_is_enumerated():
     tab = cm.compiled()
     for nerve_name in ("triangle", "sphere"):
         census = classify_finite(cm, nerve(nerve_name))
-        assert census == cech._enumerated_census(tab, nerve(nerve_name))
-        assert census != cech._cone_census(tab, nerve(nerve_name))
+        assert census == enumerated_census(tab, nerve(nerve_name))
+        assert census != cone_census(tab, nerve(nerve_name))
         flip = classify_finite(FLIP, nerve(nerve_name))
         assert (census["cocycles"], census["orbits"]) == (flip["cocycles"], flip["orbits"])
 
@@ -1069,7 +1109,7 @@ def test_budget_refused_pairs_in_the_cone_gauge(module, nerve_name):
     cm, nv = crossed_module(module), nerve(nerve_name)
     with pytest.raises(BudgetExceeded):
         classify_finite(cm, nv)
-    census = cech._cone_census(cm.compiled(), nv)
+    census = cone_census(cm.compiled(), nv)
     assert (census["cocycles"], census["orbits"]) == (46656, 1)
     assert census == closed_form_census(cm, nerve_name)
 
@@ -1167,7 +1207,7 @@ def test_the_cone_census_of_a_nonabelian_kernel_matches_the_closed_form(module):
     for nerve_name, orbits in (("sphere", 2), ("tetrahedron", 1)):
         with pytest.raises(BudgetExceeded):
             classify_finite(cm, nerve(nerve_name))
-        census = cech._cone_census(cm.compiled(), nerve(nerve_name))
+        census = cone_census(cm.compiled(), nerve(nerve_name))
         assert census["orbits"] == orbits
         assert census == closed_form_census(cm, nerve_name)
 
@@ -1260,7 +1300,7 @@ def test_gerbe_census_is_the_second_cohomology(n):
 def test_rp2_census_is_its_second_cohomology():
     # not coned, and its d1 has the torsion 2: H^2(RP^2; Zn) = Z2 / n, so
     # Z2 gives 2 classes and Z3 one
-    assert not cech._coned(RP2)
+    assert not is_coned(RP2)
     assert 2 in smith_diagonal(coboundary_matrix(sorted(RP2.triples), sorted(RP2.doubles)))
     for n, expected in ((2, (1024, 2)), (3, (59049, 1))):
         census = classify_finite(crossed_module(f"GERBE(Z{n})"), RP2)

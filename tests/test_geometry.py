@@ -272,6 +272,25 @@ def test_bigon_arrays_match_scalar_calls(name):
         assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("name", sorted(_array_fixtures()))
+def test_a_0d_s_against_a_1d_t_matches_scalar_calls(name):
+    # a 0-d array takes the per-element path, whose one value comes back
+    # from np.frompyfunc as a Python float; t is long enough for the array
+    # ramps, and short enough for the per-element ones
+    bigon = _array_fixtures()[name]
+    for s in (0.05, 0.3, 0.5, 0.95):
+        for t in (T_VALUES, T_VALUES[::4]):
+            for method in (bigon.value, bigon.d_s, bigon.d_t):
+                got = method(np.array(s), t)
+                want = np.array([method(s, x) for x in t])
+                assert got.shape == want.shape
+                assert _bits(got) == _bits(want)
+    power = Reparam.power_of_sitting(2)
+    for fn in (power, power.derivative):
+        got = fn(np.array(0.5))
+        assert got.shape == () and _bits(got) == _bits(np.float64(fn(0.5)))
+
+
 def test_scalar_only_closure_is_refused_on_arrays():
     sheet = Bigon(lambda s, t: np.array([1.0, 2.0, 3.0]),
                   lambda s, t: np.zeros(3), lambda s, t: np.zeros(3), 2)

@@ -44,16 +44,16 @@ def test_one_census_line_per_shipped_finite_module_and_nerve():
     lines = _lines("--census")
     pairs = [(module, nerve) for module in shipped_finite_names() for nerve in NERVE_FIXTURES]
     # the tool adds one cyclic gerbe larger than any shipped module, and one
-    # on an octahedron, which the census enumerates
-    assert len(lines) == len(pairs) + 2 == 44
+    # each on an octahedron and on RP^2, which the census runs with no gauge
+    assert len(lines) == len(pairs) + 3 == 45
     assert [tuple(line.split()[:2]) for line in lines] == pairs + [
-        ("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron")]
+        ("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron"), ("GERBE(Z2)", "rp2")]
 
 
 def test_census_repeat_prints_a_wall_per_census_and_the_same_refusals():
     digests = _lines("--census")
     walls = _lines("--census", "--repeat", "1")
-    assert len(walls) == len(digests) == 44
+    assert len(walls) == len(digests) == 45
     for wall, digest in zip(walls, digests):
         if " refused: " in digest:
             assert wall == digest

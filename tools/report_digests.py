@@ -45,9 +45,11 @@ imports included, then the same for all runs together.
     python3 tools/report_digests.py --census
 
 prints, instead, one line per finite census: every shipped finite module on
-every shipped nerve, GERBE(Z20) on the sphere, and GERBE(Z3) on an
-octahedron built here (a nerve that is not coned, so the census enumerates
-it, where it fixes the cone gauge on every shipped nerve it admits),
+every shipped nerve, GERBE(Z20) on the sphere, GERBE(Z3) on an octahedron
+and GERBE(Z2) on a 6-chart RP^2, both built here. The census is one routine
+run in a gauge: the cone gauge on every shipped nerve it admits, and no
+gauge, which lists every cocycle, on the octahedron and RP^2, which are not
+coned,
 
     module nerve sha256(json census)
 
@@ -153,16 +155,26 @@ def cold_lines(src, commands, scenarios, repeats, options=()):
     return lines
 
 
-# the octahedron: S^2 with chart 0 opposite chart 5, as CoverNerve arguments
-OCTAHEDRON = {
-    "charts": range(6),
-    "doubles": [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3),
-                (2, 5), (3, 4), (3, 5), (4, 5)],
-    "triples": [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5),
-                (2, 3, 5), (3, 4, 5)]}
+# nerves that are not coned, as CoverNerve arguments: the octahedron, S^2 with
+# chart 0 opposite chart 5, and the 6-chart RP^2, in which every pair of
+# charts meets
+BUILT_NERVES = {
+    "octahedron": {
+        "charts": range(6),
+        "doubles": [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3),
+                    (2, 5), (3, 4), (3, 5), (4, 5)],
+        "triples": [(0, 1, 2), (0, 1, 4), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 4, 5),
+                    (2, 3, 5), (3, 4, 5)]},
+    "rp2": {
+        "charts": range(6),
+        "doubles": [(i, j) for i in range(6) for j in range(i + 1, 6)],
+        "triples": [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4),
+                    (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)]},
+}
 # a cyclic gerbe larger than any shipped module, within the census budget, and
-# one on a nerve that is not coned, so that the enumeration is diffed too
-EXTRA_CENSUS = [("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron")]
+# two on nerves that are not coned, so that the census with no gauge is diffed
+# too: RP^2 is also where a tree of doubles leaves some doubles unreached
+EXTRA_CENSUS = [("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron"), ("GERBE(Z2)", "rp2")]
 
 
 def census_lines(repeats=None):
@@ -176,7 +188,8 @@ def census_lines(repeats=None):
     lines = []
     for module, nerve_name in pairs + EXTRA_CENSUS:
         cm = crossed_module(module)
-        cover = CoverNerve(**OCTAHEDRON) if nerve_name == "octahedron" else nerve(nerve_name)
+        cover = (CoverNerve(**BUILT_NERVES[nerve_name]) if nerve_name in BUILT_NERVES
+                 else nerve(nerve_name))
         walls = []
         try:
             for _ in range(repeats or 1):
