@@ -17,13 +17,14 @@ twocells.py rather than to hand-expanded formulas. Closed-form versions of
 these pastings exist only in the test suite, as independent oracles. The
 census runs the same diagram functions over a module's compiled tables,
 where they paste CellBatch batches of states instead of single TwoCells,
-with one more axis for the census's moves. It is one routine in a gauge:
-the gauge fixes g = e inside blocks of charts and h = e on some triples,
-and the census pastes only the gauge's slice of the cocycles under the
-moves left. A coned nerve takes the cone gauge (g = e on every double,
-h = e on every triple through the least chart) when both groups list e
-first; its classes are orbits of G alone, as t(H) acts trivially on ker t.
-Any other census takes no gauge, and every cocycle is listed.
+one move at a time, over only the columns that move touches. It is one
+routine in a gauge: the gauge fixes g = e inside blocks of charts and
+h = e on some triples, and the census pastes only the gauge's slice of
+the cocycles under the moves left. A coned nerve takes the cone gauge
+(g = e on every double, h = e on every triple through the least chart)
+when both groups list e first; its classes are orbits of G alone, as t(H)
+acts trivially on ker t. Any other census takes no gauge, and every
+cocycle is listed.
 
 Overlap values may be constants (finite indices or matrices) or point
 functions, evaluated at a nerve's sample points per overlap. One routine
@@ -362,40 +363,43 @@ def _unbridge(cm, cell):
     return cm.alpha(cm.G.inv(cell.g), cell.h)
 
 
+def _lookups(cm, lam, b):
+    # lam and b dicts as functions, the identity wherever they leave a site out
+    return lambda i: lam.get(i, cm.G.identity), lambda pair: b.get(pair, cm.H.identity)
+
+
 def _transformed_double(cm, gv, lam, bv, pair):
     i, j = pair
     G = cm.G
     return G.mul(G.mul(G.mul(lam(i), gv(pair)), cm.t(bv(pair))), G.inv(lam(j)))
 
 
+def _beta(cm, gv, lam, bv, pair):
+    # the 2-cell of b over a double: from lam_i g_ij lam_j^-1 to the new g_ij
+    i, j = pair
+    G = cm.G
+    src = G.mul(G.mul(lam(i), gv(pair)), G.inv(lam(j)))
+    return _cell(cm, src, cm.alpha(lam(j), bv(pair)))
+
+
+def _framed(cm, lam, i, cell, k):
+    # the identity on lam_i, then `cell`, then the identity on lam_k^-1
+    identity = _cells(cm).identity
+    return identity(cm, lam(i)).horizontal(cell).horizontal(identity(cm, cm.G.inv(lam(k))))
+
+
 def _transformed_triple(cm, gv, hv, lam, bv, tri):
     """New h over a triple, as the pasting around the changed squares."""
     i, j, k = tri
-    G = cm.G
-
-    def beta(pair):
-        a, b = pair
-        src = G.mul(G.mul(lam(a), gv(pair)), G.inv(lam(b)))
-        return _cell(cm, src, cm.alpha(lam(b), bv(pair)))
-
-    X = beta((i, j)).horizontal(beta((j, k)))
-    identity = _cells(cm).identity
-    mid = (identity(cm, lam(i))
-           .horizontal(_cell(cm, G.mul(gv((i, j)), gv((j, k))), hv(tri)))
-           .horizontal(identity(cm, G.inv(lam(k)))))
-    comp = X.vertical_inverse().vertical(mid).vertical(beta((i, k)))
+    X = _beta(cm, gv, lam, bv, (i, j)).horizontal(_beta(cm, gv, lam, bv, (j, k)))
+    mid = _framed(cm, lam, i, _cell(cm, cm.G.mul(gv((i, j)), gv((j, k))), hv(tri)), k)
+    comp = X.vertical_inverse().vertical(mid).vertical(_beta(cm, gv, lam, bv, (i, k)))
     return _unbridge(cm, comp)
 
 
-def _transformed_unit(cm, gv, kv, lam, bv, chart):
-    i = chart
-    G = cm.G
-    src = G.mul(G.mul(lam(i), gv((i, i))), G.inv(lam(i)))
-    beta = _cell(cm, src, cm.alpha(lam(i), bv((i, i))))
-    mid = (TwoCell.identity(cm, lam(i))
-           .horizontal(_cell(cm, gv((i, i)), kv(i)))
-           .horizontal(TwoCell.identity(cm, G.inv(lam(i)))))
-    comp = beta.vertical_inverse().vertical(mid)
+def _transformed_unit(cm, gv, kv, lam, bv, i):
+    mid = _framed(cm, lam, i, _cell(cm, gv((i, i)), kv(i)), i)
+    comp = _beta(cm, gv, lam, bv, (i, i)).vertical_inverse().vertical(mid)
     return _unbridge(cm, comp)
 
 
@@ -403,21 +407,23 @@ def coboundary_act(data, lam=None, b=None, check=True):
     """Change of local trivializations: g'_ij = lam_i g_ij t(b_ij) lam_j^-1.
 
     h and k transform by the pasting of the corresponding diagrams. Finite
-    mode only. With check=True the result is re-validated; a failure there
-    would mean the pasting itself is broken, so it raises.
+    mode only. A lam on a chart or a b on a double that the nerve does not
+    declare is refused, as `GluingCocycle` refuses such data. With
+    check=True the result is re-validated; a failure there would mean the
+    pasting itself is broken, so it raises.
     """
     cm = data.cm
     if not cm.is_finite:
         raise ConfigError("coboundary action is implemented for finite mode")
     lam = dict(lam) if lam else {}
     b = {tuple(key): val for key, val in b.items()} if b else {}
-
-    def lam_at(i):
-        return lam.get(i, cm.G.identity)
-
-    def b_at(pair):
-        return b.get(tuple(pair), cm.H.identity)
-
+    problems = ([f"lam value for unknown chart {key!r}" for key in lam
+                 if key not in set(data.nerve.charts)]
+                + [f"b value for undeclared double {key}" for key in b
+                   if key not in set(data.nerve.doubles)])
+    if problems:
+        raise ConfigError(problems)
+    lam_at, b_at = _lookups(cm, lam, b)
     gv, hv, kv = data.g_at, data.h_at, data.k_at
     new_g = {d: _transformed_double(cm, gv, lam_at, b_at, d)
              for d in data.nerve.doubles}
@@ -530,68 +536,31 @@ def _cocycle_codes(tab, layout, quads):
     return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
 
 
-class _Moves:
-    """Changes of trivializations, prepared column by column for `_moved_codes`.
+def _moved_codes(tab, layout, codes, sites):
+    """Codes of the states reached from `codes` by each move of `sites`.
 
     `sites` lists the moves as (lam, bmap) pairs, lam mapping charts to G
-    elements and bmap doubles to H elements. A move touches a double when lam
-    holds one of its charts or bmap holds the double itself, and a triple
-    when lam holds one of its charts or bmap holds one of its edges. For each
-    touched column, `columns` keeps its index in the state layout, the rows
-    of the moves that touch it and, for every chart and edge its pasting
-    reads, those moves' values as a (rows, 1) array, with the identity where
-    a move leaves that site alone, or as one scalar where all of them hold
-    the same value there. It is built once per census.
-    """
-
-    def __init__(self, tab, layout, sites):
-        self.sites = list(sites)
-        self.columns = []
-        G_id, H_id = tab.G.identity, tab.H.identity
-        for overlap in layout.doubles + layout.triples:
-            edges = [overlap] if len(overlap) == 2 else _faces(overlap)
-            rows = [m for m, (lam, bmap) in enumerate(self.sites)
-                    if not lam.keys().isdisjoint(overlap)
-                    or not bmap.keys().isdisjoint(edges)]
-            if not rows:
-                continue
-            # the touching moves' values at each chart, then at each edge; one
-            # that every touching move shares stays a scalar, so the pastings
-            # broadcast it against the states alone
-            values = ([[self.sites[m][0].get(c, G_id) for m in rows] for c in overlap]
-                      + [[self.sites[m][1].get(e, H_id) for m in rows] for e in edges])
-            values = [v[0] if len(set(v)) == 1 else np.array(v)[:, np.newaxis]
-                      for v in values]
-            lam = dict(zip(overlap, values))
-            b = dict(zip(edges, values[len(overlap):]))
-            n = (layout.d_index[overlap] if len(overlap) == 2
-                 else layout.t_index[overlap])
-            self.columns.append((n, overlap, np.array(rows), lam, b))
-
-
-def _moved_codes(tab, layout, codes, moves):
-    """Codes of the states reached from `codes` by each of `moves` (a _Moves).
-
-    Row m of the (moves, states) result holds the codes after move m. Each
-    touched column is pasted once, for all the moves that touch it at once:
-    their (rows, 1) values broadcast against the states' columns, so the
-    diagram functions paste a (rows, states) batch of cells. A move that
-    does not touch a column would paste identities around its stored value
-    and give it back once the axioms hold (alpha(e) = id, t(e) = e), so it
-    keeps the column's digit and its codes change by its touched columns'
-    differences alone. The layout's columns are decoded once; an overlap it
-    leaves out reads as the identity.
+    elements and bmap doubles to H elements; row m of the result holds the
+    codes after move m. The layout's columns are decoded once, and an
+    overlap it leaves out reads as the identity. A move pastes only the
+    columns it touches: a double when lam holds one of its charts or bmap
+    the double, a triple when lam holds one of its charts or bmap one of
+    its edges. Any other column would paste identities around its value and
+    give it back once the axioms hold (alpha(e) = id, t(e) = e).
     """
     columns = layout.digits(codes)
     gv, hv = layout.accessors(columns)
-    moved = np.repeat(codes[np.newaxis], len(moves.sites), axis=0)
-    for n, overlap, rows, lam, b in moves.columns:
-        if len(overlap) == 2:
-            digit = _transformed_double(tab, gv, lam.__getitem__, b.__getitem__, overlap)
-        else:
-            digit = _transformed_triple(tab, gv, hv, lam.__getitem__, b.__getitem__,
-                                        overlap)
-        moved[rows] += (digit - columns[n]) * layout.weights[n]
+    overlaps = [(n, overlap, [overlap] if len(overlap) == 2 else _faces(overlap))
+                for n, overlap in enumerate(layout.doubles + layout.triples)]
+    moved = np.repeat(codes[np.newaxis], len(sites), axis=0)
+    for row, (lam, bmap) in zip(moved, sites):
+        lam_at, b_at = _lookups(tab, lam, bmap)
+        for n, overlap, edges in overlaps:
+            if lam.keys().isdisjoint(overlap) and bmap.keys().isdisjoint(edges):
+                continue
+            digit = (_transformed_double(tab, gv, lam_at, b_at, overlap) if len(overlap) == 2
+                     else _transformed_triple(tab, gv, hv, lam_at, b_at, overlap))
+            row += (digit - columns[n]) * layout.weights[n]
     return moved
 
 
@@ -615,21 +584,23 @@ def _merge(parent, other):
             parent[:] = up
 
 
-def _least_of_classes(tab, layout, codes, moves):
-    """Indices into `codes` of the least member of each class under `moves`.
+def _least_of_classes(tab, layout, codes, sites):
+    """Indices into `codes` of the least member of each class under the moves
+    of `sites`, (lam, bmap) pairs as `_moved_codes` takes them.
 
-    The moved codes are mapped back to indices of `codes`, one row of
-    targets per move, in blocks of states, and the classes are the
-    components of those maps (union-find, one merge per move). Components do
-    not depend on the order of the merges, so they do not depend on the
-    block size. A move that takes a state outside `codes` raises ConfigError.
+    Each move is applied on its own to each block of states (`_moved_codes`)
+    and its moved codes are mapped back to indices of `codes`, one row of
+    targets per move. The classes are the components of those maps
+    (union-find, one merge per move). Components do not depend on the order
+    of the merges, so they do not depend on the block size. A move that
+    takes a state outside `codes` raises ConfigError.
     """
     # targets[m, n] is the state that move m takes state n to; int32 holds
     # any index the budget admits, at half the memory of intp, and so does
     # the union-find's parent array
-    targets = np.empty((len(moves.sites), len(codes)), dtype=np.int32)
+    targets = np.empty((len(sites), len(codes)), dtype=np.int32)
     for block in _blocks(len(codes)):
-        moved = _moved_codes(tab, layout, codes[block], moves)
+        moved = _moved_codes(tab, layout, codes[block], sites)
         target = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
         if not np.array_equal(codes[target], moved):
             raise ConfigError(f"a change of trivializations takes a cocycle of {tab.name} "
@@ -680,10 +651,10 @@ def _gauge_census(tab, nerve, blocks, fixing=()):
     double between blocks and h on each triple that is not fixing, with the
     identity in every other column (`_cocycle_codes`). The moves, lam = x on
     each block for each generator x of G, then b = y on each free double for
-    each generator y of H, are applied in one pass per block of states
-    (`_moved_codes`), and each class, a component of the moves
-    (`_least_of_classes`), is given by its least member. The gauge's own
-    moves act freely, so there are |slice| |G|^(charts - blocks)
+    each generator y of H, are (lam, bmap) sites, each applied on its own to
+    the columns it touches (`_moved_codes`), and each class, a component of
+    the moves (`_least_of_classes`), is given by its least member. The
+    gauge's own moves act freely, so there are |slice| |G|^(charts - blocks)
     |H|^(doubles - free - (charts - blocks)) cocycles. Only two gauges are
     proven, and `classify_finite` passes only these:
 
@@ -720,10 +691,9 @@ def _gauge_census(tab, nerve, blocks, fixing=()):
     free = [d for d in doubles if block_of[d[0]] != block_of[d[1]]]
     layout = _StateLayout(tab, free, [t for t in triples if t not in fixed])
     codes = _cocycle_codes(tab, layout, sorted(nerve.quads))
-    moves = _Moves(tab, layout,
-                   [({c: x for c in block}, {}) for block in blocks for x in tab.G.generators]
-                   + [({}, {d: y}) for d in free for y in tab.H.generators])
-    least = _least_of_classes(tab, layout, codes, moves)
+    sites = ([({c: x for c in block}, {}) for block in blocks for x in tab.G.generators]
+             + [({}, {d: y}) for d in free for y in tab.H.generators])
+    least = _least_of_classes(tab, layout, codes, sites)
     gauged = len(nerve.charts) - len(blocks)
     cocycles = (len(codes) * tab.G.order ** gauged
                 * tab.H.order ** (len(doubles) - len(free) - gauged))

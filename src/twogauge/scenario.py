@@ -103,8 +103,7 @@ class Scenario:
 
     def require(self, *attrs):
         """The pieces a subcommand cannot run without."""
-        missing = [a for a in attrs if getattr(self, a) is None and not
-                   (a == "forms" and self.forms)]
+        missing = [a for a in attrs if getattr(self, a) is None]
         if missing:
             raise ConfigError([f"scenario {self.name} does not declare {m!r}"
                                for m in missing])

@@ -480,6 +480,16 @@ def test_coboundary_requires_finite_mode():
         coboundary_act(data, None, None)
 
 
+def test_coboundary_refuses_undeclared_sites():
+    # a lam on a chart or a b on a double the nerve does not declare would
+    # otherwise be dropped, and the cocycle returned as it was
+    data = forced_cocycle(S3, nerve("triangle"), 5)
+    with pytest.raises(ConfigError) as exc:
+        coboundary_act(data, {7: 1}, {(1, 0): 2})
+    assert exc.value.errors == ["lam value for unknown chart 7",
+                                "b value for undeclared double (1, 0)"]
+
+
 # ------------------------------------------------------------- continuum
 
 def _su2_cover():
@@ -845,10 +855,9 @@ def single_site_moves(tab, charts, layout):
 
 
 def moved_codes(tab, layout, codes, sites):
-    """The census's batched moves, in its blocks of states: one row of moved
-    codes per (lam, bmap) site."""
-    moves = cech._Moves(tab, layout, sites)
-    return np.concatenate([cech._moved_codes(tab, layout, codes[block], moves)
+    """The census's moves, in its blocks of states: one row of moved codes
+    per (lam, bmap) site."""
+    return np.concatenate([cech._moved_codes(tab, layout, codes[block], sites)
                            for block in crossed._blocks(len(codes))], axis=1)
 
 
@@ -872,10 +881,17 @@ def test_single_site_moves_compose_as_group_actions(module, nerve_name):
 
 @pytest.mark.parametrize("module,nerve_name", ADMITTED)
 def test_touched_columns_equal_a_full_recompute(module, nerve_name):
-    # every move of every site in one batch, each row against a full recompute
+    # every move of every site in one call, each row against a full recompute.
+    # Besides the single-site moves: the cone gauge's lam = x at every chart,
+    # and the composite lam_j = t(y), b = y into j and y^-1 out of j
     tab, layout, codes = census_states(module, nerve_name)
-    sites = [move for _, _, moves in single_site_moves(tab, nerve(nerve_name).charts, layout)
+    charts = nerve(nerve_name).charts
+    sites = [move for _, _, moves in single_site_moves(tab, charts, layout)
              for move in moves]
+    sites += [({c: x for c in charts}, {}) for x in range(tab.G.order)]
+    sites += [({j: tab.t(y)}, {d: y if d[1] == j else tab.H.inv(y)
+                               for d in layout.doubles if j in d})
+              for j in charts for y in range(tab.H.order)]
     moved = moved_codes(tab, layout, codes, sites)
     assert moved.shape == (len(sites), len(codes))
     for (lam, bmap), row in zip(sites, moved):
@@ -903,11 +919,11 @@ def test_census_moves_by_generators_only(monkeypatch):
     # no gauge: one move per chart and G generator, and per double and H
     # generator. The cone gauge: one per G generator, lam = x at every chart
     made = []
-    batched = cech._moved_codes
+    moved_codes = cech._moved_codes
 
-    def counting(tab, layout, codes, moves):
-        made.extend((tuple(lam.items()), tuple(bmap.items())) for lam, bmap in moves.sites)
-        return batched(tab, layout, codes, moves)
+    def counting(tab, layout, codes, sites):
+        made.extend((tuple(lam.items()), tuple(bmap.items())) for lam, bmap in sites)
+        return moved_codes(tab, layout, codes, sites)
 
     monkeypatch.setattr(cech, "_moved_codes", counting)
     for module, nerve_name, enumerated, coned in [

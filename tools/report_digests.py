@@ -28,9 +28,9 @@ shipped seeds:
     python3 tools/report_digests.py --repeat 5
 
 prints, instead of digests, one line per subcommand: the median over 5
-repeats of the summed "[wall]" seconds of that subcommand's runs, and how
-many of its runs report a wall (a run that exits 2 before starting prints
-none). Those walls start after the imports, so they leave out start-up.
+repeats of the summed "[wall]" seconds of that subcommand's runs, with the
+first and third quartiles of those repeats, and how many of its runs
+report a wall (a run that exits 2 before starting prints none). Those walls start after the imports, so they leave out start-up.
 Every mode runs with one BLAS and OpenMP thread (OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are set to 1, also for the
 processes it starts), as perfbench does.
@@ -59,8 +59,9 @@ moved any census.
 
     python3 tools/report_digests.py --census --repeat 5
 
-prints, for the same pairs, `module nerve seconds`: the median wall of 5
-in-process `classify_finite` runs, and the refusal lines as above.
+prints, for the same pairs, `module nerve seconds (q1 seconds, q3 seconds)`:
+the median wall of 5 in-process `classify_finite` runs with its first and
+third quartiles, and the refusal lines as above.
 
     python3 tools/report_digests.py --against ../parent/src
 
@@ -93,6 +94,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _spread(walls, places):
+    """The median of `walls` and its first and third quartiles, in seconds."""
+    q1, median, q3 = (statistics.quantiles(walls, n=4, method="inclusive")
+                      if len(walls) > 1 else walls * 3)
+    return f"{median:.{places}f}s (q1 {q1:.{places}f}s, q3 {q3:.{places}f}s)"
 
 
 def shipped_runs(cli, scenarios, options=()):
@@ -128,7 +136,7 @@ def wall_lines(cli, scenarios, repeats, options=()):
                     timed[command] += 1
         for command, total in sums.items():
             totals[command].append(total)
-    return [f"{command} {statistics.median(totals[command]):.3f}s "
+    return [f"{command} {_spread(totals[command], 3)} "
             f"({timed[command]} of {len(scenarios)} runs timed)"
             for command in cli.COMMANDS]
 
@@ -179,7 +187,8 @@ EXTRA_CENSUS = [("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron"), ("GERBE(Z
 
 def census_lines(repeats=None):
     """One digest or refusal line per finite census, shipped pairs first; with
-    `repeats`, the median wall of that many runs in place of the digest."""
+    `repeats`, the median wall of that many runs and its quartiles in place
+    of the digest."""
     from twogauge.cech import NERVE_FIXTURES, CoverNerve, classify_finite, nerve
     from twogauge.crossed import crossed_module, shipped_finite_names
     from twogauge.errors import TwoGaugeError
@@ -203,7 +212,7 @@ def census_lines(repeats=None):
             lines.append(f"{module} {nerve_name} "
                          f"{_sha(json.dumps(census, sort_keys=True))}")
         else:
-            lines.append(f"{module} {nerve_name} {statistics.median(walls):.4f}s")
+            lines.append(f"{module} {nerve_name} {_spread(walls, 4)}")
     return lines
 
 
@@ -239,8 +248,8 @@ def main(argv=None):
                         help="run every scenario at seed N instead of its own")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--repeat", type=int, default=None, metavar="N",
-                      help="print median [wall] per subcommand over N repeats; "
-                           "with --census, per census")
+                      help="print median [wall] and quartiles per subcommand over "
+                           "N repeats; with --census, per census")
     mode.add_argument("--cold", type=int, default=None, metavar="N",
                       help="print median fresh-process seconds per subcommand "
                            "over N repeats")
