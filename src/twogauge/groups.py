@@ -14,9 +14,11 @@ each given by its Lie algebra with a fixed, documented basis:
 exp is scaling-and-squaring Pade (scipy expm, one call per matrix or stack;
 np.exp on 1x1 matrices, as in scipy); log eigen-checks the argument and
 refuses cut-locus points with the offending eigenvalue in the error, then
-takes scipy logm per matrix (np.log on complex 1x1 matrices, as in scipy).
-Both import scipy when first needed, so a process that never takes an exp
-or a log of a matrix larger than 1x1 never loads it.
+gives scipy logm's bits: np.log on complex 1x1 matrices, one Schur form and
+logm's closed-form entries on complex 2x2 ones (no Pade stage, no
+scipy.sparse), and logm itself per matrix otherwise (SO(3)). Both import
+scipy when first needed, so a process that never takes an exp or a log of a
+matrix larger than 1x1 never loads it.
 Group products renormalize by polar projection when the membership drift
 exceeds TAU_GRP / 10, and operands are refused when it is not within 1e-6.
 Both tests read only a decision, which `MatrixGroup._defect_against` makes
@@ -403,6 +405,73 @@ def trivial_algebra():
     return LieAlgebra("0", [], 1, float, lambda X: np.zeros(X.shape))
 
 
+# scipy logm warns when its error estimate ||expm(F) - A||_1 / ||A||_1 is not below this
+_LOGM_ERRTOL = 1000 * np.finfo(float).eps
+
+
+def _logm_superdiag_entry(l1, l2, t12):
+    """F[0, 1] of log [[l1, t12], [0, l2]] by Higham (2008), eq. (11.28), in
+    the arithmetic of scipy's `_logm_superdiag_entry` on numpy scalars."""
+    if l1 == l2:
+        return t12 / l1
+    if abs(l2 - l1) > abs(l1 + l2) / 2:
+        return t12 * (np.log(l2) - np.log(l1)) / (l2 - l1)
+    z = (l2 - l1) / (l2 + l1)
+    # the unwinding number of log l2 - log l1 (scipy's `_unwindk`)
+    u = int(np.ceil(((np.log(l2) - np.log(l1)).imag - np.pi) / (2 * np.pi)))
+    if u:
+        return t12 * 2 * (np.arctanh(z) + np.pi * 1j * u) / (l2 - l1)
+    return t12 * 2 * np.arctanh(z) / (l2 - l1)
+
+
+def _logm_2x2(A):
+    """scipy.linalg.logm of each matrix of a finite complex (N, 2, 2)
+    stack, with logm's bits and warnings, mostly without its cost.
+
+    logm takes the complex Schur form A = Z T Z^H (T = A when A is upper
+    triangular), runs an inverse scaling and squaring Pade stage on T, and
+    then, wherever T's diagonal has a principal logarithm, overwrites every
+    entry that stage wrote: the diagonal with np.log and, on a 2x2 T, the one
+    superdiagonal entry by eq. (11.28). Here each matrix skips the stage and
+    gets Z U Z^H (U itself for a triangular A), with one `schur` and one
+    `expm` call per stack. A matrix takes plain logm wherever logm would do
+    more: a diagonal entry of T below 1e-20 in modulus (logm warns and moves
+    it), one on the closed negative real axis (logm keeps the Pade result), a
+    non-finite result, and an error estimate that is not below _LOGM_ERRTOL
+    (logm warns). The estimate is recomputed from a stacked `expm`; it is
+    trusted only below _LOGM_ERRTOL * (1 - _BAND), so a few ulps of
+    difference from logm's own cannot hide a warning.
+    """
+    import scipy.linalg
+    A = np.asarray(A, dtype=complex)
+    # the only warnings are logm's own, from the matrices it is handed
+    with np.errstate(all="ignore"):
+        T = A.copy()
+        # np.array_equal(A, np.triu(A)) for a finite 2x2 matrix
+        schur = np.flatnonzero(A[:, 1, 0] != 0)
+        if len(schur):
+            T[schur], Z = scipy.linalg.schur(A[schur], output="complex")
+        diag = T[:, (0, 1), (0, 1)]
+        closed = (np.abs(diag) >= 1e-20).all(axis=1) \
+            & ((diag.real > 0) | (diag.imag != 0)).all(axis=1)
+        F = np.zeros_like(T)
+        F[:, (0, 1), (0, 1)] = np.log(diag)
+        for k in np.flatnonzero(closed):
+            F[k, 0, 1] = _logm_superdiag_entry(T[k, 0, 0], T[k, 1, 1], T[k, 0, 1])
+        if len(schur):
+            F[schur] = Z @ F[schur] @ Z.conj().swapaxes(1, 2)
+        closed &= np.isfinite(F).all(axis=(1, 2))
+        ok = np.flatnonzero(closed)
+        if len(ok):
+            # 1-norms: the largest column sum of moduli
+            err = np.abs(scipy.linalg.expm(F[ok]) - A[ok]).sum(axis=1).max(axis=1) \
+                / np.abs(A[ok]).sum(axis=1).max(axis=1)
+            closed[ok] = err < _LOGM_ERRTOL * (1 - _BAND)
+    for k in np.flatnonzero(~closed):
+        F[k] = scipy.linalg.logm(A[k])
+    return F
+
+
 class MatrixGroup:
     """A connected compact matrix group, given by its Lie algebra, with
     membership test, polar projection, exp and log.
@@ -659,8 +728,9 @@ class MatrixGroup:
 
         The cut locus is exactly where an eigenvalue reaches the negative real
         axis; the offending eigenvalue (of the first such matrix of a stack) is
-        reported. A complex 1x1 log is np.log, the bits scipy's logm gives it;
-        larger ones take one logm per matrix.
+        reported. Every log has scipy logm's bits: a complex 1x1 log is np.log,
+        a complex 2x2 log is one `schur` per matrix and logm's closed-form
+        entries (`_logm_2x2`), and any other (SO(3)) takes logm per matrix.
         """
         g = self._check(g)
         if self.trivial:
@@ -675,6 +745,8 @@ class MatrixGroup:
                                 "has phase at pi", eigenvalue=w[k])
         if self.n == 1 and self.dtype is complex:
             X = np.log(g)
+        elif self.n == 2 and self.dtype is complex:
+            X = _logm_2x2(matrices).reshape(g.shape)
         else:
             import scipy.linalg
             X = (scipy.linalg.logm(g) if g.ndim == 2

@@ -659,7 +659,9 @@ COLD_RUNS = textwrap.dedent("""
              quiet("validate", "--scenario", "abelian_square.scn")]
     print(codes, "scipy" in sys.modules)
     quiet("validate", "--scenario", "su2_charts.scn")  # samples SU(2) by exp
-    print("scipy.linalg" in sys.modules)
+    # and takes 2x2 logs without logm, whose estimators need these two
+    print("scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules,
+          "scipy.special" in sys.modules)
 """)
 
 
@@ -669,7 +671,8 @@ def test_scipy_loads_only_where_a_run_needs_it():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[0, 0, 1, 0, 0, 0, 0, 0] False", "True"]
+    assert proc.stdout.splitlines() == ["[0, 0, 1, 0, 0, 0, 0, 0] False",
+                                       "True False False"]
 
 
 # a usage error, then runs whose options differ: each as a fresh process gives it

@@ -10,6 +10,7 @@ they rest on are compared bit for bit.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from twogauge.crossed import (FIRST_ORDER_BOUND, CrossedModule, crossed_module,
                               differential_consistency, peiffer_violating_fixture,
                               validate_crossed_module)
 from twogauge.errors import CompositionError, GroupDomainError, LogRangeError, TwoGaugeError
-from twogauge.groups import SO3, SU2, TRIVIAL, U1, FiniteGroup, random_stacks
+from twogauge.groups import SO3, SU2, TRIVIAL, U1, FiniteGroup, _logm_2x2, random_stacks
 from twogauge.report import NO_SAMPLES, ValidationReport
 from twogauge.twocells import (CellBatch, TwoCell, _eckmann_hilton_sides,
                                _interchange_sides, check_interchange, eckmann_hilton_probe)
@@ -368,6 +369,76 @@ def test_u1_log_has_the_logm_bits():
             G.log(np.stack([stack[0], g, np.conj(g)]))
         assert (str(stacked.value), stacked.value.eigenvalue) \
             == (str(alone.value), alone.value.eigenvalue)
+
+
+def _recorded(call):
+    """call's result and the warnings it raised, each recorded ("always")."""
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in records]
+
+
+def test_su2_log_has_the_logm_bits():
+    import scipy.linalg
+    G = SU2()
+    rng = np.random.default_rng(13)
+    # eigenphases +-s, from 0.01 to 3.1 and then within 1.1e-8 of pi: the
+    # coordinates of norm 2 s along a random axis
+    phases = np.concatenate([np.geomspace(0.01, 3.1, 3000)[rng.permutation(3000)],
+                             np.pi - np.geomspace(1.1e-8, 1e-1, 40)])
+    axes = rng.normal(size=(len(phases), 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    drawn = G.exp(G.algebra.from_coords(2 * phases[:, None] * axes))
+    # and upper triangular inputs, which logm takes without a Schur form
+    diagonal = np.array([G.identity] + [np.diag([np.exp(1j * s), np.exp(-1j * s)])
+                         for s in (0.0, 1e-300, 1e-12, 0.3, np.pi / 2, 3.1, np.pi - 1.1e-8)])
+    stack = np.concatenate([drawn, diagonal])
+    want, logm_warned = _recorded(
+        lambda: np.array([G.algebra.project(scipy.linalg.logm(g)) for g in stack]))
+    alone, warned_alone = _recorded(lambda: [G.log(g) for g in stack])
+    stacked, warned_stacked = _recorded(lambda: G.log(stack))
+    assert _bits(alone) == _bits(want)
+    assert _bits(stacked) == _bits(want)
+    assert warned_alone == warned_stacked == logm_warned
+
+
+# finite complex matrices that no group admits, each with how many of them
+# `_logm_2x2` hands to logm itself
+LOGM_ROUTES = {
+    "nearly singular": ([[1e-25j, 0.0], [1.0, 1.0]], 1),
+    "exactly singular, upper triangular": ([[0.0, 1.0], [0.0, 1j]], 1),
+    "defective, upper triangular": ([[1j, 1.0], [0.0, 1j]], 0),
+    "defective": ([[2.0, 1.0], [-1.0, 0.0]], 0),
+    "negative real eigenvalue": ([[-2.0, 1.0], [0.5, 1.0]], 1),
+    "diagonal": ([[2.0, 0.0], [0.0, 0.5j]], 0),
+    "inaccurate": ([[1.0, 0.5], [-1e9, 1.0]], 1),
+}
+
+
+@pytest.mark.parametrize("name", LOGM_ROUTES)
+def test_a_2x2_log_takes_logm_where_logm_does_more(name, monkeypatch):
+    import scipy.linalg
+    logm = scipy.linalg.logm
+    a, to_logm = np.array(LOGM_ROUTES[name][0], dtype=complex), LOGM_ROUTES[name][1]
+    want = _recorded(lambda: logm(a))
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "logm", lambda m: calls.append(m) or logm(m))
+    got, warned = _recorded(lambda: _logm_2x2(a[None]))
+    assert (_bits(got[0]), warned) == (_bits(want[0]), want[1])
+    assert len(calls) == to_logm
+
+
+def test_a_2x2_log_stack_takes_logm_in_order():
+    import scipy.linalg
+    stack = np.array([m for m, _ in LOGM_ROUTES.values()], dtype=complex)
+    want, logm_warned = _recorded(lambda: np.array([scipy.linalg.logm(m) for m in stack]))
+    assert [m.split(" = ")[0] for _, m in logm_warned] == [
+        "The logm input matrix may be nearly singular.",
+        "The logm input matrix is exactly singular.",
+        "logm result may be inaccurate, approximate err"]
+    got, warned = _recorded(lambda: _logm_2x2(stack))
+    assert (_bits(got), warned) == (_bits(want), logm_warned)
 
 
 @pytest.mark.parametrize("name", ["SU2", "SO3"])
