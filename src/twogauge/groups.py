@@ -433,8 +433,8 @@ def _logm_2x2(A):
     then, wherever T's diagonal has a principal logarithm, overwrites every
     entry that stage wrote: the diagonal with np.log and, on a 2x2 T, the one
     superdiagonal entry by eq. (11.28). Here each matrix skips the stage and
-    gets Z U Z^H (U itself for a triangular A), with one `schur` and one
-    `expm` call per stack. A matrix takes plain logm wherever logm would do
+    gets Z U Z^H (U itself for a triangular A), with one `schur` call per
+    matrix and one `expm` call per stack. A matrix takes plain logm wherever logm would do
     more: a diagonal entry of T below 1e-20 in modulus (logm warns and moves
     it), one on the closed negative real axis (logm keeps the Pade result), a
     non-finite result, and an error estimate that is not below _LOGM_ERRTOL
@@ -449,8 +449,10 @@ def _logm_2x2(A):
         T = A.copy()
         # np.array_equal(A, np.triu(A)) for a finite 2x2 matrix
         schur = np.flatnonzero(A[:, 1, 0] != 0)
-        if len(schur):
-            T[schur], Z = scipy.linalg.schur(A[schur], output="complex")
+        # one 2-d schur per matrix: before 1.15 scipy takes no stack
+        Z = np.empty((len(schur), 2, 2), dtype=complex)
+        for i, k in enumerate(schur):
+            T[k], Z[i] = scipy.linalg.schur(A[k], output="complex")
         diag = T[:, (0, 1), (0, 1)]
         closed = (np.abs(diag) >= 1e-20).all(axis=1) \
             & ((diag.real > 0) | (diag.imag != 0)).all(axis=1)

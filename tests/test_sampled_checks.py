@@ -441,6 +441,19 @@ def test_a_2x2_log_stack_takes_logm_in_order():
     assert (_bits(got), warned) == (_bits(want), logm_warned)
 
 
+def test_a_2x2_log_hands_schur_one_matrix_at_a_time(monkeypatch):
+    # scipy before 1.15 refuses a stack in schur; pyproject admits scipy>=1.10
+    import scipy.linalg
+    schur = scipy.linalg.schur
+    shapes = []
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda a, **kw: shapes.append(np.shape(a)) or schur(a, **kw))
+    G, rng = SU2(), np.random.default_rng(14)
+    stack = np.array([G.random(rng) for _ in range(6)])
+    _logm_2x2(stack)
+    assert shapes == [(2, 2)] * 6
+
+
 @pytest.mark.parametrize("name", ["SU2", "SO3"])
 def test_stacked_log_names_the_first_refused_matrix(name):
     G = GROUPS[name]()
