@@ -434,13 +434,13 @@ def _logm_2x2(A):
     entry that stage wrote: the diagonal with np.log and, on a 2x2 T, the one
     superdiagonal entry by eq. (11.28). Here each matrix skips the stage and
     gets Z U Z^H (U itself for a triangular A), with one `schur` call per
-    matrix and one `expm` call per stack. A matrix takes plain logm wherever logm would do
-    more: a diagonal entry of T below 1e-20 in modulus (logm warns and moves
-    it), one on the closed negative real axis (logm keeps the Pade result), a
-    non-finite result, and an error estimate that is not below _LOGM_ERRTOL
-    (logm warns). The estimate is recomputed from a stacked `expm`; it is
-    trusted only below _LOGM_ERRTOL * (1 - _BAND), so a few ulps of
-    difference from logm's own cannot hide a warning.
+    matrix and one `expm` call per stack. A matrix takes plain logm wherever
+    logm would do more: a diagonal entry of T below 1e-20 in modulus (logm
+    warns and moves it), one on the closed negative real axis (logm keeps the
+    Pade result), a non-finite result, and an error estimate that is not
+    below _LOGM_ERRTOL (logm warns). The estimate is recomputed from a
+    stacked `expm`; it is trusted only below _LOGM_ERRTOL * (1 - _BAND), so
+    a few ulps of difference from logm's own cannot hide a warning.
     """
     import scipy.linalg
     A = np.asarray(A, dtype=complex)
