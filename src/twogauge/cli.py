@@ -80,8 +80,7 @@ def cmd_holonomy_path(scn, seed, grid, samples):
     r1 = float(np.linalg.norm(W - W_warp))
     rep.add("reparametrization-invariance", r1 <= tol, residual=r1, tolerance=tol)
     W_back = path_holonomy(cm, A, scn.path.reverse(), steps=scn.steps)
-    group = cm.G if hasattr(cm, "G") else cm
-    r2 = float(np.linalg.norm(group.mul(W_back, W) - group.identity))
+    r2 = float(np.linalg.norm(cm.G.mul(W_back, W) - cm.G.identity))
     rep.add("reverse-is-inverse", r2 <= tol, residual=r2, tolerance=tol)
     return rep, {"holonomy": W, "steps": scn.steps}
 
@@ -213,8 +212,11 @@ def _render_text(doc):
     rep = doc["report"]
     for check in rep["checks"]:
         line = f"{check['verdict']:7s} {check['name']}"
-        if check.get("residual") is not None:
-            line += f"  residual {check['residual']:.3e}"
+        residual = check.get("residual")
+        if residual is not None:
+            # jsonify writes a non-finite residual as a string, printed as it is
+            shown = residual if isinstance(residual, str) else f"{residual:.3e}"
+            line += f"  residual {shown}"
             if check.get("tolerance") is not None:
                 line += f" (tolerance {check['tolerance']:.1e})"
         if check.get("detail"):

@@ -29,6 +29,8 @@ the exact EvalError text.
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -405,13 +407,27 @@ class ArrayExpr:
         return np.broadcast_to(out, shape)
 
 
-def _elementwise(scalar_fn, nargs=1):
-    each = np.frompyfunc(scalar_fn, nargs, 1)
+def _each(fn, *args):
+    """fn on every element of the broadcast arguments, with the scalar rounding.
 
-    def apply(*args):
-        out = each(*args)  # hands scalar_fn Python floats
-        return out.astype(float) if isinstance(out, np.ndarray) else out
-    return apply
+    fn gets Python numbers, as in a scalar call: numpy arguments are
+    converted, Python scalars are passed as they are. On Python scalars
+    alone this is the plain call; otherwise it returns a float array of the
+    broadcast shape.
+    """
+    if len(args) == 1 and isinstance(args[0], np.ndarray):  # the common case, made cheap
+        x = args[0]
+        return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+    arrays = [a for a in args if isinstance(a, (np.ndarray, np.generic))]
+    if not arrays:
+        return fn(*args)
+    if len(arrays) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    shape, size = arrays[0].shape, arrays[0].size
+    lists = iter([a.ravel().tolist() for a in arrays])
+    columns = [next(lists) if isinstance(a, (np.ndarray, np.generic)) else repeat(a, size)
+               for a in args]
+    return np.fromiter(map(fn, *columns), dtype=float, count=size).reshape(shape)
 
 
 def _ufunc_or_math(ufunc, scalar_fn):
@@ -427,10 +443,10 @@ _SCALAR_NAMESPACE = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
 _ARRAY_NAMESPACE = {
     "_sin": _ufunc_or_math(np.sin, math.sin),
     "_cos": _ufunc_or_math(np.cos, math.cos),
-    "_exp": _elementwise(math.exp),
-    "_tanh": _elementwise(math.tanh),
-    "_pow": _elementwise(pow, 2),
-    "_intpow": _elementwise(_integer_pow, 2),
+    "_exp": partial(_each, math.exp),
+    "_tanh": partial(_each, math.tanh),
+    "_pow": partial(_each, pow),
+    "_intpow": partial(_each, _integer_pow),
     "inf": math.inf, "nan": math.nan,
 }
 

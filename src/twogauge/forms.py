@@ -114,9 +114,7 @@ class FormField:
                     raise GeometryError(
                         f"key {key!r} needs {degree} coordinate digits after the comma")
                 mu = tuple(int(ch) - 1 for ch in tail)
-            e = parse(text) if isinstance(text, str) else text
-            prev = comps.get((a, mu))
-            comps[(a, mu)] = add_(prev, e) if prev is not None else e
+            _accumulate(comps, (a, mu), parse(text) if isinstance(text, str) else text)
         return cls(algebra, degree, dim, comps)
 
     def _fns(self):
@@ -165,9 +163,7 @@ class FormField:
                 pos = sum(1 for m in mu if m < nu)
                 if pos % 2:
                     de = neg_(de)
-                new_mu = tuple(sorted(mu + (nu,)))
-                prev = comps.get((a, new_mu))
-                comps[(a, new_mu)] = add_(prev, de) if prev is not None else de
+                _accumulate(comps, (a, tuple(sorted(mu + (nu,)))), de)
         return FormField(self.algebra, self.degree + 1, self.dim, comps)
 
     def __add__(self, other):
@@ -176,8 +172,7 @@ class FormField:
             raise GeometryError("can only add forms of matching degree, dim, algebra")
         comps = dict(self.components)
         for k, e in other.components.items():
-            prev = comps.get(k)
-            comps[k] = add_(prev, e) if prev is not None else e
+            _accumulate(comps, k, e)
         return FormField(self.algebra, self.degree, self.dim, comps)
 
     def __neg__(self):
@@ -206,9 +201,7 @@ class FormField:
                 c = matrix[a2, a]
                 if abs(c) < 1e-15:
                     continue
-                term = mul_(num(float(c)), e)
-                prev = comps.get((a2, mu))
-                comps[(a2, mu)] = add_(prev, term) if prev is not None else term
+                _accumulate(comps, (a2, mu), mul_(num(float(c)), e))
         return FormField(algebra, self.degree, self.dim, comps)
 
     @property
@@ -263,6 +256,26 @@ def _coefficient_table(form):
     return table
 
 
+def _accumulate(comps, key, term):
+    """Add `term` to the component at `key`, or set it there."""
+    prev = comps.get(key)
+    comps[key] = add_(prev, term) if prev is not None else term
+
+
+def _pairing(tensor, row_a, row_w, dim):
+    """{a: Expr} coordinates of sum over b, c of tensor[a, b, c] A^b w^c,
+    given the coefficient rows {b: A^b} and {c: w^c}."""
+    out = {}
+    for b, eb in row_a.items():
+        for c, ec in row_w.items():
+            for a in range(dim):
+                coef = tensor[a, b, c]
+                if abs(coef) < 1e-14:
+                    continue
+                _accumulate(out, a, mul_(num(float(coef)), eb, ec))
+    return out
+
+
 def square_wedge(A):
     """Commutator square of a degree-1 form: value [A(u), A(v)] on (u, v)."""
     if A.degree != 1:
@@ -270,20 +283,9 @@ def square_wedge(A):
     f = A.algebra.structure_constants()
     table = {mu[0]: row for mu, row in _coefficient_table(A).items()}
     comps = {}
-    for m in sorted(table):
-        for n in sorted(table):
-            if m >= n:
-                continue
-            for b, eb in table[m].items():
-                for c, ec in table[n].items():
-                    for a in range(A.algebra.dim):
-                        coef = f[a, b, c]
-                        if abs(coef) < 1e-14:
-                            continue
-                        term = mul_(num(float(coef)), eb, ec)
-                        key = (a, (m, n))
-                        prev = comps.get(key)
-                        comps[key] = add_(prev, term) if prev is not None else term
+    for m, n in combinations(sorted(table), 2):
+        for a, e in _pairing(f, table[m], table[n], A.algebra.dim).items():
+            comps[(a, (m, n))] = e
     return FormField(A.algebra, 2, A.dim, comps)
 
 
@@ -302,50 +304,25 @@ def action_wedge(tensor, A, omega, algebra=None):
     tensor = np.asarray(tensor)
     a_tab = {mu[0]: row for mu, row in _coefficient_table(A).items()}
     w_tab = _coefficient_table(omega)
-
-    def pair(m, w_mu):
-        """Expr coordinates of D(A_m, omega_{w_mu}), or None."""
-        row_a = a_tab.get(m)
-        row_w = w_tab.get(w_mu)
-        if not row_a or not row_w:
-            return None
-        out = {}
-        for b, eb in row_a.items():
-            for c, ec in row_w.items():
-                for a in range(algebra.dim):
-                    coef = tensor[a, b, c]
-                    if abs(coef) < 1e-14:
-                        continue
-                    term = mul_(num(float(coef)), eb, ec)
-                    prev = out.get(a)
-                    out[a] = add_(prev, term) if prev is not None else term
-        return out
-
     comps = {}
 
-    def accumulate(target_mu, contribution, sign):
-        if contribution is None:
-            return
-        for a, e in contribution.items():
-            term = neg_(e) if sign < 0 else e
-            key = (a, target_mu)
-            prev = comps.get(key)
-            comps[key] = add_(prev, term) if prev is not None else term
+    def accumulate(target_mu, m, w_mu, sign):
+        # sign times D(A_m, omega_{w_mu}) into the components at target_mu
+        pair = _pairing(tensor, a_tab.get(m, {}), w_tab.get(w_mu, {}), algebra.dim)
+        for a, e in pair.items():
+            _accumulate(comps, (a, target_mu), neg_(e) if sign < 0 else e)
 
     if omega.degree == 1:
         coords = sorted(set(a_tab) | {mu[0] for mu in w_tab})
-        for m in coords:
-            for n in coords:
-                if m >= n:
-                    continue
-                accumulate((m, n), pair(m, (n,)), +1)
-                accumulate((m, n), pair(n, (m,)), -1)
+        for m, n in combinations(coords, 2):
+            accumulate((m, n), m, (n,), +1)
+            accumulate((m, n), n, (m,), -1)
         return FormField(algebra, 2, A.dim, comps)
 
     for m, n, r in combinations(range(A.dim), 3):
-        accumulate((m, n, r), pair(m, (n, r)), +1)
-        accumulate((m, n, r), pair(n, (m, r)), -1)
-        accumulate((m, n, r), pair(r, (m, n)), +1)
+        accumulate((m, n, r), m, (n, r), +1)
+        accumulate((m, n, r), n, (m, r), -1)
+        accumulate((m, n, r), r, (m, n), +1)
     return FormField(algebra, 3, A.dim, comps)
 
 

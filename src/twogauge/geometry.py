@@ -32,6 +32,11 @@ Parametrization conventions, fixed here and relied on elsewhere:
     reversal        (reversed p)(s) = p(1 - s)
     bigon vertical  stack in t: S1(s, 2t) then S2(s, 2t - 1)
     bigon horizontal side by side in s: S1(2s, t) then S2(2s - 1, t)
+
+`_Map`, the base class of Path and Bigon, is the one place they are
+written: gluing, reversal and reparametrization along a parameter k (the
+k-th partial doubled, negated, or times phi'), sampling and `from_exprs`.
+The junction checks stay with `compose`, `vertical` and `horizontal`.
 """
 
 import math
@@ -39,23 +44,12 @@ import math
 import numpy as np
 
 from .errors import CompositionError, GeometryError
-from .expr import compile_expr, differentiate, max_var_index, parse
+from .expr import _each, compile_expr, differentiate, max_var_index, parse
 
 SITTING = 0.1
 TAU_GEO = 1e-9
 # Bigon.vertical and .horizontal: how far the shared boundaries may differ
 TAU_JOIN = 1e-7
-
-
-def _each(fn, x):
-    """fn on every element of a float array, with the scalar rounding."""
-    # frompyfunc gives a 0-d array's one value back as a Python float
-    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
-
-
-def _power(x, k):
-    """x ** k for an integer k, with Python's rounding on arrays too."""
-    return _each(lambda v: v ** k, x) if isinstance(x, np.ndarray) else x ** k
 
 
 def _col(x):
@@ -207,19 +201,14 @@ def _ramp_arrays(s, scalar):
     if not len(x):
         return out
     y = 1.0 - x
-    b = _map_float(math.exp, -1.0 / x)
-    c = _map_float(math.exp, -1.0 / y)
+    b = _each(math.exp, -1.0 / x)
+    c = _each(math.exp, -1.0 / y)
     if scalar is ramp:
         out[inside] = b / (b + c)
     else:
-        squares = _map_float(lambda v: v ** 2, b + c)
+        squares = _each(pow, b + c, 2)
         out[inside] = (b / (x * x) * c + b * (c / (y * y))) / squares / w
     return out
-
-
-def _map_float(fn, x):
-    """fn on every element of a 1-D float array, as one `map`."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 
 class Reparam:
@@ -229,12 +218,13 @@ class Reparam:
         self._fn = fn
         self._dfn = dfn
         self.label = label
-        if abs(fn(0.0)) > TAU_GEO or abs(fn(1.0) - 1.0) > TAU_GEO:
+        # written to fail on NaN
+        if not (abs(fn(0.0)) <= TAU_GEO and abs(fn(1.0) - 1.0) <= TAU_GEO):
             raise GeometryError(f"{label} must fix 0 and 1")
         prev = 0.0
         for k in range(1, 65):
             v = fn(k / 64)
-            if v < prev - 1e-12:
+            if not v >= prev - 1e-12:
                 raise GeometryError(f"{label} is not monotone near s={k / 64:.3f}")
             prev = v
 
@@ -253,8 +243,8 @@ class Reparam:
     def power_of_sitting(cls, exponent):
         """The sitting ramp raised to an integer power."""
         k = int(exponent)
-        return cls(lambda s: _power(ramp(s), k),
-                   lambda s: k * _power(ramp(s), k - 1) * ramp_derivative(s) if k > 1
+        return cls(lambda s: _each(pow, ramp(s), k),
+                   lambda s: k * _each(pow, ramp(s), k - 1) * ramp_derivative(s) if k > 1
                    else ramp_derivative(s),
                    f"sitting({SITTING})^{k}")
 
@@ -268,48 +258,104 @@ class Reparam:
         return cls(lambda s: _call(fn, (s,)), lambda s: _call(dfn, (s,)), text)
 
 
-class Path:
+class _Map:
+    """A smooth map of one parameter (Path) or two (Bigon) into R^dim.
+
+    `_fns` holds the value closure, then one partial-derivative closure per
+    parameter. Sampling, gluing, reversal, reparametrization and
+    `from_exprs` are written here once, on a parameter k; the subclasses
+    give them their names and keep their own junction checks.
+    """
+
+    def _at(self, i, params):
+        """Closure i at the parameters, floats or arrays.
+
+        Scalar calls skip _sample's checks (a bigon's value: 5 against 7 us
+        a call); quadrature oracles make hundreds of thousands of them.
+        """
+        fn = self._fns[i]
+        for p in params:
+            if isinstance(p, np.ndarray):
+                return _sample(fn, self.dim, *params)
+        return np.asarray(fn(*[float(p) for p in params]), dtype=float)
+
+    def _new(self, fns):
+        return type(self)(*fns, self.dim)
+
+    def _remapped(self, k, phi, scale):
+        """The closures with parameter k run through phi; a value v of the
+        k-th partial becomes scale(x_k, v)."""
+        def remap(fn, scaled):
+            def call(*x):
+                y = x[:k] + (phi(x[k]),) + x[k + 1:]
+                return scale(x[k], np.asarray(fn(*y))) if scaled else fn(*y)
+            return call
+        return [remap(fn, i == k + 1) for i, fn in enumerate(self._fns)]
+
+    def _glued(self, other, k):
+        """Self where x_k <= 1/2, then `other`, each at double speed in x_k."""
+        below = self._remapped(k, lambda x: 2 * x, lambda x, v: 2 * v)
+        above = other._remapped(k, lambda x: 2 * x - 1, lambda x, v: 2 * v)
+        return self._new([_piecewise(k, f, g) for f, g in zip(below, above)])
+
+    def _reversed(self, k):
+        return self._new(self._remapped(k, lambda x: 1 - x, lambda x, v: -v))
+
+    def _reparametrized(self, k, phi):
+        return self._new(self._remapped(
+            k, phi, lambda x, v: _col(phi.derivative(x)) * v))
+
+    @classmethod
+    def from_exprs(cls, texts):
+        """Coordinate expressions in x1 (and x2 for a bigon).
+
+        Each parameter is pre-composed with the sitting ramp. A bigon's raw
+        expressions must already be s-constant at x1 in {0, 1} for the
+        result to be a bigon; `certify` checks the outcome.
+        """
+        exprs = [parse(t) if isinstance(t, str) else t for t in texts]
+        if any(max_var_index(e) > cls._ARITY for e in exprs):
+            raise GeometryError(cls._ARITY_ERROR)
+        fns = [compile_expr(e) for e in exprs]
+
+        def value(*x):
+            q = tuple(map(ramp, x))
+            return _stack([_call(f, q) for f in fns])
+
+        def partial(k):
+            dfns = [compile_expr(differentiate(e, k + 1)) for e in exprs]
+
+            def d(*x):
+                q = tuple(map(ramp, x))
+                du = ramp_derivative(x[k])
+                return _stack([_call(f, q) * du for f in dfns])
+            return d
+
+        return cls(value, *map(partial, range(cls._ARITY)), len(exprs))
+
+
+def _largest_norm(vectors):
+    """The largest Euclidean norm among the vectors; NaN if any norm is NaN."""
+    return float(np.max([np.linalg.norm(v) for v in vectors]))
+
+
+class Path(_Map):
     """Smooth map [0,1] -> R^dim with exact velocity."""
 
+    _ARITY = 1
+    _ARITY_ERROR = "path coordinates use the single variable x1"
+
     def __init__(self, value, velocity, dim):
-        self._value = value
-        self._velocity = velocity
+        self._fns = (value, velocity)
         self.dim = int(dim)
         self.start = np.asarray(value(0.0), dtype=float)
         self.end = np.asarray(value(1.0), dtype=float)
 
-    # scalar calls skip _sample's checks (a bigon's value: 5 against 7 us a
-    # call); quadrature oracles make hundreds of thousands of them
     def value(self, s):
-        if isinstance(s, np.ndarray):
-            return _sample(self._value, self.dim, s)
-        return np.asarray(self._value(float(s)), dtype=float)
+        return self._at(0, (s,))
 
     def velocity(self, s):
-        if isinstance(s, np.ndarray):
-            return _sample(self._velocity, self.dim, s)
-        return np.asarray(self._velocity(float(s)), dtype=float)
-
-    @classmethod
-    def from_exprs(cls, texts):
-        """Coordinate expressions in x1; the sitting ramp is pre-composed."""
-        exprs = [parse(t) if isinstance(t, str) else t for t in texts]
-        for e in exprs:
-            if max_var_index(e) > 1:
-                raise GeometryError("path coordinates use the single variable x1")
-        fns = [compile_expr(e) for e in exprs]
-        dfns = [compile_expr(differentiate(e, 1)) for e in exprs]
-
-        def value(s):
-            u = ramp(s)
-            return _stack([_call(f, (u,)) for f in fns])
-
-        def velocity(s):
-            u = ramp(s)
-            du = ramp_derivative(s)
-            return _stack([_call(f, (u,)) * du for f in dfns])
-
-        return cls(value, velocity, len(exprs))
+        return self._at(1, (s,))
 
     @classmethod
     def line(cls, p0, p1):
@@ -347,69 +393,52 @@ class Path:
         """This path first, then `other`; endpoints must meet within TAU_GEO."""
         if other.dim != self.dim:
             raise CompositionError("paths live in different dimensions")
-        if np.linalg.norm(self.end - other.start) > TAU_GEO:
+        if not np.linalg.norm(self.end - other.start) <= TAU_GEO:
             raise CompositionError("paths do not share the junction point",
                                    source=other.start.tolist(),
                                    target=self.end.tolist())
-        p1, p2 = self, other
-
-        value = _piecewise(0, lambda s: p1._value(2 * s),
-                           lambda s: p2._value(2 * s - 1))
-        velocity = _piecewise(0, lambda s: 2 * np.asarray(p1._velocity(2 * s)),
-                              lambda s: 2 * np.asarray(p2._velocity(2 * s - 1)))
-        return Path(value, velocity, self.dim)
+        return self._glued(other, 0)
 
     def reverse(self):
-        return Path(lambda s: self._value(1 - s),
-                    lambda s: -np.asarray(self._velocity(1 - s)), self.dim)
+        return self._reversed(0)
 
     def reparametrize(self, phi):
-        return Path(lambda s: self._value(phi(s)),
-                    lambda s: _col(phi.derivative(s)) * np.asarray(self._velocity(phi(s))),
-                    self.dim)
+        return self._reparametrized(0, phi)
 
     def certify_sitting(self, delta=SITTING):
         """Max deviation from the endpoints inside margins of width `delta`,
         at 25 points each, and whether it is within TAU_GEO."""
-        worst = 0.0
+        vectors = []
         for k in range(25):
             s = delta * 0.95 * k / 24
-            worst = max(worst,
-                        float(np.linalg.norm(self.value(s) - self.start)),
-                        float(np.linalg.norm(self.velocity(s))),
-                        float(np.linalg.norm(self.value(1 - s) - self.end)),
-                        float(np.linalg.norm(self.velocity(1 - s))))
+            vectors += [self.value(s) - self.start, self.velocity(s),
+                        self.value(1 - s) - self.end, self.velocity(1 - s)]
+        worst = _largest_norm(vectors)
         return worst, worst <= TAU_GEO
 
 
-class Bigon:
+class Bigon(_Map):
     """Smooth map [0,1]^2 -> R^dim between two paths sharing endpoints.
 
     t = 0 traces the source path, t = 1 the target path; rows freeze near
     t in {0, 1} and the whole map is constant near s in {0, 1}.
     """
 
+    _ARITY = 2
+    _ARITY_ERROR = "bigon coordinates use x1 and x2 only"
+
     def __init__(self, value, d_s, d_t, dim):
-        self._value = value
-        self._ds = d_s
-        self._dt = d_t
+        self._fns = (value, d_s, d_t)
         self.dim = int(dim)
 
-    # scalar calls skip _sample's checks, as Path's do
     def value(self, s, t):
-        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
-            return _sample(self._value, self.dim, s, t)
-        return np.asarray(self._value(float(s), float(t)), dtype=float)
+        return self._at(0, (s, t))
 
     def d_s(self, s, t):
-        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
-            return _sample(self._ds, self.dim, s, t)
-        return np.asarray(self._ds(float(s), float(t)), dtype=float)
+        return self._at(1, (s, t))
 
     def d_t(self, s, t):
-        if isinstance(s, np.ndarray) or isinstance(t, np.ndarray):
-            return _sample(self._dt, self.dim, s, t)
-        return np.asarray(self._dt(float(s), float(t)), dtype=float)
+        return self._at(2, (s, t))
 
     @property
     def corner_start(self):
@@ -420,44 +449,12 @@ class Bigon:
         return self.value(1.0, 0.0)
 
     def source(self):
-        return Path(lambda s: self._value(s, 0.0),
-                    lambda s: self._ds(s, 0.0), self.dim)
+        value, d_s = self._fns[:2]
+        return Path(lambda s: value(s, 0.0), lambda s: d_s(s, 0.0), self.dim)
 
     def target(self):
-        return Path(lambda s: self._value(s, 1.0),
-                    lambda s: self._ds(s, 1.0), self.dim)
-
-    @classmethod
-    def from_exprs(cls, texts):
-        """Coordinate expressions in x1 (sweep) and x2 (deformation).
-
-        Both parameters are pre-composed with the sitting ramp. The raw
-        expressions must already be s-constant at x1 in {0, 1} for the
-        result to be a bigon; `certify` checks the outcome.
-        """
-        exprs = [parse(t) if isinstance(t, str) else t for t in texts]
-        for e in exprs:
-            if max_var_index(e) > 2:
-                raise GeometryError("bigon coordinates use x1 and x2 only")
-        fns = [compile_expr(e) for e in exprs]
-        dsf = [compile_expr(differentiate(e, 1)) for e in exprs]
-        dtf = [compile_expr(differentiate(e, 2)) for e in exprs]
-
-        def value(s, t):
-            q = (ramp(s), ramp(t))
-            return _stack([_call(f, q) for f in fns])
-
-        def d_s(s, t):
-            q = (ramp(s), ramp(t))
-            du = ramp_derivative(s)
-            return _stack([_call(f, q) * du for f in dsf])
-
-        def d_t(s, t):
-            q = (ramp(s), ramp(t))
-            dv = ramp_derivative(t)
-            return _stack([_call(f, q) * dv for f in dtf])
-
-        return cls(value, d_s, d_t, len(exprs))
+        value, d_s = self._fns[:2]
+        return Path(lambda s: value(s, 1.0), lambda s: d_s(s, 1.0), self.dim)
 
     @classmethod
     def interpolate(cls, p0, p1):
@@ -465,8 +462,8 @@ class Bigon:
         (within TAU_GEO), through the sitting ramp in t."""
         if p0.dim != p1.dim:
             raise CompositionError("paths live in different dimensions")
-        if (np.linalg.norm(p0.start - p1.start) > TAU_GEO
-                or np.linalg.norm(p0.end - p1.end) > TAU_GEO):
+        if not (np.linalg.norm(p0.start - p1.start) <= TAU_GEO
+                and np.linalg.norm(p0.end - p1.end) <= TAU_GEO):
             raise CompositionError("interpolation needs paths with equal endpoints",
                                    source=[p0.start.tolist(), p0.end.tolist()],
                                    target=[p1.start.tolist(), p1.end.tolist()])
@@ -526,20 +523,12 @@ class Bigon:
         """
         if other.dim != self.dim:
             raise CompositionError("bigons live in different dimensions")
-        worst = max(np.linalg.norm(self.value(s, 1.0) - other.value(s, 0.0))
-                    for s in np.linspace(0, 1, 9))
-        if worst > TAU_JOIN:
+        worst = _largest_norm(self.value(s, 1.0) - other.value(s, 0.0)
+                              for s in np.linspace(0, 1, 9))
+        if not worst <= TAU_JOIN:
             raise CompositionError(
                 f"target and source paths differ by {worst:.2e}")
-        b1, b2 = self, other
-
-        value = _piecewise(1, lambda s, t: b1._value(s, 2 * t),
-                           lambda s, t: b2._value(s, 2 * t - 1))
-        d_s = _piecewise(1, lambda s, t: b1._ds(s, 2 * t),
-                         lambda s, t: b2._ds(s, 2 * t - 1))
-        d_t = _piecewise(1, lambda s, t: 2 * np.asarray(b1._dt(s, 2 * t)),
-                         lambda s, t: 2 * np.asarray(b2._dt(s, 2 * t - 1)))
-        return Bigon(value, d_s, d_t, self.dim)
+        return self._glued(other, 1)
 
     def horizontal(self, other):
         """Side by side in the sweep direction: self first, then `other`;
@@ -547,61 +536,40 @@ class Bigon:
         if other.dim != self.dim:
             raise CompositionError("bigons live in different dimensions")
         gap = np.linalg.norm(self.value(1.0, 0.0) - other.value(0.0, 0.0))
-        if gap > TAU_JOIN:
+        if not gap <= TAU_JOIN:
             raise CompositionError(f"corner points differ by {gap:.2e}",
                                    source=other.value(0.0, 0.0).tolist(),
                                    target=self.value(1.0, 0.0).tolist())
-        b1, b2 = self, other
-
-        value = _piecewise(0, lambda s, t: b1._value(2 * s, t),
-                           lambda s, t: b2._value(2 * s - 1, t))
-        d_s = _piecewise(0, lambda s, t: 2 * np.asarray(b1._ds(2 * s, t)),
-                         lambda s, t: 2 * np.asarray(b2._ds(2 * s - 1, t)))
-        d_t = _piecewise(0, lambda s, t: b1._dt(2 * s, t),
-                         lambda s, t: b2._dt(2 * s - 1, t))
-        return Bigon(value, d_s, d_t, self.dim)
+        return self._glued(other, 0)
 
     def reverse_t(self):
         """Swap source and target."""
-        return Bigon(lambda s, t: self._value(s, 1 - t),
-                     lambda s, t: self._ds(s, 1 - t),
-                     lambda s, t: -np.asarray(self._dt(s, 1 - t)), self.dim)
+        return self._reversed(1)
 
     def reparametrize_s(self, phi):
-        return Bigon(lambda s, t: self._value(phi(s), t),
-                     lambda s, t: _col(phi.derivative(s)) * np.asarray(self._ds(phi(s), t)),
-                     lambda s, t: self._dt(phi(s), t), self.dim)
+        return self._reparametrized(0, phi)
 
     def reparametrize_t(self, phi):
-        return Bigon(lambda s, t: self._value(s, phi(t)),
-                     lambda s, t: self._ds(s, phi(t)),
-                     lambda s, t: _col(phi.derivative(t)) * np.asarray(self._dt(s, phi(t))),
-                     self.dim)
+        return self._reparametrized(1, phi)
 
     def certify(self, delta=SITTING):
         """Sitting margins of width `delta` in both directions, on 9 rows and
         9 columns; returns (max residual, whether it is within TAU_GEO)."""
-        worst = 0.0
+        vectors = []
         grid = np.linspace(0, 1, 9)
         margin = np.linspace(0, delta * 0.95, 5)
         for t in grid:
             p, q = self.value(0.0, 0.0), self.value(1.0, 0.0)
             for m in margin:
-                worst = max(worst,
-                            float(np.linalg.norm(self.value(m, t) - p)),
-                            float(np.linalg.norm(self.value(1 - m, t) - q)),
-                            float(np.linalg.norm(self.d_s(m, t))),
-                            float(np.linalg.norm(self.d_t(m, t))),
-                            float(np.linalg.norm(self.d_s(1 - m, t))),
-                            float(np.linalg.norm(self.d_t(1 - m, t))))
+                vectors += [self.value(m, t) - p, self.value(1 - m, t) - q,
+                            self.d_s(m, t), self.d_t(m, t),
+                            self.d_s(1 - m, t), self.d_t(1 - m, t)]
         for s in grid:
             bottom, top = self.value(s, 0.0), self.value(s, 1.0)
             for m in margin:
-                worst = max(worst,
-                            float(np.linalg.norm(self.value(s, m) - bottom)),
-                            float(np.linalg.norm(self.value(s, 1 - m) - top)),
-                            float(np.linalg.norm(self.d_t(s, m))),
-                            float(np.linalg.norm(self.d_t(s, 1 - m))))
+                vectors += [self.value(s, m) - bottom, self.value(s, 1 - m) - top,
+                            self.d_t(s, m), self.d_t(s, 1 - m)]
+        worst = _largest_norm(vectors)
         return worst, worst <= TAU_GEO
 
     def swept_area(self, n=64):

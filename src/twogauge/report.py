@@ -3,8 +3,11 @@
 Every validator in the package returns a ValidationReport: a list of named
 checks, each carrying a verdict, the measured residual and the tolerance it
 was compared against, plus an optional witness describing the failing datum.
-Reports serialize to plain JSON-safe dicts with deterministic key order.
+Reports serialize to plain JSON-safe dicts with deterministic key order;
+`jsonify` writes a non-finite float as a string, so the output is strict JSON.
 """
+
+import math
 
 import numpy as np
 
@@ -14,20 +17,25 @@ SKIPPED = "SKIPPED"
 NO_SAMPLES = "no samples"  # detail of a check that evaluated zero cases
 
 
+def _number(x):
+    """A float as strict JSON holds it: a non-finite one as the string
+    "NaN", "Infinity" or "-Infinity"."""
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
 def jsonify(value):
     """Make a witness value JSON-safe and deterministic."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, complex):
-        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, (float, np.floating)):
+        return _number(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": _number(value.real), "im": _number(value.imag)}
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.complexfloating):
-        return {"re": float(value.real), "im": float(value.imag)}
     if isinstance(value, np.ndarray):
         return [jsonify(v) for v in value.tolist()] if value.ndim else jsonify(value.item())
     if isinstance(value, (list, tuple)):

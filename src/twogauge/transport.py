@@ -364,8 +364,9 @@ def grids_errors(grids):
 
 def convergence_study(cm_or_group, A, path, grids=(8, 16, 32, 64)):
     """Transport error versus step count; the reference is 4x the finest grid."""
-    if grids_errors(grids):
-        raise ConfigError(grids_errors(grids))
+    problems = grids_errors(grids)
+    if problems:
+        raise ConfigError(problems)
     grids = sorted(int(g) for g in grids)
     ref = path_holonomy(cm_or_group, A, path, steps=grids[-1] * 4)
     errors = []

@@ -7,13 +7,14 @@ axiom, so `check_interchange` doubles as an independent axiom probe.
 
 TwoCell pastes one membership-checked cell and is the scalar reference.
 CellBatch pastes many cells, over a finite module's compiled tables or over
-matrix stacks; both take the pasting conventions from one base class. Every
-check here runs on CellBatch in blocks of at most `crossed.BLOCK` cases, in
-tuple-loop order, so its memory stays bounded and its witnesses are the ones
-a case-by-case loop finds first. An exhaustive block is an open index grid,
-one axis per argument (`crossed._index_blocks`), so each table gather runs
-once per combination of the arguments it reads; a sampled block is a stack
-of random cases along one axis.
+matrix stacks. Both take every pasting convention, `vertical` and `eq`
+included, from one base class. Every check here runs on CellBatch in blocks
+of at most `crossed.BLOCK` cases, in tuple-loop order, so its memory stays
+bounded and its witnesses are the ones a case-by-case loop finds first. An
+exhaustive block is an open index grid, one axis per argument
+(`crossed._index_blocks`), so each table gather runs once per combination of
+the arguments it reads; a sampled block is a stack of random cases along one
+axis.
 """
 
 from functools import partial
@@ -24,6 +25,11 @@ from .crossed import (EXHAUSTIVE_INTERCHANGE_BUDGET, _failures, _index_blocks,
                       _random_blocks, _witness)
 
 import numpy as np
+
+
+def _tol(tol):
+    # a table group's eq is np.equal, whose third argument is `out`
+    return () if tol is None else (tol,)
 
 
 class _Cells:
@@ -56,6 +62,32 @@ class _Cells:
         return type(self)(cm, cm.G.mul(self.g, other.g),
                           cm.H.mul(self.h, cm.alpha(self.g, other.h)))
 
+    def vertical(self, other, tol=None):
+        """Paste `other` on top: defined where other.source == self.target.
+
+        `tol` loosens the matching check for numerically produced cells. A
+        batch raises for the first case, in C order, whose 1-arrows do not
+        match.
+        """
+        if other.cm is not self.cm:
+            raise CompositionError("cells live over different crossed modules")
+        G = self.cm.G
+        matches = np.asarray(G.eq(other.source, self.target, *_tol(tol)))
+        if np.count_nonzero(matches) < matches.size:
+            source, target = other.source, self.target
+            if matches.ndim:
+                case = np.unravel_index(np.argmin(matches), matches.shape)
+                source, target = (a[case] for a in np.broadcast_arrays(source, target))
+            raise CompositionError("vertical pasting needs matching 1-arrows",
+                                   source=G.label(source), target=G.label(target))
+        return type(self)(self.cm, self.g, self.cm.H.mul(other.h, self.h))
+
+    def eq(self, other, tol=None):
+        """Whether the cells are the same: a bool for a cell, one per case
+        for a batch; `tol` loosens the comparison."""
+        cm = self.cm
+        return cm.G.eq(self.g, other.g, *_tol(tol)) & cm.H.eq(self.h, other.h, *_tol(tol))
+
     def vertical_inverse(self):
         return type(self)(self.cm, self.target, self.cm.H.inv(self.h))
 
@@ -78,31 +110,10 @@ class TwoCell(_Cells):
         self.g = cm.G.renormalize(cm.G._check(g))
         self.h = cm.H.renormalize(cm.H._check(h))
 
-    def vertical(self, other, tol=None):
-        """Paste `other` on top: defined when other.source == self.target.
-
-        `tol` loosens the matching check for numerically produced cells.
-        """
-        if other.cm is not self.cm:
-            raise CompositionError("cells live over different crossed modules")
-        matches = (self.cm.G.eq(other.source, self.target) if tol is None
-                   else self.cm.G.eq(other.source, self.target, tol))
-        if not matches:
-            raise CompositionError("vertical pasting needs matching 1-arrows",
-                                   source=self.cm.G.label(other.source),
-                                   target=self.cm.G.label(self.target))
-        return TwoCell(self.cm, self.g, self.cm.H.mul(other.h, self.h))
-
     def horizontal_inverse(self):
         cm = self.cm
         gi = cm.G.inv(self.g)
         return TwoCell(cm, gi, cm.alpha(gi, cm.H.inv(self.h)))
-
-    def eq(self, other, tol=None):
-        cm = self.cm
-        if tol is None:
-            return cm.G.eq(self.g, other.g) and cm.H.eq(self.h, other.h)
-        return cm.G.eq(self.g, other.g, tol) and cm.H.eq(self.h, other.h, tol)
 
     def label(self):
         return f"({self.cm.G.label(self.g)}, {self.cm.H.label(self.h)})"
@@ -129,29 +140,6 @@ class CellBatch(_Cells):
         self.cm = cm
         self.g = np.asarray(g)
         self.h = np.asarray(h)
-
-    def vertical(self, other, tol=None):
-        """Paste `other` on top: defined where other.source == self.target.
-
-        `tol` is accepted for TwoCell's signature; arrows match within `G.eq`.
-        """
-        if other.cm is not self.cm:
-            raise CompositionError("cells live over different crossed modules")
-        G = self.cm.G
-        matches = np.asarray(G.eq(other.source, self.target))
-        if np.count_nonzero(matches) < matches.size:  # name the first mismatch in C order
-            case = np.unravel_index(np.argmin(matches), matches.shape)
-            source, target = (a[case] for a in np.broadcast_arrays(other.source, self.target))
-            raise CompositionError("vertical pasting needs matching 1-arrows",
-                                   source=G.label(source), target=G.label(target))
-        return CellBatch(self.cm, self.g, self.cm.H.mul(other.h, self.h))
-
-    def eq(self, other, tol=None):
-        """Where the two batches hold the same cell: a bool per case.
-
-        `tol` is accepted for TwoCell's signature; cells compare within `eq`.
-        """
-        return self.cm.G.eq(self.g, other.g) & self.cm.H.eq(self.h, other.h)
 
     def label(self, case):
         """TwoCell's label of the cell at position `case` of a one-axis batch."""

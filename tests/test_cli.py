@@ -7,6 +7,7 @@ across CI runs.  Wall-clock chatter goes to stderr only.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import pytest
 
 from twogauge import cli
 from twogauge.errors import ConfigError
+from twogauge.report import jsonify
 from twogauge.scenario import (
     DEFAULT_TOLERANCES,
     find_scenario,
@@ -259,9 +261,41 @@ def test_a_form_that_is_nan_everywhere_fails_its_check(command, check, tmp_path,
     assert cli.run([command, "--scenario", path]) == 1
     captured = capsys.readouterr()
     assert [line[:6] for line in captured.err.splitlines()] == ["[wall]"]
-    checks = {c["name"]: c for c in json.loads(captured.out)["report"]["checks"]}
+    checks = {c["name"]: c for c in _strict_json(captured.out)["report"]["checks"]}
     assert checks[check]["verdict"] == "FAIL"
-    assert np.isnan(checks[check]["residual"])
+    assert checks[check]["residual"] == "NaN"
+    assert cli.run([command, "--scenario", path, "--format", "text"]) == 1
+    assert f"FAIL    {check}  residual NaN (tolerance" in capsys.readouterr().out
+
+
+def _strict_json(text):
+    """json.loads, refusing the NaN and Infinity that strict JSON does not have."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_jsonify_writes_non_finite_numbers_as_strings():
+    values = [math.nan, math.inf, -math.inf, np.float32("nan"), np.float64("-inf"),
+              complex(math.nan, 1.0), np.complex128(complex(2.0, math.inf)),
+              np.array([1.0, math.nan]), {"x": 0.5}]
+    got = jsonify(values)
+    assert got == ["NaN", "Infinity", "-Infinity", "NaN", "-Infinity",
+                   {"re": "NaN", "im": 1.0}, {"re": 2.0, "im": "Infinity"},
+                   [1.0, "NaN"], {"x": 0.5}]
+    assert _strict_json(json.dumps(got, allow_nan=False)) == got
+
+
+def test_a_connection_that_is_not_fake_flat_skips_the_kernel_check(tmp_path, capsys):
+    doc = _shipped_doc("kernel3d.scn")
+    doc["forms"]["B"]["components"]["1,12"] = "x3 + 1"
+    path = _write(tmp_path, "bent.scn", doc)
+    assert cli.run(["fake-curvature", "--scenario", path]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["report"]["checks"]}
+    assert checks["fake-curvature-vanishes"]["verdict"] == "FAIL"
+    assert checks["three-curvature-in-kernel"] == {
+        "name": "three-curvature-in-kernel", "verdict": "SKIPPED",
+        "detail": "connection is not fake flat"}
 
 
 def test_wall_time_stays_on_stderr(capsys):
@@ -276,6 +310,8 @@ def test_text_format_renders_verdict_lines(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# validate on abelian")
     assert "verdict: PASS" in out
+    cli.run(["interchange", "--scenario", "eh_probe.scn", "--format", "text"])
+    assert "FAIL    interchange  [648/1296 cases (exhaustive)]\n" in capsys.readouterr().out
 
 
 def test_out_flag_writes_the_report_file(tmp_path, capsys):
@@ -357,6 +393,12 @@ def test_unwritable_out_is_refused_without_a_file(tmp_path, capsys):
     assert _refused(["validate", "--scenario", "abelian.scn", "--out", str(target)],
                     capsys)
     assert not target.exists()
+
+
+def test_an_out_that_is_a_directory_is_refused(tmp_path, capsys):
+    assert _refused(["validate", "--scenario", "abelian.scn", "--out", str(tmp_path)],
+                    capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flag, scenario", [

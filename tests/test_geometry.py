@@ -275,8 +275,8 @@ def test_bigon_arrays_match_scalar_calls(name):
 @pytest.mark.parametrize("name", sorted(_array_fixtures()))
 def test_a_0d_s_against_a_1d_t_matches_scalar_calls(name):
     # a 0-d array takes the per-element path, whose one value comes back
-    # from np.frompyfunc as a Python float; t is long enough for the array
-    # ramps, and short enough for the per-element ones
+    # as a 0-d array; t is long enough for the array ramps, and short enough
+    # for the per-element ones
     bigon = _array_fixtures()[name]
     for s in (0.05, 0.3, 0.5, 0.95):
         for t in (T_VALUES, T_VALUES[::4]):
@@ -318,3 +318,65 @@ def test_composite_evaluates_each_side_only_on_its_half():
     assert np.array_equal(np.concatenate(seen["first"]), 2 * s[s <= 0.5])
     assert np.array_equal(np.concatenate(seen["second"]), 2 * s[s > 0.5] - 1)
     assert _bits(got) == _bits(np.array([joined.value(x) for x in s]))
+
+
+def test_composites_match_scalar_calls_on_one_side_and_on_no_points():
+    # all points below or above the seam leave one side with nothing to run,
+    # and an empty parameter array has no points at all
+    path = shipped_path("pi-detour")
+    bigon = _array_fixtures()["vertical"]
+    for half in (S_VALUES[S_VALUES <= 0.5], S_VALUES[S_VALUES > 0.5]):
+        for method in (path.value, path.velocity):
+            assert _bits(method(half)) == _bits(np.array([method(s) for s in half]))
+        for method in (bigon.value, bigon.d_s, bigon.d_t):
+            got = method(S_VALUES[:, None], half[None, :])
+            want = np.array([[method(s, t) for t in half] for s in S_VALUES])
+            assert _bits(got) == _bits(want)
+    for method in (path.value, path.velocity):
+        assert method(np.zeros(0)).shape == (0, 2)
+    for method in (bigon.value, bigon.d_s, bigon.d_t):
+        assert method(S_VALUES[:, None], np.zeros((1, 0))).shape == (len(S_VALUES), 0, 2)
+
+
+# ----------------------------------------------------------------- NaN checks
+
+NAN = "(0 * 1e999)"  # inf * 0
+
+
+def test_a_nan_reparametrization_is_refused():
+    with pytest.raises(GeometryError, match="must fix 0 and 1"):
+        Reparam.from_expr(f"x1 * {NAN}")
+
+
+def test_a_nan_path_fails_its_sitting_check():
+    worst, ok = Path.from_exprs([f"x1 * {NAN}", "x1"]).certify_sitting()
+    assert math.isnan(worst) and not ok
+
+
+def test_a_nan_bigon_fails_its_sitting_check():
+    worst, ok = Bigon.from_exprs([f"x1 + x2 * {NAN}", "x2"]).certify()
+    assert math.isnan(worst) and not ok
+
+
+def test_paths_do_not_compose_at_a_nan_junction():
+    nan_point = Path.constant((math.nan, 0.0))
+    with pytest.raises(CompositionError, match="junction"):
+        nan_point.compose(nan_point)
+
+
+def test_bigons_do_not_stack_on_nan_paths():
+    nan_point = Bigon.constant((math.nan, 0.0))
+    with pytest.raises(CompositionError, match="differ by nan"):
+        nan_point.vertical(nan_point)
+
+
+def test_bigons_do_not_meet_at_nan_corners():
+    nan_point = Bigon.constant((math.nan, 0.0))
+    with pytest.raises(CompositionError, match="differ by nan"):
+        nan_point.horizontal(nan_point)
+
+
+def test_paths_with_nan_endpoints_are_not_interpolated():
+    nan_point = Path.constant((math.nan, 0.0))
+    with pytest.raises(CompositionError, match="equal endpoints"):
+        Bigon.interpolate(nan_point, nan_point)
