@@ -18,7 +18,10 @@ gives scipy logm's bits: np.log on complex 1x1 matrices, one Schur form and
 logm's closed-form entries on complex 2x2 ones (no Pade stage, no
 scipy.sparse), and logm itself per matrix otherwise (SO(3)). Both import
 scipy when first needed, so a process that never takes an exp or a log of a
-matrix larger than 1x1 never loads it.
+matrix larger than 1x1 never loads it. `_expm_frechet_stack` gives
+scipy expm_frechet's Frechet derivatives of exp for a whole stack: its
+scaling-and-squaring Pade arithmetic on stacks, with the LU factorisation
+and solves per matrix by the LAPACK routines that scipy calls.
 Group products renormalize by polar projection when the membership drift
 exceeds TAU_GRP / 10, and operands are refused when it is not within 1e-6.
 Both tests read only a decision, which `MatrixGroup._defect_against` makes
@@ -37,6 +40,7 @@ tuple loop over `random`.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -472,6 +476,153 @@ def _logm_2x2(A):
     for k in np.flatnonzero(~closed):
         F[k] = scipy.linalg.logm(A[k])
     return F
+
+
+# scipy's expm_frechet (Al-Mohy and Higham 2009, Algorithm 6.4): the entries
+# m = 3, 5, 7, 9, 13 of its ell_table_61, the largest 1-norm of 2^-s A whose
+# order m Pade stage stays within a backward error of 2^-53 ...
+_FRECHET_ELL = {3: 1.08e-2, 5: 2.00e-1, 7: 7.83e-1, 9: 1.78e0, 13: 4.74e0}
+# ... and the coefficients b of each order's Pade stage
+_FRECHET_PADE = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+        2162160., 110880., 3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600.,
+         1187353796428800., 129060195264000., 10559470521600.,
+         670442572800., 33522128640., 1323241920., 40840800., 960960.,
+         16380., 182., 1.),
+}
+
+
+def _frechet_pade(m, A, E, ident, dot):
+    """U, V, Lu, Lv of the order m Pade stage on (k, n, n) stacks, in the
+    operation order of scipy's `_diff_pade3` to `_diff_pade9` and of the
+    m = 13 branch of `expm_frechet_algo_64`, with `dot` for its np.dot."""
+    b = _FRECHET_PADE[m]
+    # the even powers A^2j and their derivatives M_2j, from j = 0
+    A2 = dot(A, A)
+    P, M = [ident, A2], [None, dot(A, E) + dot(E, A)]
+    if m >= 5:
+        P.append(dot(A2, A2))
+        M.append(dot(A2, M[1]) + dot(M[1], A2))
+    if m >= 7:
+        P.append(dot(A2, P[2]))
+        M.append(dot(P[2], M[1]) + dot(M[2], A2))
+    if m == 9:
+        P.append(dot(P[2], P[2]))
+        M.append(dot(P[2], M[2]) + dot(M[2], P[2]))
+    if m == 13:
+        _, A2, A4, A6 = P
+        _, M2, M4, M6 = M
+        W1 = b[13] * A6 + b[11] * A4 + b[9] * A2
+        W2 = b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident
+        Z1 = b[12] * A6 + b[10] * A4 + b[8] * A2
+        Z2 = b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
+        W = dot(A6, W1) + W2
+        Lw1 = b[13] * M6 + b[11] * M4 + b[9] * M2
+        Lw2 = b[7] * M6 + b[5] * M4 + b[3] * M2
+        Lz1 = b[12] * M6 + b[10] * M4 + b[8] * M2
+        Lz2 = b[6] * M6 + b[4] * M4 + b[2] * M2
+        Lw = dot(A6, Lw1) + dot(M6, W1) + Lw2
+        return (dot(A, W), dot(A6, Z1) + Z2, dot(A, Lw) + dot(E, W),
+                dot(A6, Lz1) + dot(M6, Z1) + Lz2)
+
+    def poly(terms, odd, low):
+        # b[2j + odd] terms[j] summed from the top j down to j = low
+        top = len(terms) - 1
+        total = b[2 * top + odd] * terms[top]
+        for j in range(top - 1, low - 1, -1):
+            total = total + b[2 * j + odd] * terms[j]
+        return total
+
+    W = poly(P, 1, 0)
+    return dot(A, W), poly(P, 0, 0), dot(A, poly(M, 1, 1)) + dot(E, W), poly(M, 0, 1)
+
+
+def _dot_1x1(a, b):
+    """np.dot of each pair of 1x1 matrices of two stacks. np.dot takes such a
+    product as a scalar one: one real product, or a complex one from four
+    real products (numpy's complex `*` may fuse them), where `@` would add
+    it to a zero and so lose the sign of a zero product."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    a, b = a.astype(complex, copy=False), b.astype(complex, copy=False)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _lu_solves(VmU, UpV, Lu, Lv, dot):
+    """R = (V - U)^-1 (U + V) and L = (V - U)^-1 (Lu + Lv + (Lu - Lv) R) of
+    each matrix of a stack, as scipy's lu_factor and lu_solve give them:
+    one LAPACK getrf and two getrs per matrix, lu_factor's warning on an
+    exactly singular V - U and lu_solve's refusal of a right-hand side that
+    is not finite (its first one, U + V, always is)."""
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs
+    getrf, = get_lapack_funcs(("getrf",), (VmU[0],))
+    getrs, = get_lapack_funcs(("getrs",), (VmU[0], UpV[0]))
+    factors = [getrf(a) for a in VmU]
+    R = np.array([getrs(lu, piv, b)[0] for (lu, piv, _), b in zip(factors, UpV)])
+    rhs = Lu + Lv + dot(Lu - Lv, R)
+    getrs, = get_lapack_funcs(("getrs",), (VmU[0], rhs[0]))
+    finite = np.isfinite(rhs).all(axis=(1, 2))
+    L = np.empty_like(rhs)
+    for k, (lu, piv, info) in enumerate(factors):
+        if info > 0:
+            warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                          LinAlgWarning, stacklevel=3)
+        if not finite[k]:
+            raise ValueError("array must not contain infs or NaNs")
+        L[k] = getrs(lu, piv, rhs[k])[0]
+    return R, L
+
+
+def _expm_frechet_stack(A, E):
+    """scipy.linalg.expm_frechet(a, e)[1] of each pair of matrices of two
+    (N, n, n) stacks, with its bits, refusals and warnings.
+
+    This is `expm_frechet_algo_64`'s arithmetic on stacks. Each matrix takes
+    its 1-norm as scipy.linalg.norm(a, 1) does (LAPACK lange sums hypot
+    moduli; on a 1x1 matrix numpy takes np.abs), and from it its Pade order
+    m and, at m = 13, its scaling s. Each order runs its Pade stage as one
+    stack, each matrix is factored once by LAPACK getrf and solved twice by
+    getrs (`_lu_solves`), and each s squares its matrices as one stack. The
+    products are `@`, or `_dot_1x1` on 1x1 matrices.
+    """
+    A = np.asarray_chkfinite(A)
+    E = np.asarray_chkfinite(E)
+    n = A.shape[-1]
+    ident = np.identity(n)
+    out = np.empty(A.shape, dtype=np.result_type(A, E, ident))
+    if not len(A):
+        return out
+    dot = _dot_1x1 if n == 1 else np.matmul
+    norms = (np.abs(A) if n == 1 else np.hypot(A.real, A.imag)).sum(axis=1).max(axis=1)
+    order = np.full(len(A), 13)
+    for m in (9, 7, 5, 3):
+        order[norms <= _FRECHET_ELL[m]] = m
+    for m in np.unique(order):
+        group = np.flatnonzero(order == m)
+        a, e = A[group], E[group]
+        s = np.zeros(len(group), dtype=int)
+        if m == 13:
+            s[:] = [max(0, int(np.ceil(np.log2(x / _FRECHET_ELL[13])))) for x in norms[group]]
+            scale = np.array([2.0 ** -k for k in s])[:, None, None]
+            a, e = a * scale, e * scale
+        U, V, Lu, Lv = _frechet_pade(m, a, e, ident, dot)
+        R, L = _lu_solves(-U + V, U + V, Lu, Lv, dot)
+        for k in np.unique(s[s > 0]):
+            squared = np.flatnonzero(s == k)
+            r, l = R[squared], L[squared]
+            for _ in range(k):
+                l = dot(r, l) + dot(l, r)
+                r = dot(r, r)
+            L[squared] = l
+        out[group] = L
+    return out
 
 
 class MatrixGroup:

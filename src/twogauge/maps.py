@@ -8,13 +8,15 @@ independent central-difference route for cross-checking.
 
 A map is given on point stacks: `at_points`, `inv_points` and `jac_points`
 take an (N, dim) stack of points (and of directions) and return (N, n, n)
-stacks. `at` and `jac` are their stack of one. An ExpParamMap computes a
-stack's exponents with one `FormField.at_points`, g with one stacked `exp`
-and dg along each direction stack with one `expm_frechet` per point, each
-matrix with the bits of the single-matrix call. It keeps these values for
-the last point stack only, so the forms built on one map (a gauge transform
-and its Maurer-Cartan form, evaluated along several directions) share them,
-and its memory stays that of one stack. A ConstantMap broadcasts its value;
+stacks. `at` and `jac` are their stack of one; an empty stack gives empty
+(0, n, n) stacks. An ExpParamMap computes a stack's exponents with one
+`FormField.at_points`, g with one stacked `exp` (each matrix with the bits
+of the single-matrix call) and dg along each direction stack with one
+stacked Frechet derivative (`groups._expm_frechet_stack`, each matrix with
+the bits of scipy's expm_frechet). It keeps these values for the last point
+stack only, so the forms built on one map (a gauge transform and its
+Maurer-Cartan form, evaluated along several directions) share them, and its
+memory stays that of one stack. A ConstantMap broadcasts its value;
 a NumericalMap calls its point function once per point and differences
 whole stacks.
 """
@@ -23,6 +25,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .forms import FormField, StackedForm
+from .groups import _expm_frechet_stack
 
 # central-difference step of NumericalMap
 NUMERICAL_STEP = 1e-6
@@ -71,7 +74,8 @@ class ConstantMap(GroupMap):
 
 
 class ExpParamMap(GroupMap):
-    """exp of an algebra-valued degree-0 form; derivative via expm_frechet."""
+    """exp of an algebra-valued degree-0 form; derivative by the Frechet
+    derivative of the matrix exponential (scipy's expm_frechet, stacked)."""
 
     def __init__(self, group, exponent):
         if exponent.degree != 0:
@@ -116,9 +120,7 @@ class ExpParamMap(GroupMap):
         directions = np.asarray(directions, dtype=float)
         key = directions.tobytes()
         if key not in dgs:
-            from scipy.linalg import expm_frechet  # loaded on first use
-            dX = self._dexponent.at_points(points, directions)
-            dg = np.array([expm_frechet(x, dx)[1] for x, dx in zip(X, dX)])
+            dg = _expm_frechet_stack(X, self._dexponent.at_points(points, directions))
             dg.flags.writeable = False
             dgs[key] = dg
         return dgs[key]
@@ -133,7 +135,10 @@ class NumericalMap(GroupMap):
         self._fn = fn
 
     def at_points(self, points):
-        return np.array([self._fn(tuple(p)) for p in np.asarray(points, dtype=float)])
+        points = np.asarray(points, dtype=float)
+        if not len(points):
+            return np.empty((0, self.group.n, self.group.n), dtype=self.group.dtype)
+        return np.array([self._fn(tuple(p)) for p in points])
 
     def jac_points(self, points, directions):
         p = np.asarray(points, dtype=float)

@@ -8,15 +8,20 @@ margins). The gauge transform, Maurer-Cartan form, action wedge,
 transition-law and triple-overlap checks and `max_abs_on_grid` have their
 per-point loops here too, as they were before forms took point stacks, and
 so do the one-point formulas of an ExpParamMap; the array ramps are checked
-against the scalar ones. Every comparison is bitwise.
+against the scalar ones, and the stacked Frechet derivative of exp against
+scipy's expm_frechet, one matrix at a time. Every comparison is bitwise.
 """
 
+import json
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import twogauge.groups as groups
+import twogauge.maps as maps
 import twogauge.transport as transport
 from twogauge import cli
 from twogauge.crossed import crossed_module
@@ -30,7 +35,7 @@ from twogauge.geometry import (
     shipped_bigon, shipped_path,
 )
 from twogauge.groups import _SIGMA, su2_algebra
-from twogauge.scenario import load_scenario
+from twogauge.scenario import find_scenario, load_scenario
 from twogauge.report import NO_SAMPLES, ValidationReport
 from twogauge.transport import (
     LocalConnection, SurfaceResult, _rk4, check_transition_laws, check_triple_overlap,
@@ -781,24 +786,25 @@ def test_differentials_take_stacks_with_the_single_call_bits(name):
 
 def _counting(monkeypatch):
     import scipy.linalg
-    counts = {"expm": 0, "expm_frechet": 0}
-    for name in counts:
-        def counted(*args, _fn=getattr(scipy.linalg, name), _name=name, **kwargs):
+    counts = {"expm": 0, "expm_frechet": 0, "_expm_frechet_stack": 0}
+    for module, name in ((scipy.linalg, "expm"), (scipy.linalg, "expm_frechet"),
+                         (maps, "_expm_frechet_stack")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
 @pytest.mark.parametrize("name", ["su2_charts.scn", "transitions_perturbed.scn"])
 def test_a_transitions_run_exponentiates_once_per_point(name, monkeypatch, capsys):
-    # g and g^-1 by one stacked expm of the run's one point stack, dg once
-    # per point and direction
+    # g and g^-1 by one stacked expm of the run's one point stack, dg by one
+    # stacked Frechet derivative per direction
     scn = load_scenario(name)
     counts = _counting(monkeypatch)
     cli.run(["transitions", "--scenario", name])
     capsys.readouterr()
-    assert counts == {"expm": 1, "expm_frechet": scn.samples * scn.dim}
+    assert counts == {"expm": 1, "expm_frechet": 0, "_expm_frechet_stack": scn.dim}
 
 
 # an ExpParamMap's one-point formulas, as they were before maps took stacks
@@ -852,3 +858,184 @@ def test_a_map_keeps_the_values_of_its_last_point_stack_only():
     held = arrays(list(vars(gmap).values()))
     assert held and all(len(a) == 5 for a in held)
     assert any(a is g for a in held) and any(a is dg for a in held)
+
+
+# ------------------------------------------------ the stacked Frechet derivative
+
+def _frechet_order(a):
+    """expm_frechet's Pade order m and scaling s of one matrix."""
+    import scipy.linalg
+    norm = scipy.linalg.norm(a, 1)
+    for m in (3, 5, 7, 9):
+        if norm <= groups._FRECHET_ELL[m]:
+            return m, 0
+    return 13, max(0, int(np.ceil(np.log2(norm / groups._FRECHET_ELL[13]))))
+
+
+def _recorded(call):
+    """call's result and the warnings it raised, each recorded ("always")."""
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in records]
+
+
+def _frechet_draws(n, dtype, count, scales, seed):
+    """count random pairs (A, E) of n x n matrices, the norms of A spread
+    log-uniformly over `scales`."""
+    rng = np.random.default_rng(seed)
+    shape = (count, n, n)
+    A = rng.normal(size=shape)
+    E = rng.normal(size=shape)
+    if dtype is complex:
+        A = A + 1j * rng.normal(size=shape)
+        E = E + 1j * rng.normal(size=shape)
+    return A * np.geomspace(*scales, count)[rng.permutation(count), None, None], E
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_stacked_frechet_derivative_has_the_expm_frechet_bits(n, dtype):
+    import scipy.linalg
+    # 360 pairs in one stack that mixes every Pade order and scaling, from
+    # 1-norms of 1e-9 to 3000: the largest squarings overflow
+    A, E = _frechet_draws(n, dtype, 360, (1e-9, 3000.0), seed=20 + n)
+    orders = [_frechet_order(a) for a in A]
+    assert {m for m, _ in orders} == {3, 5, 7, 9, 13}
+    assert {s for _, s in orders} >= set(range(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.array([scipy.linalg.expm_frechet(a, e)[1] for a, e in zip(A, E)])
+        got = groups._expm_frechet_stack(A, E)
+        alone = np.array([groups._expm_frechet_stack(a[None], e[None])[0]
+                          for a, e in zip(A[:20], E[:20])])
+    assert not np.isfinite(want).all()
+    assert _bits(got) == _bits(want)
+    assert _bits(alone) == _bits(want[:20])
+
+
+def test_the_stacked_frechet_derivative_takes_the_1_norm_of_scipy_linalg_norm():
+    import scipy.linalg
+    # complex 2x2 matrices scaled onto each bound of the order and scaling
+    # choice, where the sum of np.abs moduli and the 1-norm of
+    # scipy.linalg.norm (LAPACK's moduli) fall on either side of the bound
+    rng = np.random.default_rng(50)
+    bounds = [groups._FRECHET_ELL[m] for m in (3, 5, 7, 9)] \
+        + [groups._FRECHET_ELL[13] * 2.0 ** k for k in range(3)]
+    straddling = []
+    for bound in bounds:
+        found = []
+        for _ in range(40):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            c = bound / scipy.linalg.norm(a, 1)
+            found += [b for b in (a * (c + k * np.spacing(c)) for k in range(-3, 4))
+                      if (scipy.linalg.norm(b, 1) <= bound)
+                      != (np.abs(b).sum(axis=0).max() <= bound)]
+        assert found, bound
+        straddling += found[:4]
+    A = np.array(straddling)
+    E = rng.normal(size=A.shape) + 1j * rng.normal(size=A.shape)
+    want = np.array([scipy.linalg.expm_frechet(a, e)[1] for a, e in zip(A, E)])
+    assert _bits(groups._expm_frechet_stack(A, E)) == _bits(want)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["A", "E"])
+def test_the_stacked_frechet_derivative_refuses_what_expm_frechet_refuses(where, value):
+    import scipy.linalg
+    A, E = _frechet_draws(2, complex, 4, (0.1, 10.0), seed=30)
+    (A if where == "A" else E)[2, 1, 0] = value
+    with pytest.raises(ValueError) as want:
+        for a, e in zip(A, E):
+            scipy.linalg.expm_frechet(a, e)
+    with pytest.raises(ValueError) as got:
+        groups._expm_frechet_stack(A, E)
+    assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+
+
+def test_a_right_hand_side_that_overflows_is_refused_as_lu_solve_refuses_it():
+    import scipy.linalg
+    # finite inputs, but A E + E A overflows, and lu_solve refuses its
+    # second right-hand side
+    A = np.array([np.eye(2), 3 * np.eye(2)])
+    E = np.array([np.ones((2, 2)), np.full((2, 2), 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError) as want:
+            for a, e in zip(A, E):
+                scipy.linalg.expm_frechet(a, e)
+        with pytest.raises(ValueError) as got:
+            groups._expm_frechet_stack(A, E)
+    assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+
+
+def test_an_exactly_singular_pade_denominator_warns_as_lu_factor_does(monkeypatch):
+    import scipy.linalg
+    # no finite A makes V - U singular at scipy's coefficients, so the order 3
+    # coefficients become (0, 0, 1, 0): U = 0 and V - U = A^2, singular at
+    # the second matrix, whose solve then gives NaN
+    monkeypatch.setitem(groups._FRECHET_PADE, 3, (0.0, 0.0, 1.0, 0.0))
+    A = np.array([np.diag([1e-3, 2e-3]), np.diag([1e-3, 0.0])])
+    E = np.ones((2, 2, 2))
+    lu, lu_factor_warned = _recorded(lambda: scipy.linalg.lu_factor(A[1] @ A[1]))
+    with pytest.raises(ValueError) as want:
+        scipy.linalg.lu_solve(lu, np.full(2, np.nan))
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as got:
+            groups._expm_frechet_stack(A, E)
+    singular = [(w.category, str(w.message)) for w in records
+                if issubclass(w.category, scipy.linalg.LinAlgWarning)]
+    assert singular == lu_factor_warned == [
+        (scipy.linalg.LinAlgWarning, "Diagonal number 2 is exactly zero. Singular matrix.")]
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_overflowing_squarings_warn_as_expm_frechet_does(n, dtype):
+    import scipy.linalg
+    # the same kinds of warning; they name the numpy routine that raised
+    # them, which for expm_frechet is always `dot`
+    A, E = _frechet_draws(n, dtype, 12, (1000.0, 3000.0), seed=40 + n)
+    want, want_warned = _recorded(
+        lambda: np.array([scipy.linalg.expm_frechet(a, e)[1] for a, e in zip(A, E)]))
+    got, got_warned = _recorded(lambda: groups._expm_frechet_stack(A, E))
+
+    def kinds(warned):
+        return {(category, message.split(" in ")[0]) for category, message in warned}
+
+    assert not np.isfinite(want).all()
+    assert _bits(got) == _bits(want)
+    assert kinds(got_warned) == kinds(want_warned)
+    assert (RuntimeWarning, "overflow encountered") in kinds(got_warned)
+
+
+def _per_point_jac_points(self, points, directions):
+    # ExpParamMap.jac_points as it was: one expm_frechet per point
+    from scipy.linalg import expm_frechet
+    X = self.exponent.at_points(points)
+    dX = self._dexponent.at_points(points, directions)
+    return np.array([expm_frechet(x, dx)[1] for x, dx in zip(X, dX)])
+
+
+def test_a_transitions_run_through_the_scaling_branch_prints_the_per_point_report(
+        tmp_path, monkeypatch, capsys):
+    # exponents up to 3000 take every Jacobian through Pade order 13 with
+    # up to 10 squarings, which no shipped scenario reaches
+    with open(find_scenario("transitions_perturbed.scn")) as f:
+        scn = json.load(f)
+    scn["transition"]["g"] = ["3000 * x1", "0.2 * x2", "0.1 * x1 * x2"]
+    path = tmp_path / "steep.scn"
+    path.write_text(json.dumps(scn))
+    orders = []
+    pade = groups._frechet_pade
+    monkeypatch.setattr(groups, "_frechet_pade",
+                        lambda m, a, *rest: orders.append(m) or pade(m, a, *rest))
+    outputs = []
+    for _ in range(2):
+        code = cli.run(["transitions", "--scenario", str(path)])
+        outputs.append((code, capsys.readouterr().out))
+        monkeypatch.setattr(ExpParamMap, "jac_points", _per_point_jac_points)
+    assert 13 in orders
+    assert outputs[0] == outputs[1]

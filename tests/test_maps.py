@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twogauge.errors import GeometryError
-from twogauge.groups import SO3, SU2
+from twogauge.groups import SO3, SU2, U1
 from twogauge.maps import (
     ConstantMap, ExpParamMap, NumericalMap, maurer_cartan, right_log_derivative,
 )
@@ -84,3 +84,23 @@ def test_constant_map():
 def test_constructor_validation():
     with pytest.raises(GeometryError):
         ExpParamMap.from_exprs(SU2(), 2, ["x1", "x2"])
+
+
+EXPONENTS = {"SU2": ["sin(x1)", "x1 * x2", "0.3"], "SO3": ["x1", "cos(x2)", "x1 * x2"],
+             "U1": ["x1 - x2"]}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENTS))
+def test_an_empty_point_stack_gives_empty_matrix_stacks(name):
+    G = {"SU2": SU2, "SO3": SO3, "U1": U1}[name]()
+    exp_map = ExpParamMap.from_exprs(G, 2, EXPONENTS[name])
+    gmaps = {"exp": exp_map, "constant": ConstantMap(G, exp_map.at((0.3, -0.2)), 2),
+             "numerical": numeric_twin(exp_map)}
+    points = np.zeros((0, 2))
+    for kind, gmap in gmaps.items():
+        for what, got in (("at", gmap.at_points(points)),
+                          ("inv", gmap.inv_points(points)),
+                          ("jac", gmap.jac_points(points, points)),
+                          ("maurer_cartan", maurer_cartan(gmap).at_points(points, points)),
+                          ("right_log", right_log_derivative(gmap).at_points(points, points))):
+            assert (got.shape, got.dtype) == ((0, G.n, G.n), np.dtype(G.dtype)), (kind, what)
