@@ -23,13 +23,18 @@ in turn makes repeated exterior derivatives cancel structurally downstream.
 `compile_expr` runs the source of one code generator, `_gen`, in two
 namespaces: `math` and pow for one point, array functions for many
 (`ArrayExpr`). Both give the bits of `evaluate` and fall back to it for
-the exact EvalError text.
+the exact EvalError text. The code objects come from one bounded table
+keyed by that source (`_code`), so an expression that several forms
+share, or that a later scenario load builds again, is compiled once and
+not once per form; each function is still made in its own copy of its
+namespace. Both functions are made on their first call, so an expression
+that is only ever evaluated on arrays never builds the scalar one.
 """
 
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 
 import numpy as np
@@ -348,20 +353,35 @@ def compile_expr(e):
     """Compile to a fast callable point -> float (used in integrator hot loops).
 
     The code comes from `_gen`, run with `math` functions and the builtin
-    pow. On arithmetic failure the careful evaluator is re-run to produce
-    the detailed EvalError. The callable's `arrays` attribute is the same
+    pow; it is taken from the compile table on the first call. On
+    arithmetic failure the careful evaluator is re-run to produce the
+    detailed EvalError. The callable's `arrays` attribute is the same
     expression as an `ArrayExpr`, for many points at once.
     """
-    fn = eval(compile(f"lambda x: {_gen(e)}", "<expr>", "eval"), dict(_SCALAR_NAMESPACE))
+    fn = None
 
-    def call(point, _fn=fn, _e=e):
+    def call(point):
+        nonlocal fn
+        if fn is None:
+            fn = _function(e, _SCALAR_NAMESPACE)
         try:
-            return _fn(point)
+            return fn(point)
         except Exception:
-            return evaluate(_e, point)  # raises EvalError with the subexpression
+            return evaluate(e, point)  # raises EvalError with the subexpression
 
     call.arrays = ArrayExpr(e, call)
     return call
+
+
+@lru_cache(maxsize=1024)
+def _code(source):
+    """The code object of `lambda x: source`, compiled once per source."""
+    return compile(f"lambda x: {source}", "<expr>", "eval")
+
+
+def _function(e, namespace):
+    """The lambda of `_gen(e)`, made in a fresh copy of namespace."""
+    return eval(_code(_gen(e)), dict(namespace))
 
 
 class ArrayExpr:
@@ -376,8 +396,8 @@ class ArrayExpr:
     because their numpy versions round differently. On any exception,
     floating-point error or non-finite result the whole array is evaluated
     again point by point through the scalar callable, so values and
-    EvalError messages are the scalar ones. The array code is compiled on
-    first call.
+    EvalError messages are the scalar ones. The array function is made on
+    the first call, from the compile table's code for the source.
     """
 
     __slots__ = ("expr", "_scalar", "_fn")
@@ -391,8 +411,7 @@ class ArrayExpr:
         arrays = [np.asarray(c, dtype=float) for c in point]
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
         if self._fn is None:
-            self._fn = eval(compile(f"lambda x: {_gen(self.expr)}", "<expr>", "eval"),
-                            dict(_ARRAY_NAMESPACE))
+            self._fn = _function(self.expr, _ARRAY_NAMESPACE)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 out = self._fn(arrays)

@@ -21,9 +21,14 @@ dict order and zero coefficients skipped, so every value has the bits of
 the single-point call. A PointwiseForm built on a point function calls it
 point by point. A StackedForm is built on a function of whole point
 stacks, as gauge transforms, Maurer-Cartan forms (see `maps`), sums and
-action wedges are; its `at` evaluates a stack of one point. `forms_close`
-and `FormField.max_abs_on_grid` sample each direction tuple with one
-`at_points` call per form.
+action wedges are; its `at` evaluates a stack of one point. That function
+must be a pure function of its stacks, as every one in this package is: a
+StackedForm keeps the read-only values of the last point stack, one per
+tuple of vector stacks, so a form that several others are built on (the
+transformed connection inside an action wedge, say) is computed once per
+point stack and direction, and its memory stays that of one stack. A
+FormField keeps no values. `forms_close` and `FormField.max_abs_on_grid`
+sample each direction tuple with one `at_points` call per form.
 """
 
 from itertools import combinations
@@ -167,9 +172,7 @@ class FormField:
         return FormField(self.algebra, self.degree + 1, self.dim, comps)
 
     def __add__(self, other):
-        if (other.algebra is not self.algebra and other.algebra.name != self.algebra.name) \
-                or other.degree != self.degree or other.dim != self.dim:
-            raise GeometryError("can only add forms of matching degree, dim, algebra")
+        _require_summable(self, other)
         comps = dict(self.components)
         for k, e in other.components.items():
             _accumulate(comps, k, e)
@@ -231,6 +234,12 @@ def _weight(mu, vecs):
         return vecs[0][mu[0]] * vecs[1][mu[1]] - vecs[0][mu[1]] * vecs[1][mu[0]]
     rows = np.array([[v[m] for m in mu] for v in vecs])
     return np.linalg.det(rows if rows.ndim == 2 else rows.transpose(2, 0, 1))
+
+
+def _require_summable(form, other):
+    if (other.algebra is not form.algebra and other.algebra.name != form.algebra.name) \
+            or other.degree != form.degree or other.dim != form.dim:
+        raise GeometryError("can only add forms of matching degree, dim, algebra")
 
 
 def _point_arrays(form, points, vectors):
@@ -368,12 +377,13 @@ class PointwiseForm:
     def at_points(self, points, *vectors):
         """`at` at every row of points (N, dim) with the matching vector rows."""
         points, vecs = _point_arrays(self, points, vectors)
+        if not len(points):
+            return np.zeros((0,) + self.algebra.zero().shape, dtype=self.algebra.dtype)
         return np.array([self.at(tuple(p), *(v[i] for v in vecs))
                          for i, p in enumerate(points)])
 
     def __add__(self, other):
-        if other.degree != self.degree or other.dim != self.dim:
-            raise GeometryError("can only add forms of matching degree and dim")
+        _require_summable(self, other)
         return StackedForm(self.algebra, self.degree, self.dim,
                            lambda p, *vs: self.at_points(p, *vs) + other.at_points(p, *vs))
 
@@ -390,7 +400,17 @@ class PointwiseForm:
 
 class StackedForm(PointwiseForm):
     """Form given on point stacks: fn(points, *vectors) -> (N, n, n) values,
-    each with the bits it would get alone."""
+    each with the bits it would get alone.
+
+    fn must be a pure function of its stacks: the values of the last point
+    stack are kept, keyed by the exact bytes of the points and of each
+    tuple of vector stacks, and returned read-only. A new point stack
+    replaces them.
+    """
+
+    def __init__(self, algebra, degree, dim, fn):
+        super().__init__(algebra, degree, dim, fn)
+        self._last = None  # (point stack key, {vector bytes: values})
 
     def at(self, point, *vectors):
         return self.at_points(np.asarray(point, dtype=float)[None],
@@ -398,7 +418,16 @@ class StackedForm(PointwiseForm):
 
     def at_points(self, points, *vectors):
         points, vecs = _point_arrays(self, points, vectors)
-        return self._fn(points, *vecs)
+        key = (points.shape, points.tobytes())
+        if self._last is None or self._last[0] != key:
+            self._last = (key, {})
+        values = self._last[1]
+        vkey = tuple(v.tobytes() for v in vecs)
+        if vkey not in values:
+            out = self._fn(points, *vecs)
+            out.flags.writeable = False
+            values[vkey] = out
+        return values[vkey]
 
 
 def action_wedge_pointwise(cm, A, omega):

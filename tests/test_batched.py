@@ -12,14 +12,17 @@ against the scalar ones, and the stacked Frechet derivative of exp against
 scipy's expm_frechet, one matrix at a time. Every comparison is bitwise.
 """
 
+import builtins
 import json
 import math
 import warnings
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import twogauge.expr as expr
 import twogauge.groups as groups
 import twogauge.maps as maps
 import twogauge.transport as transport
@@ -28,7 +31,7 @@ from twogauge.crossed import crossed_module
 from twogauge.errors import EvalError
 from twogauge.expr import evaluate, parse
 from twogauge.forms import (
-    FormField, PointwiseForm, _max_norm_on_directions, square_wedge,
+    FormField, PointwiseForm, StackedForm, _max_norm_on_directions, square_wedge,
 )
 from twogauge.geometry import (
     BIGON_FIXTURES, PATH_FIXTURES, Bigon, Path, Reparam, ramp, ramp_derivative,
@@ -846,6 +849,13 @@ def test_a_map_keeps_the_values_of_its_last_point_stack_only():
         assert _bits(dg) == _bits(np.array([scalar_exp_map_jac(gmap, p, [1.0, 0.0])
                                             for p in points]))
 
+    held = _held_arrays(gmap)
+    assert held and all(len(a) == 5 for a in held)
+    assert any(a is g for a in held) and any(a is dg for a in held)
+
+
+def _held_arrays(obj):
+    """Every array an object keeps in its attributes, through containers."""
     def arrays(value):
         if isinstance(value, np.ndarray):
             return [value]
@@ -854,10 +864,110 @@ def test_a_map_keeps_the_values_of_its_last_point_stack_only():
         if isinstance(value, dict):
             return [a for v in value.values() for a in arrays(v)]
         return []
+    return arrays(list(vars(obj).values()))
 
-    held = arrays(list(vars(gmap).values()))
-    assert held and all(len(a) == 5 for a in held)
-    assert any(a is g for a in held) and any(a is dg for a in held)
+
+def _counting_evaluations(monkeypatch):
+    """Record each compile of expression code by source, each
+    FormField.at_points call and each call of a StackedForm's function by
+    form and the exact bytes of its stacks."""
+    record = {"compiles": Counter(), "stacked": Counter(), "fields": []}
+    real_compile, field_at_points = builtins.compile, FormField.at_points
+    stacked_init = StackedForm.__init__
+
+    def compile_(source, filename, *args, **kwargs):
+        if filename == "<expr>":
+            record["compiles"][source] += 1
+        return real_compile(source, filename, *args, **kwargs)
+
+    def at_points(self, *args):
+        record["fields"].append(self)
+        return field_at_points(self, *args)
+
+    def init(self, algebra, degree, dim, fn):
+        def counted(*stacks):
+            record["stacked"][(self,) + tuple(s.tobytes() for s in stacks)] += 1
+            return fn(*stacks)
+        stacked_init(self, algebra, degree, dim, counted)
+
+    monkeypatch.setattr(builtins, "compile", compile_)
+    monkeypatch.setattr(FormField, "at_points", at_points)
+    monkeypatch.setattr(StackedForm, "__init__", init)
+    return record
+
+
+def test_transitions_runs_compile_each_source_and_evaluate_each_stack_once(monkeypatch, capsys):
+    # su2_charts starts from an empty compile table, as in a fresh process;
+    # transitions_perturbed follows it and compiles only its own sources.
+    # Counts: compiles, StackedForm evaluations, FormField evaluations
+    want = {"su2_charts.scn": (16, 12, 19), "transitions_perturbed.scn": (5, 12, 19)}
+    record = _counting_evaluations(monkeypatch)
+    expr._code.cache_clear()
+    for name, counts in want.items():
+        for seen in record.values():
+            seen.clear()
+        cli.run(["transitions", "--scenario", name])
+        capsys.readouterr()
+        assert max(record["compiles"].values()) == 1, name
+        assert max(record["stacked"].values()) == 1, name
+        assert (sum(record["compiles"].values()), sum(record["stacked"].values()),
+                len(record["fields"])) == counts, name
+
+
+def _su2_left_chart():
+    scn = load_scenario("su2_charts.scn")
+    right = LocalConnection(scn.module, scn.forms["A"], scn.forms["B"])
+    return transform_connection(scn.module, right, scn.gmap, scn.a_form)
+
+
+def test_a_stacked_form_returns_its_functions_bits_read_only():
+    left = _su2_left_chart()
+    points = np.random.default_rng(3).uniform(0.1, 0.9, (6, 2))
+    u, v = (np.broadcast_to(e, points.shape) for e in np.eye(2))
+    for form, vectors in ((left.A, (u,)), (left.A, (v,)), (left.B, (u, v))):
+        got = form.at_points(points, *vectors)
+        assert form.at_points(points.copy(), *(np.array(w) for w in vectors)) is got
+        assert _bits(got) == _bits(form._fn(points, *vectors))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    # a fresh chart, never evaluated on these points before, has the same bits
+    assert _bits(_su2_left_chart().B.at_points(points, u, v)) == _bits(got)
+
+
+def test_a_stacked_form_keeps_the_values_of_its_last_point_stack_only():
+    field = FormField.from_config(su2_algebra(), 1, 2, SU2_FIELD)
+    calls = []
+
+    def fn(points, v):
+        calls.append(len(points))
+        return field.at_points(points, v)
+
+    form = StackedForm(field.algebra, 1, 2, fn)
+    first, second = np.random.default_rng(5).uniform(-1, 1, size=(2, 7, 2))
+    second = second[:5]
+    for points in (first, second, first):
+        for e in np.eye(2):
+            for _ in range(2):
+                got = form.at_points(points, np.broadcast_to(e, points.shape))
+                assert _bits(got) == _bits(field.at_points(points, np.broadcast_to(e, points.shape)))
+        held = _held_arrays(form)
+        assert len(held) == 2 and all(len(a) == len(points) for a in held)
+    assert calls == [7, 7, 5, 5, 7, 7]
+
+
+def test_a_stacked_form_tells_signed_zeros_apart():
+    algebra = su2_algebra()
+
+    def fn(points, v):
+        sign = np.copysign(1.0, points[:, 0]) * np.copysign(1.0, v[:, 0])
+        return sign[:, None, None] * algebra.basis[0]
+
+    form = StackedForm(algebra, 1, 2, fn)
+    got = [form.at_points(np.array([[x, 0.5]]), np.array([[e, 1.0]]))[0]
+           for x, e in product((0.0, -0.0), repeat=2)]
+    assert [_bits(g) for g in got] == [_bits(sign * algebra.basis[0])
+                                       for sign in (1.0, -1.0, -1.0, 1.0)]
 
 
 # ------------------------------------------------ the stacked Frechet derivative

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from twogauge.errors import EvalError, ParseError
 from twogauge.expr import (
     FUNCTIONS, Add, Call, Div, Mul, Neg, Num, Pow, Sub, Var,
-    compile_expr, differentiate, evaluate, max_var_index, parse, to_text,
+    _code, compile_expr, differentiate, evaluate, max_var_index, parse, to_text,
 )
 
 
@@ -181,6 +181,35 @@ def test_compile_raises_eval_error():
     fn = compile_expr(parse("x1 / x2"))
     with pytest.raises(EvalError):
         fn((1.0, 0.0))
+
+
+@pytest.mark.parametrize("src, point", [("x1 / x2", (1.0, 0.0)),
+                                        ("exp(x2 * 1000) + x1", (0.5, 1.0)),
+                                        ("x1 ^ -3", (0.0, 0.0))])
+def test_a_tabled_compile_keeps_the_evaluators_error(src, point):
+    # the second callable's code comes from the compile table, not from compile
+    compile_expr(parse(src))((0.25, 0.5))
+    misses = _code.cache_info().misses
+    fn = compile_expr(parse(src))
+    with pytest.raises(EvalError) as want:
+        evaluate(parse(src), point)
+    with pytest.raises(EvalError) as scalar:
+        fn(point)
+    with pytest.raises(EvalError) as arrays:
+        fn.arrays((np.array([0.25, point[0]]), np.array([0.5, point[1]])))
+    assert _code.cache_info().misses == misses
+    for got in (scalar, arrays):
+        assert str(got.value) == str(want.value)
+        assert got.value.subexpression == want.value.subexpression
+
+
+def test_each_callable_gets_its_own_namespace_from_the_shared_code():
+    first, second = compile_expr(parse("sin(x1) * x2")), compile_expr(parse("sin(x1) * x2"))
+    for fn in (first, second):
+        assert fn((0.5, 2.0)) == math.sin(0.5) * 2.0
+        assert fn.arrays((np.array([0.5]), np.array([2.0]))).tolist() == [fn((0.5, 2.0))]
+    assert first.arrays._fn.__code__ is second.arrays._fn.__code__
+    assert first.arrays._fn.__globals__ is not second.arrays._fn.__globals__
 
 
 # ---------------------------------------------------------------- array mode

@@ -9,10 +9,11 @@ from twogauge.forms import (
     fake_curvature_form, forms_close, overlap_curvature, square_wedge,
     three_curvature,
 )
-from twogauge.groups import su2_algebra, u1_algebra
+from twogauge.groups import so3_algebra, su2_algebra, u1_algebra
 
 U1 = u1_algebra()
 SU2 = su2_algebra()
+SO3 = so3_algebra()
 
 
 def sample_points(dim, n=5, seed=0):
@@ -261,3 +262,27 @@ def test_at_points_checks_its_arguments():
         form.at_points(np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(EvalError, match="match"):
         form.at_points(pts, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("algebra", [SU2, SO3], ids=["su2", "so3"])
+def test_an_empty_point_stack_gives_an_empty_matrix_stack_from_every_form(algebra):
+    field = FormField.from_config(algebra, 1, 2, {"1,1": "x2", "2,2": "sin(x1)"})
+    forms = {"field": field, "stacked": PointwiseForm.from_field(field),
+             "pointwise": PointwiseForm(algebra, 1, 2, field.at)}
+    points = np.zeros((0, 2))
+    for kind, form in forms.items():
+        got = form.at_points(points, points)
+        assert (got.shape, got.dtype) == ((0, algebra.n, algebra.n), np.dtype(algebra.dtype)), kind
+
+
+def test_pointwise_forms_over_different_algebras_do_not_add():
+    su2 = FormField.from_config(SU2, 1, 2, {"1,1": "x2"})
+    so3 = FormField.from_config(SO3, 1, 2, {"1,1": "x2"})
+    for left, right in ((PointwiseForm.from_field(su2), PointwiseForm.from_field(so3)),
+                        (PointwiseForm(SU2, 1, 2, su2.at), PointwiseForm(SO3, 1, 2, so3.at))):
+        with pytest.raises(GeometryError, match="matching degree, dim, algebra"):
+            left + right
+    # the same algebra built twice is the same algebra
+    same = PointwiseForm.from_field(su2) + PointwiseForm.from_field(
+        FormField.from_config(su2_algebra(), 1, 2, {"2,1": "x1"}))
+    assert same.at_points(np.ones((1, 2)), np.ones((1, 2))).shape == (1, 2, 2)
