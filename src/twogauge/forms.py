@@ -173,6 +173,8 @@ class FormField:
 
     def __add__(self, other):
         _require_summable(self, other)
+        if not isinstance(other, FormField):
+            return _stacked_sum(self, other)
         comps = dict(self.components)
         for k, e in other.components.items():
             _accumulate(comps, k, e)
@@ -240,6 +242,12 @@ def _require_summable(form, other):
     if (other.algebra is not form.algebra and other.algebra.name != form.algebra.name) \
             or other.degree != form.degree or other.dim != form.dim:
         raise GeometryError("can only add forms of matching degree, dim, algebra")
+
+
+def _stacked_sum(form, other):
+    """form + other, one of them numeric, as a StackedForm."""
+    return StackedForm(form.algebra, form.degree, form.dim,
+                       lambda p, *vs: form.at_points(p, *vs) + other.at_points(p, *vs))
 
 
 def _point_arrays(form, points, vectors):
@@ -384,8 +392,7 @@ class PointwiseForm:
 
     def __add__(self, other):
         _require_summable(self, other)
-        return StackedForm(self.algebra, self.degree, self.dim,
-                           lambda p, *vs: self.at_points(p, *vs) + other.at_points(p, *vs))
+        return _stacked_sum(self, other)
 
     def __neg__(self):
         return StackedForm(self.algebra, self.degree, self.dim,

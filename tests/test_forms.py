@@ -286,3 +286,22 @@ def test_pointwise_forms_over_different_algebras_do_not_add():
     same = PointwiseForm.from_field(su2) + PointwiseForm.from_field(
         FormField.from_config(su2_algebra(), 1, 2, {"2,1": "x1"}))
     assert same.at_points(np.ones((1, 2)), np.ones((1, 2))).shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("kind", ["stacked", "pointwise"])
+def test_a_field_and_a_numeric_form_add_and_subtract_in_either_order(kind):
+    field = FormField.from_config(SU2, 1, 2, {"1,1": "x2", "2,2": "sin(x1)", "3,1": "x1 * x2"})
+    other = FormField.from_config(SU2, 1, 2, {"1,2": "exp(x1)", "3,1": "tanh(x2)"})
+    numeric = (PointwiseForm.from_field(other) if kind == "stacked"
+               else PointwiseForm(SU2, 1, 2, other.at))
+    rng = np.random.default_rng(8)
+    points, vectors = rng.uniform(-1.0, 1.0, (40, 2)), rng.uniform(-2.0, 2.0, (40, 2))
+    pairs = [(field + numeric, numeric + field), (field - numeric, -numeric + field),
+             (numeric - field, -field + numeric)]
+    for left, right in pairs:
+        assert isinstance(left, PointwiseForm)
+        assert _bits(left.at_points(points, vectors)) == _bits(right.at_points(points, vectors))
+    assert np.allclose((field + numeric).at_points(points, vectors),
+                       (field + other).at_points(points, vectors), rtol=0, atol=1e-14)
+    with pytest.raises(GeometryError, match="matching degree, dim, algebra"):
+        field + PointwiseForm.from_field(FormField.from_config(SO3, 1, 2, {"1,1": "x2"}))

@@ -50,6 +50,26 @@ def test_one_census_line_per_shipped_finite_module_and_nerve():
         ("GERBE(Z20)", "sphere"), ("GERBE(Z3)", "octahedron"), ("GERBE(Z2)", "rp2")]
 
 
+def test_one_interchange_line_per_finite_module_and_the_extra_ones():
+    lines = _lines("--interchange")
+    # the tool adds the Peiffer-broken fixture, a module that breaks
+    # equivariance, and the largest cyclic pairs within the exhaustive budget
+    names = shipped_finite_names() + ["PEIFFER_BROKEN(S3)", "swap-klein", "AUT(Z30)",
+                                      "GERBE(Z90)"]
+    assert len(lines) == len(names) == 11
+    assert [line.split()[0] for line in lines] == names
+    assert lines[8] == ("swap-klein raised: vertical pasting needs matching 1-arrows "
+                        "(source 1, target 0)")
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1])
+               for k, line in enumerate(lines) if k != 8)
+    assert _lines("--interchange") == lines
+    walls = _lines("--interchange", "--repeat", "1")
+    assert [line.split()[0] for line in walls] == names and walls[8] == lines[8]
+    # the checks draw no samples and run in this process
+    for options in (("--seed", "0"), ("--cold", "1"), ("--census",)):
+        assert _run("--interchange", *options).returncode == 2
+
+
 def test_census_repeat_prints_a_wall_per_census_and_the_same_refusals():
     digests = _lines("--census")
     walls = _lines("--census", "--repeat", "1")

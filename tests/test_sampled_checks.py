@@ -403,6 +403,29 @@ def test_su2_log_has_the_logm_bits():
     assert warned_alone == warned_stacked == logm_warned
 
 
+def test_so3_log_has_the_logm_bits():
+    import scipy.linalg
+    G = SO3()
+    rng = np.random.default_rng(17)
+    # rotation angles from 1e-8 to 3.1 and then within 1.1e-8 of pi, about
+    # random axes, and the identity
+    angles = np.concatenate([np.geomspace(1e-8, 3.1, 120)[rng.permutation(120)],
+                             np.pi - np.geomspace(1.1e-8, 1e-1, 12)])
+    axes = rng.normal(size=(len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    stack = np.concatenate([G.exp(G.algebra.from_coords(angles[:, None] * axes)),
+                            [G.identity]])
+    # logm turns complex within about 1e-7 of pi, and the projection warns as
+    # it drops the imaginary part
+    want, logm_warned = _recorded(
+        lambda: np.array([G.algebra.project(scipy.linalg.logm(g)) for g in stack]))
+    alone, warned_alone = _recorded(lambda: [G.log(g) for g in stack])
+    stacked, warned_stacked = _recorded(lambda: G.log(stack))
+    assert _bits(alone) == _bits(want)
+    assert _bits(stacked) == _bits(want)
+    assert warned_alone == logm_warned and warned_stacked == logm_warned[:1] != []
+
+
 # finite complex matrices that no group admits, each with how many of them
 # `_logm_2x2` hands to logm itself
 LOGM_ROUTES = {

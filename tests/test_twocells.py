@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -204,6 +205,8 @@ def _module(name):
         return twisted_peiffer()
     if name == "PEIFFER_BROKEN(S3)":
         return peiffer_violating_fixture()
+    if name == "swap-klein":
+        return equivariance_broken()
     return crossed_module(name)
 
 
@@ -272,6 +275,87 @@ def test_batched_interchange_raises_the_scalar_composition_error(monkeypatch):
         assert str(batched.value) == str(scalar.value)
         assert (batched.value.source, batched.value.target) \
             == (scalar.value.source, scalar.value.target)
+
+
+def full_grid_interchange(cm):
+    """The exhaustive interchange report evaluated on all |G|^2 |H|^4 cases,
+    or the CompositionError it raises: the reference for check_interchange,
+    which evaluates the cases with g2 = h2 = 0 only."""
+    G, H = cm.G, cm.H
+    total = G.order ** 2 * H.order ** 4
+    try:
+        bad, first = crossed._failures(
+            partial(_interchange_holds, cm.compiled()),
+            crossed._index_blocks((G.order,) * 2 + (H.order,) * 4))
+    except CompositionError as exc:
+        return str(exc), exc.source, exc.target
+    rep = ValidationReport(f"interchange: {cm.name}")
+    rep.add("interchange", bad == 0,
+            witness=None if first is None else crossed._witness(G, H, "g1 g2 h1 h2 h3 h4", first),
+            detail=f"{total - bad}/{total} cases (exhaustive)")
+    return rep.to_dict()
+
+
+def interchange_outcome(cm):
+    try:
+        return check_interchange(cm).to_dict()
+    except CompositionError as exc:
+        return str(exc), exc.source, exc.target
+
+
+@pytest.mark.parametrize("name", shipped_finite_names()
+                         + ["PEIFFER_BROKEN(S3)", "twisted-peiffer", "swap-klein"])
+def test_interchange_equals_the_full_grid(name, monkeypatch):
+    cm = _module(name)
+    want = full_grid_interchange(cm)
+    assert isinstance(want, tuple) == (name == "swap-klein")
+    for block in BLOCKS:
+        monkeypatch.setattr(crossed, "BLOCK", block)
+        assert interchange_outcome(cm) == want
+
+
+def _relabelled(table, rng):
+    """A group table with its elements renumbered at random, so that the
+    identity need not be element 0."""
+    table = np.asarray(table)
+    perm = rng.permutation(len(table))
+    new = np.empty_like(table)
+    new[np.ix_(perm, perm)] = perm[table]
+    return new.tolist()
+
+
+def random_inline_module(rng, k):
+    """An inline module over Z1 to Z4 or S3 with random t and alpha, most
+    of them neither homomorphisms nor actions; a third keep t or alpha
+    trivial, so that more of them pass or fail instead of raising."""
+    s3 = crossed_module("CONJ(S3)").G.table.tolist()
+    cyclic = [[[(a + b) % n for b in range(n)] for a in range(n)] for n in range(1, 5)]
+    G, H = (_relabelled(cyclic[i] if i < 4 else s3, rng) for i in rng.integers(5, size=2))
+    g_identity = next(i for i, row in enumerate(G) if row == list(range(len(G))))
+    t = rng.integers(len(G), size=len(H))
+    alpha = rng.integers(len(H), size=(len(G), len(H)))
+    if k % 3 == 1:
+        t[:] = g_identity
+    elif k % 3 == 2:
+        alpha[:] = np.arange(len(H))
+    return from_tables({"name": f"random-{k}", "G": {"table": G}, "H": {"table": H},
+                        "t": t.tolist(), "alpha": alpha.tolist()})
+
+
+def test_interchange_equals_the_full_grid_on_random_modules(monkeypatch):
+    rng = np.random.default_rng(3301)
+    verdicts = []
+    for k in range(300):
+        cm = random_inline_module(rng, k)
+        want = full_grid_interchange(cm)
+        for block in BLOCKS:
+            monkeypatch.setattr(crossed, "BLOCK", block)
+            assert interchange_outcome(cm) == want, cm.name
+        monkeypatch.setattr(crossed, "BLOCK", BLOCKS[-1])
+        verdicts.append("raise" if isinstance(want, tuple)
+                        else want["checks"][0]["verdict"])
+    # every outcome is exercised, a failure and a pass included
+    assert {"raise", "FAIL", "PASS"} <= set(verdicts)
 
 
 @pytest.mark.parametrize("name", ["GERBE(Z2)", "GERBE(Z3)", "GERBE(Z5)",

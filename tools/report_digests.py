@@ -71,6 +71,19 @@ tree `--against` names and for `--src`, every one in a fresh process. It
 prints only the lines that differ, as "mode: -line" for the `--against`
 tree and "mode: +line" for `--src`, and exits 1 if there are any, 0 if
 there are none. With `--census` it compares the census lines only.
+
+    python3 tools/report_digests.py --interchange [--repeat 5]
+
+prints one line per exhaustive interchange check: every shipped finite
+module, PEIFFER_BROKEN(S3), a swap-Klein module that breaks equivariance,
+AUT(Z30) and GERBE(Z90),
+
+    module sha256(json report)
+
+or `module raised: <message> (source s, target t)` where the check raises a
+CompositionError; with `--repeat`, the median wall and quartiles in place of
+the digest. `--against` diffs these lines too, before the census, and with
+`--interchange` it compares them only.
 """
 
 import argparse
@@ -216,9 +229,48 @@ def census_lines(repeats=None):
     return lines
 
 
+# the modules `--interchange` checks beyond the shipped finite ones, as
+# `from_tables` arguments or catalog names: Z/2 swapping the factors of the
+# Klein group with t the first projection, which breaks equivariance, so that
+# the exhaustive check raises; and the largest cyclic pairs within its budget
+SWAP_KLEIN = {"name": "swap-klein", "G": {"table": [[0, 1], [1, 0]]},
+              "H": {"table": [[a ^ b for b in range(4)] for a in range(4)]},
+              "t": [0, 0, 1, 1], "alpha": [[0, 1, 2, 3], [0, 2, 1, 3]]}
+EXTRA_INTERCHANGE = ["PEIFFER_BROKEN(S3)", SWAP_KLEIN, "AUT(Z30)", "GERBE(Z90)"]
+
+
+def interchange_lines(repeats=None):
+    """One line per exhaustive interchange check, shipped finite modules
+    first: the digest of its report, or the CompositionError it raises; with
+    `repeats`, the median wall of that many runs and its quartiles in place
+    of the digest."""
+    from twogauge.crossed import crossed_module, from_tables, shipped_finite_names
+    from twogauge.errors import CompositionError
+    from twogauge.twocells import check_interchange
+
+    lines = []
+    for spec in shipped_finite_names() + EXTRA_INTERCHANGE:
+        cm = from_tables(spec) if isinstance(spec, dict) else crossed_module(spec)
+        walls = []
+        try:
+            for _ in range(repeats or 1):
+                started = time.perf_counter()
+                report = check_interchange(cm, mode="exhaustive")
+                walls.append(time.perf_counter() - started)
+        except CompositionError as exc:
+            lines.append(f"{cm.name} raised: {exc} (source {exc.source}, target {exc.target})")
+            continue
+        if repeats is None:
+            lines.append(f"{cm.name} {_sha(json.dumps(report.to_dict(), sort_keys=True))}")
+        else:
+            lines.append(f"{cm.name} {_spread(walls, 5)}")
+    return lines
+
+
 # the digest sets `--against` compares: (label, options of this tool)
 AGAINST_MODES = [("shipped seeds", ()), ("seed 0", ("--seed", "0")),
-                 ("seed 301", ("--seed", "301")), ("census", ("--census",))]
+                 ("seed 301", ("--seed", "301")), ("interchange", ("--interchange",)),
+                 ("census", ("--census",))]
 
 
 def _tool_lines(src, options):
@@ -253,9 +305,13 @@ def main(argv=None):
     mode.add_argument("--cold", type=int, default=None, metavar="N",
                       help="print median fresh-process seconds per subcommand "
                            "over N repeats")
-    parser.add_argument("--census", action="store_true",
+    finite = parser.add_mutually_exclusive_group()
+    finite.add_argument("--census", action="store_true",
                         help="print one line per finite census instead: its digest, "
                              "or with --repeat its median wall")
+    finite.add_argument("--interchange", action="store_true",
+                        help="print one line per exhaustive interchange check instead: "
+                             "its digest, or with --repeat its median wall")
     parser.add_argument("--against", default=None, metavar="DIR",
                         help="print only the digest lines that differ between the "
                              "source tree DIR and --src; exit 1 if any do")
@@ -263,10 +319,11 @@ def main(argv=None):
     for name in ("repeat", "cold"):
         if getattr(args, name) is not None and getattr(args, name) < 1:
             parser.error(f"--{name} must be a positive integer")
-    if args.census and args.seed is not None:
-        parser.error("--seed does not apply to --census: a census draws no samples")
-    if args.census and args.cold is not None:
-        parser.error("--cold does not apply to --census: censuses run in this process")
+    for name, runs in (("census", "censuses"), ("interchange", "interchange checks")):
+        if getattr(args, name) and args.seed is not None:
+            parser.error(f"--seed does not apply to --{name}: it draws no samples")
+        if getattr(args, name) and args.cold is not None:
+            parser.error(f"--cold does not apply to --{name}: {runs} run in this process")
     src = os.path.abspath(args.src)
     # a tree without the package would import whichever twogauge sys.path holds
     for tree in filter(None, (args.src, args.against)):
@@ -276,7 +333,8 @@ def main(argv=None):
         if args.seed is not None or args.repeat is not None or args.cold is not None:
             parser.error("--against runs its own seeds and takes neither --seed, "
                          "--repeat nor --cold")
-        modes = AGAINST_MODES[-1:] if args.census else AGAINST_MODES
+        only = "--census" if args.census else "--interchange" if args.interchange else None
+        modes = [m for m in AGAINST_MODES if only in m[1]] if only else AGAINST_MODES
         lines = against_lines(os.path.abspath(args.against), src, modes)
         for line in lines:
             print(line)
@@ -289,6 +347,8 @@ def main(argv=None):
     scenarios = shipped_scenarios()
     if args.census:
         lines = census_lines(args.repeat)
+    elif args.interchange:
+        lines = interchange_lines(args.repeat)
     elif args.cold is not None:
         lines = cold_lines(src, cli.COMMANDS, scenarios, args.cold, options)
     elif args.repeat is not None:
